@@ -221,6 +221,11 @@ def cmd_chain(args) -> int:
         "tol": args.tol,
     }
     try:
+        if args.n_max < 2:
+            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+        if args.levels is not None and (not args.levels or min(args.levels) <= 0):
+            got = ",".join(map(str, args.levels))
+            raise ValueError(f"--levels needs positive integers, got {got!r}")
         chain = chains.chain_by_name(args.chain)
         order = args.order or chain.order
         chains.order_predicate(order)

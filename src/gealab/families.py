@@ -183,17 +183,32 @@ def _psd(mat: np.ndarray, tol: float) -> bool:
     return float(vals[0]) >= -tol * max(1.0, abs(float(vals[-1])))
 
 
+def _preceq_numeric(t: FormSpec, s: FormSpec, levels, tol: float) -> bool:
+    """t <= s by a PSD eigensolve of M_s - M_t at every level."""
+    if levels is None:
+        levels = DEFAULT_LEVELS[t.model]
+    return all(_psd(matrix_at(s, L) - matrix_at(t, L), tol) for L in levels)
+
+
 def preceq(t: FormSpec, s: FormSpec, levels=None, tol: float = forms.PSD_TOL) -> bool:
-    """Pointwise order: D(t) contains D(s) and t <= s on it (PSD check)."""
+    """Pointwise order: D(t) contains D(s) and t <= s on it.
+
+    Decided exactly when no atom coefficient of t exceeds its coefficient
+    in s: every catalog atom is PSD at every level, so s - t is then a
+    non-negative combination of PSD atoms and the atom-wise difference is
+    the certificate.  Any other pair gets a per-level PSD eigensolve at
+    tolerance ``tol``.
+    """
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
     if t.has_kind("hamel") or s.has_kind("hamel"):
         raise SymbolicOnly("the symbolic singular form has no numerical order")
     if not tag_includes(s.domain, t.domain):
         return False
-    if levels is None:
-        levels = DEFAULT_LEVELS[t.model]
-    return all(_psd(matrix_at(s, L) - matrix_at(t, L), tol) for L in levels)
+    bound = s.atoms_dict()
+    if all(c <= bound.get(atom, Fraction(0)) for atom, c in t.atoms):
+        return True
+    return _preceq_numeric(t, s, levels, tol)
 
 
 def le_oplus(t: FormSpec, s: FormSpec, levels=None, tol: float = forms.PSD_TOL) -> bool:

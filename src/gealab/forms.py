@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import hilbert
 from .errors import (
@@ -509,13 +508,13 @@ def numerical_range_bounds(t: FormSpec, level: int) -> tuple[float, float]:
     positivity requires m >= -1e-9 * max(1, n).
     """
     m = matrix_at(t, level)
+    if t.model == GRID:
+        # the pencil (M, W) with diagonal W > 0 has the spectrum of W^-1/2 M W^-1/2
+        r = 1.0 / np.sqrt(hilbert.gram_weights(t.model, level))
+        m = (r[:, None] * m) * r[None, :]
     try:
-        if t.model == GRID:
-            b = np.diag(hilbert.gram_weights(t.model, level))
-            vals = scipy.linalg.eigh(m, b, eigvals_only=True)
-        else:
-            vals = np.linalg.eigvalsh(m)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        vals = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     lo, hi = float(vals[0]), float(vals[-1])
     if lo < -PSD_TOL * max(1.0, hi):

@@ -31,6 +31,9 @@ class NatGEA(PartialAlgebra):
         self.zero = 0
         self.enumerable = True
 
+    def __repr__(self):
+        return f"NatGEA(cap={self.cap!r})"
+
     def add(self, a, b):
         return a + b
 
@@ -51,6 +54,9 @@ class EvenGapGEA(PartialAlgebra):
         self.cap = cap
         self.zero = 0
         self.enumerable = True
+
+    def __repr__(self):
+        return f"EvenGapGEA(cap={self.cap!r})"
 
     @staticmethod
     def contains(x) -> bool:
@@ -73,6 +79,9 @@ class ConeGEA(PartialAlgebra):
         self.zero = (0,) * dim
         self.enumerable = True
 
+    def __repr__(self):
+        return f"ConeGEA(dim={self.dim!r}, cap={self.cap!r})"
+
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
@@ -92,6 +101,9 @@ class IntervalEA(PartialAlgebra):
         ut = _as_tuple(u)
         self.zero = _scalar(u, (0,) * len(ut))
         self.enumerable = True
+
+    def __repr__(self):
+        return f"IntervalEA(u={self.u!r})"
 
     @property
     def top(self):
@@ -122,6 +134,9 @@ class HalfOpenIntervalGEA(PartialAlgebra):
         self.zero = _scalar(u, (0,) * len(ut))
         self.enumerable = True
 
+    def __repr__(self):
+        return f"HalfOpenIntervalGEA(u={self.u!r})"
+
     def _inside(self, s: tuple) -> bool:
         ut = _as_tuple(self.u)
         return all(c <= m for c, m in zip(s, ut)) and s != ut
@@ -150,6 +165,9 @@ class BrokenMaxGEA(PartialAlgebra):
         self.cap = cap
         self.zero = 0
         self.enumerable = True
+
+    def __repr__(self):
+        return f"BrokenMaxGEA(cap={self.cap!r})"
 
     def add(self, a, b):
         return max(a, b)
@@ -207,17 +225,19 @@ def instance_by_name(name: str, cap: int | None = None) -> PartialAlgebra:
         parts = [int(p) for p in text.split(",")]
         return parts[0] if len(parts) == 1 else tuple(parts)
 
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     base, _, arg = name.partition(":")
     if base == "zplus":
-        return NatGEA(cap or 64)
+        return NatGEA(64 if cap is None else cap)
     if base == "even-gap":
-        return EvenGapGEA(cap or 64)
+        return EvenGapGEA(64 if cap is None else cap)
     if base == "cone":
-        return ConeGEA(int(arg) if arg else 2, cap or 8)
+        return ConeGEA(int(arg) if arg else 2, 8 if cap is None else cap)
     if base == "interval":
         return make_interval_ea(parse_bound(arg) if arg else 6)
     if base == "half-open":
         return make_half_open(parse_bound(arg) if arg else (2, 2))
     if base == "broken-max":
-        return BrokenMaxGEA(cap or 8)
+        return BrokenMaxGEA(8 if cap is None else cap)
     raise ValueError(f"unknown instance {name!r}")

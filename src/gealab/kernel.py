@@ -223,6 +223,8 @@ def check_axioms(
         tested = n + n * n + n * n * n
         used_seed = None
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         rng = random.Random(seed)
         for _ in range(samples):
             x = alg.sample(rng)

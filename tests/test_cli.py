@@ -60,6 +60,34 @@ def test_axioms_selector_usage_errors(capsys):
     assert code == 2 and "config error" in err
 
 
+def test_axioms_samples_below_one_is_config_error(capsys):
+    for n in ("-5", "0"):
+        code, out, err = run_cli(["axioms", "--family", "bf", "--samples", n], capsys)
+        assert code == 2 and not out
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_axioms_negative_cap_is_config_error(capsys):
+    code, out, err = run_cli(["axioms", "--instance", "cone:2", "--cap", "-1"], capsys)
+    assert code == 2 and not out
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_axioms_cap_zero_is_honoured(capsys):
+    code, body, _ = run_json(["axioms", "--instance", "zplus", "--cap", "0"], capsys)
+    assert code == 0 and body["config"]["cap"] == 0
+    assert body["report"]["algebra"] == "NatGEA(cap=0)"
+    assert body["report"]["samples_tested"] == 3  # the carrier is {0}
+
+
+def test_axioms_instance_json_is_byte_stable():
+    cmd = [sys.executable, "-m", "gealab.cli", "axioms", "--instance", "interval:3,2", "--format", "json"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["report"]["algebra"] == "IntervalEA(u=(3, 2))"
+
+
 def test_counterexamples_all_pass(capsys):
     for name in cli.COUNTEREXAMPLES:
         code, body, _ = run_json(["counterexample", name], capsys)
@@ -126,6 +154,19 @@ def test_chain_unknown_ids(capsys):
     assert code == 2
 
 
+def test_chain_n_max_below_two_is_config_error(capsys):
+    code, out, err = run_cli(["chain", "--chain", "kato", "--n-max", "1"], capsys)
+    assert code == 2 and not out
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_chain_nonpositive_level_is_config_error(capsys):
+    for levels in ("-3", "0,8"):
+        code, out, err = run_cli(["chain", "--chain", "kato", "--levels", levels], capsys)
+        assert code == 2 and not out
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_sigma_matches_expected_table(capsys):
     code, body, _ = run_json(["sigma", "--n-max", "12"], capsys)
     assert code == 0 and body["ok"]
@@ -178,6 +219,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gealab.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_targets_cli_main():

@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gealab import families, forms, kernel
+from gealab import chains, families, forms, kernel
 from gealab.errors import (
     ModelMismatch,
     NegativeCoefficient,
@@ -37,7 +38,10 @@ from gealab.families import (
 from gealab.forms import (
     FINITE_SUPPORT,
     FULL_SPACE,
+    PSD_TOL,
+    bounded_mat_atom,
     bounded_matrix_form,
+    diag_atom,
     diag_form,
     endpoint_form,
     energy_form,
@@ -45,9 +49,10 @@ from gealab.forms import (
     form_add,
     hamel_form,
     reg_sing_split,
+    tag_includes,
     zero_form,
 )
-from gealab.hilbert import GRID, SEQUENCE
+from gealab.hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 
 T_PRIME = energy_form(1)
 T_0 = endpoint_form(1, 1)
@@ -213,6 +218,73 @@ def test_preceq_basics():
     assert not preceq(diag_form("j", domain=FINITE_SUPPORT), diag_form("j"))
     with pytest.raises(SymbolicOnly):
         preceq(hamel_form(), hamel_form())
+
+
+def _chain_pools():
+    """Terms and candidate palettes of the five pinned chains, one pool each."""
+    for chain_id in chains.CHAIN_IDS:
+        chain = chains.chain_by_name(chain_id)
+        yield chain.terms(8) + chains._candidate_palette(chain)
+
+
+def _catalog_atoms(model):
+    """Every atom of the sampler tables, the catalog forms and the chain pools."""
+    atoms = {bounded_mat_atom(g) for g in families._GENS}
+    if model == SEQUENCE:
+        for lam in families._BOUNDED_LAMS + families._UNBOUNDED_LAMS:
+            atoms.update(diag_atom(lam, cut) for cut in (None, 2, 3, 4, 8))
+    pools = [[t for _, t in forms.catalog_forms(model)]]
+    pools += [pool for pool in _chain_pools() if pool[0].model == model]
+    atoms.update(a for pool in pools for t in pool for a, _ in t.atoms)
+    return atoms
+
+
+@pytest.mark.parametrize("model", [SEQUENCE, GRID])
+def test_catalog_atoms_are_psd(model):
+    # the exact path of preceq rests on this: s - t with non-negative atom
+    # coefficients is then PSD at every level
+    for atom in _catalog_atoms(model):
+        for level in DEFAULT_LEVELS[model]:
+            vals = np.linalg.eigvalsh(forms._atom_matrix(model, atom, level))
+            assert vals[0] >= -PSD_TOL * max(1.0, abs(vals[-1])), (atom, level)
+
+
+def _agrees_with_numeric(t, s):
+    numeric = tag_includes(s.domain, t.domain) and families._preceq_numeric(t, s, None, PSD_TOL)
+    assert preceq(t, s) == numeric, (t, s)
+    return numeric
+
+
+def test_preceq_agrees_with_numeric_oracle_on_chains():
+    hits = 0
+    for pool in _chain_pools():
+        for t in pool:
+            for s in pool:
+                hits += _agrees_with_numeric(t, s)
+    assert hits > 500
+
+
+def test_preceq_agrees_with_numeric_oracle_sampled():
+    rng = random.Random(23)
+    hits = 0
+    for model, family in [(GRID, "vf"), (GRID, "rf"), (SEQUENCE, "vf"), (SEQUENCE, "bf")]:
+        for _ in range(75):
+            x = sample_form(model, family, rng)
+            y = sample_form(model, family, rng)
+            hits += _agrees_with_numeric(x, y)
+            u = oplus(x, y)
+            if u is not None:
+                hits += _agrees_with_numeric(x, u)
+    assert hits > 250
+
+
+def test_preceq_exact_path_needs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve on an atom-wise certifiable pair")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert preceq(energy_form(1), energy_with_endpoints(1, 1, 1))
+    assert preceq(zero_form(SEQUENCE), diag_form("j"))
 
 
 def test_le_oplus_is_a_decision_procedure():
