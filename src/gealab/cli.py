@@ -275,6 +275,9 @@ _EXPECTED_SIGMA = {
 
 def cmd_sigma(args) -> int:
     config = {"n_max": args.n_max, "seed": args.seed}
+    if args.n_max < 2:
+        print(f"config error: --n-max must be at least 2, got {args.n_max}", file=sys.stderr)
+        return 2
     try:
         table = chains.sigma_report(n_max=args.n_max, seed=args.seed)
     except GealabError as exc:
@@ -363,6 +366,13 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"config error: GEALAB_SEED={raw!r} is not an integer", file=sys.stderr)
             return 2
+    # refuse an unwritable --out before the run, not after it
+    if args.out and os.path.isdir(args.out):
+        print(f"config error: --out {args.out!r} is a directory", file=sys.stderr)
+        return 2
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        print(f"config error: --out {args.out!r} is in a missing directory", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     JoinUnavailable,
@@ -24,6 +27,8 @@ from .errors import (
 )
 
 AXIOMS = ("GEi", "GEii", "GEiii", "GEiv", "GEv")
+# n + n^2 + n^3 tuples above this are refused: about 10^3 elements, tens of seconds
+MAX_EXHAUSTIVE_TUPLES = 10**9
 
 
 class PartialAlgebra:
@@ -52,15 +57,144 @@ class PartialAlgebra:
         raise NotEnumerable(f"{type(self).__name__} has no sampler")
 
 
+class _SumTable:
+    """The partial sum of an enumerable carrier as integer arrays.
+
+    Built once per algebra (see :func:`_sum_table`).  Every value is
+    interned to an integer id in first-seen order: the enumerated window
+    first, then the sums that leave it; ``-1`` marks an undefined sum.
+    Enumerating is cheap and happens here; each array, and each row of
+    ``first``, is built on first use, so a caller can refuse an oversized
+    carrier before paying for it.
+    """
+
+    def __init__(self, alg: PartialAlgebra):
+        self.alg = alg
+        self.elems = list(alg.elements())
+        self.ids: dict = {}
+        self.vals: list = []
+        self.win = np.array([self.intern(e) for e in self.elems], dtype=np.int32)
+        self.n_window = len(self.vals)
+        # first position of each window id
+        self.at = np.unique(self.win, return_index=True)[1]
+        self._rows: dict[int, np.ndarray] = {}
+
+    def intern(self, value) -> int:
+        if value is None:
+            return -1
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.vals)
+            self.vals.append(value)
+        return i
+
+    def position(self, value):
+        """Index of ``value`` in the window, or ``None`` outside it."""
+        i = self.ids.get(value)
+        return None if i is None or i >= self.n_window else int(self.at[i])
+
+    def row(self, i: int) -> np.ndarray:
+        """``first[i]``, built on its own on first use, so that one order
+        query on a large carrier pays n sums rather than n^2."""
+        if "first" in self.__dict__:
+            return self.first[i]
+        r = self._rows.get(i)
+        if r is None:
+            add, intern, x = self.alg.add, self.intern, self.elems[i]
+            r = self._rows[i] = np.array([intern(add(x, y)) for y in self.elems], dtype=np.int32)
+        return r
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """``first[i, j]``: id of ``elems[i] + elems[j]``, or -1."""
+        n = len(self.elems)
+        first = np.array([self.row(i) for i in range(n)], dtype=np.int32).reshape(n, n)
+        self._rows.clear()
+        return first
+
+    @cached_property
+    def n_first(self) -> int:
+        """Ids below this are met in the window or in ``first``."""
+        return max(self.n_window, int(self.first.max(initial=-1)) + 1)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """``left[v, j]``: id of ``vals[v] + elems[j]`` for each id ``v`` met
+        in ``first``; the extra last row is -1, so ``left[-1]`` reads an
+        undefined first sum as undefined."""
+        add, intern = self.alg.add, self.intern
+        rows = [[intern(add(self.vals[v], y)) for y in self.elems] for v in range(self.n_first)]
+        rows.append([-1] * len(self.elems))
+        return np.array(rows, dtype=np.int32).reshape(len(rows), len(self.elems))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """``right[i, v]``: id of ``elems[i] + vals[v]``, with a last column of -1."""
+        add, intern = self.alg.add, self.intern
+        cols = [[intern(add(x, self.vals[v])) for v in range(self.n_first)] + [-1] for x in self.elems]
+        return np.array(cols, dtype=np.int32).reshape(len(self.elems), self.n_first + 1)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """``reach[i, v]``: some window ``z`` has ``elems[i] + z`` of id ``v``."""
+        n = len(self.elems)
+        reach = np.zeros((n, self.n_first + 1), dtype=bool)
+        # undefined sums (-1) land in the spare last column, which is dropped
+        reach[np.arange(n)[:, None], self.first] = True
+        reach.flags.writeable = False  # below() and above() hand out views
+        return reach[:, :-1]
+
+    @cached_property
+    def le(self) -> np.ndarray:
+        """The derived order on the window: ``le[i, k]`` is ``elems[i] <= elems[k]``."""
+        le = self.reach[:, self.win]
+        le.flags.writeable = False
+        return le
+
+    def below(self, b) -> np.ndarray:
+        """``c <= b`` for every window element ``c``."""
+        reach = self.reach  # builds ``first``, which interns the sums
+        v = self.ids.get(b)
+        return np.zeros(len(self.elems), dtype=bool) if v is None or v >= self.n_first else reach[:, v]
+
+    def above(self, a) -> np.ndarray:
+        """``a <= c`` for every window element ``c``; all false for an ``a``
+        outside the window, whose sums the table does not hold."""
+        p = self.position(a)
+        return np.zeros(len(self.elems), dtype=bool) if p is None else self.le[p]
+
+
+def _sum_table(alg: PartialAlgebra) -> _SumTable:
+    """The sum table of an enumerable algebra, cached on the instance under
+    its ``repr``: instance reprs name the constructor arguments, so changing
+    one (say ``cap``) after a query builds a fresh table."""
+    key = repr(alg)
+    cached = alg.__dict__.get("_sum_table")
+    if cached is None or cached[0] != key:
+        cached = alg._sum_table = (key, _SumTable(alg))
+    return cached[1]
+
+
+def _witnesses(alg: PartialAlgebra, a, b) -> list:
+    """Every window element z with a + z = b, in window order."""
+    table = _sum_table(alg)
+    p = table.position(a)
+    if p is None:  # a lies outside the window: scan its sums
+        return [z for z in table.elems if alg.add(a, z) == b]
+    row = table.row(p)  # interns the sums before b is looked up
+    v = table.ids.get(b)
+    return [] if v is None else [table.elems[j] for j in np.flatnonzero(row == v)]
+
+
 def derived_le(alg: PartialAlgebra, a, b) -> bool:
     """Decide a <= b in the order derived from the partial sum.
 
     a <= b holds exactly when some z with a + z = b exists.  Enumerable
-    carriers are searched exhaustively; other algebras must have registered
-    a decision oracle.
+    carriers read it off their sum table; other algebras must have
+    registered a decision oracle.
     """
     if alg.enumerable:
-        return any(alg.add(a, z) == b for z in alg.elements())
+        return bool(_witnesses(alg, a, b))
     if alg.le_oracle is not None:
         return bool(alg.le_oracle(a, b))
     raise NoOrderOracle(f"{type(alg).__name__} is not enumerable and has no order oracle")
@@ -76,11 +210,10 @@ def ominus(alg: PartialAlgebra, b, a):
     if not alg.enumerable:
         raise NoOrderOracle("subtraction by search needs an enumerable carrier")
     found = None
-    for z in alg.elements():
-        if alg.add(a, z) == b:
-            if found is not None and z != found:
-                raise NonUniqueWitness(f"{a} + {found} = {a} + {z} = {b} with {found} != {z}")
-            found = z
+    for z in _witnesses(alg, a, b):
+        if found is not None and z != found:
+            raise NonUniqueWitness(f"{a} + {found} = {a} + {z} = {b} with {found} != {z}")
+        found = z
     return found
 
 
@@ -182,6 +315,47 @@ def replay(alg: PartialAlgebra, verdict: AxiomVerdict) -> bool:
     return check(alg, *verdict.counterexample[:arity])
 
 
+def _first_true(mask: np.ndarray):
+    """Index tuple of the first true entry in C order, or ``None``."""
+    return np.unravel_index(np.argmax(mask), mask.shape) if mask.any() else None
+
+
+def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, tuple]:
+    """First counterexample of each axiom over all window tuples.
+
+    "First" is the order of nested loops over the window (C order of the
+    arrays), so every counterexample names the same tuple as a plain loop.
+    GEii and GEiv run one x at a time over n x n arrays.
+    """
+    elems, first, win = table.elems, table.first, table.win
+    n = len(elems)
+    zero = table.ids.get(alg.zero, -2)  # -2 matches no id: then no sum is zero
+    found = {
+        "GEiii": _first_true(
+            np.array([table.intern(alg.add(x, alg.zero)) for x in elems], dtype=np.int32) != win
+        ),
+        "GEi": _first_true(first != first.T),
+        "GEv": _first_true((first == zero) & ~((win == zero)[:, None] & (win == zero)[None, :])),
+    }
+    bad = {axiom: tuple(elems[i] for i in at) for axiom, at in found.items() if at is not None}
+    left, right = table.left, table.right
+    distinct = win[:, None] != win[None, :]
+    for i in range(n):
+        row = first[i]
+        if "GEii" not in bad:
+            # (x + y) + z against x + (y + z), undefined as -1 on both sides
+            at = _first_true(left[row] != right[i][first])
+            if at is not None:
+                bad["GEii"] = (elems[i], elems[at[0]], elems[at[1]])
+        if "GEiv" not in bad:
+            at = _first_true((row[:, None] == row[None, :]) & (row >= 0)[:, None] & distinct)
+            if at is not None:
+                bad["GEiv"] = (elems[i], elems[at[0]], elems[at[1]])
+        if "GEii" in bad and "GEiv" in bad:
+            break
+    return bad
+
+
 def check_axioms(
     alg: PartialAlgebra,
     mode: str = "exhaustive",
@@ -190,9 +364,10 @@ def check_axioms(
 ) -> AxiomReport:
     """Test the five defining axioms.
 
-    ``mode="exhaustive"`` walks all tuples of an enumerable carrier;
-    ``mode="sampled"`` draws the requested number of seeded triples from
-    the instance sampler.  A failed verdict always carries a concrete
+    ``mode="exhaustive"`` tests all tuples of an enumerable carrier from
+    its sum table and raises ``ValueError`` for more than
+    ``MAX_EXHAUSTIVE_TUPLES`` of them; ``mode="sampled"`` draws the
+    requested number of seeded triples from the instance sampler.  A failed verdict always carries a concrete
     counterexample that :func:`replay` reproduces.
     """
     bad: dict[str, tuple] = {}
@@ -200,27 +375,15 @@ def check_axioms(
     if mode == "exhaustive":
         if not alg.enumerable:
             raise NotEnumerable("exhaustive axiom checks need an enumerable carrier")
-        elems = list(alg.elements())
-        n = len(elems)
-        for x in elems:
-            if "GEiii" not in bad and _violates_geiii(alg, x):
-                bad["GEiii"] = (x,)
-        for x in elems:
-            for y in elems:
-                if "GEi" not in bad and _violates_gei(alg, x, y):
-                    bad["GEi"] = (x, y)
-                if "GEv" not in bad and _violates_gev(alg, x, y):
-                    bad["GEv"] = (x, y)
-        for x in elems:
-            for y in elems:
-                for z in elems:
-                    if "GEii" not in bad and _violates_geii(alg, x, y, z):
-                        bad["GEii"] = (x, y, z)
-                    if "GEiv" not in bad and _violates_geiv(alg, x, y, z):
-                        bad["GEiv"] = (x, y, z)
-                if "GEii" in bad and "GEiv" in bad:
-                    break
+        table = _sum_table(alg)
+        n = len(table.elems)
         tested = n + n * n + n * n * n
+        if tested > MAX_EXHAUSTIVE_TUPLES:
+            raise ValueError(
+                f"an exhaustive check of {n} elements tests {tested} tuples, more than "
+                f"{MAX_EXHAUSTIVE_TUPLES}; use a smaller --cap or --mode sampled"
+            )
+        bad = _exhaustive_violations(alg, table)
         used_seed = None
     elif mode == "sampled":
         if samples < 1:
@@ -272,21 +435,23 @@ def is_sub_gea(ambient: PartialAlgebra, subset) -> SubsetCheck:
     """
     if ambient.zero not in subset:
         return SubsetCheck(False, None, "zero missing from subset")
-    elems = list(ambient.elements())
-    window = set(elems)
-    for x in elems:
-        x_in = x in subset
-        for y in elems:
-            z = ambient.add(x, y)
-            # sums that escape the enumerated slice are undecidable here
-            if z is None or z not in window:
-                continue
-            y_in = y in subset
-            members = x_in + y_in + (z in subset)
-            if members == 2:
-                cert = (y, x, z) if (y_in and not x_in) else (x, y, z)
-                return SubsetCheck(False, cert, "closure violated")
-    return SubsetCheck(True, None, "")
+    table = _sum_table(ambient)
+    first = table.first
+    # membership of each window id; the spare last entry is read for -1
+    member = np.zeros(table.n_window + 1, dtype=bool)
+    member[:-1] = [v in subset for v in table.vals[: table.n_window]]
+    x_in = member[table.win]
+    # sums that escape the enumerated slice are undecidable here
+    decidable = (first >= 0) & (first < table.n_window)
+    z_in = member[np.where(decidable, first, -1)]
+    members = x_in[:, None].astype(int) + x_in[None, :] + z_in
+    at = _first_true(decidable & (members == 2))
+    if at is None:
+        return SubsetCheck(True, None, "")
+    x, y = (table.elems[i] for i in at)
+    z = table.vals[first[at]]
+    cert = (y, x, z) if (x_in[at[1]] and not x_in[at[0]]) else (x, y, z)
+    return SubsetCheck(False, cert, "closure violated")
 
 
 class RestrictedAlgebra(PartialAlgebra):
@@ -331,38 +496,30 @@ def restrict(ambient: PartialAlgebra, subset, check: bool = True) -> RestrictedA
 # ------------------------------------------------------- meets and joins
 
 
-def _le_pairs(alg: PartialAlgebra):
-    """All-pairs derived order on an enumerable carrier, as a set of pairs."""
-    elems = list(alg.elements())
-    table = set()
-    for a in elems:
-        for z in elems:
-            s = alg.add(a, z)
-            if s is not None:
-                table.add((a, s))
-    return elems, table
+def _extremum(alg: PartialAlgebra, items, lower: bool):
+    """Greatest lower (``lower``) or least upper bound of ``items`` by
+    exhaustive scan of the window, or ``None``."""
+    table = _sum_table(alg)
+    # le[c, m]: m dominates c, that is c <= m for a meet and m <= c for a join
+    le = table.le if lower else table.le.T
+    bounds = np.ones(len(table.elems), dtype=bool)
+    for e in items:
+        bounds &= table.below(e) if lower else table.above(e)
+    cand = np.flatnonzero(bounds)
+    for m in cand:
+        if le[cand, m].all():
+            return table.elems[m]
+    return None
 
 
 def brute_meet(alg: PartialAlgebra, items):
     """Greatest lower bound of ``items`` by exhaustive scan, or ``None``."""
-    items = list(items)
-    elems, le = _le_pairs(alg)
-    lower = [c for c in elems if all((c, e) in le for e in items)]
-    for m in lower:
-        if all((c, m) in le for c in lower):
-            return m
-    return None
+    return _extremum(alg, items, lower=True)
 
 
 def brute_join(alg: PartialAlgebra, items):
     """Least upper bound of ``items`` by exhaustive scan, or ``None``."""
-    items = list(items)
-    elems, le = _le_pairs(alg)
-    upper = [c for c in elems if all((e, c) in le for e in items)]
-    for m in upper:
-        if all((m, c) in le for c in upper):
-            return m
-    return None
+    return _extremum(alg, items, lower=False)
 
 
 def meet_via_complement_join(alg: PartialAlgebra, chain, join_oracle=None):
@@ -394,9 +551,12 @@ def meet_via_complement_join(alg: PartialAlgebra, chain, join_oracle=None):
     if alg.enumerable:
         if not all(derived_le(alg, meet, a) for a in chain):
             raise VerificationFailed("computed meet is not a lower bound")
-        for c in alg.elements():
-            if all(derived_le(alg, c, a) for a in chain) and not derived_le(alg, c, meet):
-                raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
+        table = _sum_table(alg)
+        lower = np.logical_and.reduce([table.below(a) for a in chain])
+        stray = np.flatnonzero(lower & ~table.below(meet))
+        if len(stray):
+            c = table.elems[stray[0]]
+            raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
     return meet
 
 
@@ -428,11 +588,15 @@ def join_via_complement_meet(alg: PartialAlgebra, chain, bound, meet_oracle=None
     if alg.enumerable:
         if not all(derived_le(alg, a, join) for a in chain):
             raise VerificationFailed("computed join is not an upper bound")
-        for c in alg.elements():
-            if (
-                all(derived_le(alg, a, c) for a in chain)
-                and derived_le(alg, c, bound)
-                and not derived_le(alg, join, c)
-            ):
-                raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
+        table = _sum_table(alg)
+        upper = table.below(bound)
+        for a in chain:
+            if table.position(a) is None:  # a lies outside the window: scan its sums
+                upper = upper & [derived_le(alg, a, c) for c in table.elems]
+            else:
+                upper = upper & table.above(a)
+        stray = np.flatnonzero(upper & ~table.above(join))
+        if len(stray):
+            c = table.elems[stray[0]]
+            raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
     return join

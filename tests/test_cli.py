@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gealab import cli
+from gealab import cli, instances
 
 
 def run_cli(argv, capsys):
@@ -167,6 +167,12 @@ def test_chain_nonpositive_level_is_config_error(capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_sigma_n_max_below_two_is_config_error(capsys):
+    code, out, err = run_cli(["sigma", "--n-max", "1"], capsys)
+    assert code == 2 and not out
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_sigma_matches_expected_table(capsys):
     code, body, _ = run_json(["sigma", "--n-max", "12"], capsys)
     assert code == 0 and body["ok"]
@@ -193,6 +199,33 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     body = json.loads(target.read_text())
     assert body["schema"] == "gealab/1"
+
+
+def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(
+            ["counterexample", "regular-sum", "--format", "json", "--out", str(target)], capsys
+        )
+        assert code == 2 and not out
+        assert err.startswith("config error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_axioms_exhaustive_work_is_bounded(monkeypatch, capsys):
+    add = instances.ConeGEA.add
+
+    def no_add(self, a, b):
+        raise AssertionError("the sum table was built")
+
+    monkeypatch.setattr(instances.ConeGEA, "add", no_add)
+    code, out, err = run_cli(["axioms", "--instance", "cone:2"], capsys)
+    monkeypatch.setattr(instances.ConeGEA, "add", add)
+    assert code == 2 and not out
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "--cap" in err and "--mode sampled" in err
+    code, body, _ = run_json(["axioms", "--instance", "cone:2", "--cap", "8"], capsys)
+    assert code == 0 and body["ok"]
+    assert body["report"]["samples_tested"] == 81 + 81**2 + 81**3
 
 
 def test_text_format_renders(capsys):

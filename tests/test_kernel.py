@@ -1,6 +1,7 @@
 """Axiom checker, derived order, sub-algebra test and meet/join oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,371 @@ from hypothesis import strategies as st
 
 from gealab import instances, kernel
 from gealab.errors import (
+    GealabError,
+    JoinUnavailable,
+    MeetUnavailable,
+    NonUniqueWitness,
     NoOrderOracle,
     NotEnumerable,
     NotSumClosed,
+    VerificationFailed,
 )
+
+# ------------------------------------------------------------ reference oracles
+#
+# Plain loops over the enumeration, calling ``add`` for every tuple.  The
+# kernel answers the same questions from its sum table; these loops define
+# what the answers must be, counterexamples and witnesses included.
+
+
+def ref_check_axioms(alg):
+    elems = list(alg.elements())
+    n = len(elems)
+    bad = {}
+    for x in elems:
+        if "GEiii" not in bad and kernel._violates_geiii(alg, x):
+            bad["GEiii"] = (x,)
+    for x in elems:
+        for y in elems:
+            if "GEi" not in bad and kernel._violates_gei(alg, x, y):
+                bad["GEi"] = (x, y)
+            if "GEv" not in bad and kernel._violates_gev(alg, x, y):
+                bad["GEv"] = (x, y)
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if "GEii" not in bad and kernel._violates_geii(alg, x, y, z):
+                    bad["GEii"] = (x, y, z)
+                if "GEiv" not in bad and kernel._violates_geiv(alg, x, y, z):
+                    bad["GEiv"] = (x, y, z)
+    verdicts = tuple(
+        kernel.AxiomVerdict(axiom=a, passed=a not in bad, counterexample=bad.get(a))
+        for a in kernel.AXIOMS
+    )
+    return kernel.AxiomReport("exhaustive", n + n * n + n * n * n, None, verdicts)
+
+
+def ref_derived_le(alg, a, b):
+    return any(alg.add(a, z) == b for z in alg.elements())
+
+
+def ref_ominus(alg, b, a):
+    found = None
+    for z in alg.elements():
+        if alg.add(a, z) == b:
+            if found is not None and z != found:
+                raise NonUniqueWitness(f"{a} + {found} = {a} + {z} = {b} with {found} != {z}")
+            found = z
+    return found
+
+
+def _ref_le_pairs(alg):
+    elems = list(alg.elements())
+    pairs = set()
+    for a in elems:
+        for z in elems:
+            s = alg.add(a, z)
+            if s is not None:
+                pairs.add((a, s))
+    return elems, pairs
+
+
+def ref_brute_meet(alg, items):
+    elems, le = _ref_le_pairs(alg)
+    lower = [c for c in elems if all((c, e) in le for e in items)]
+    for m in lower:
+        if all((c, m) in le for c in lower):
+            return m
+    return None
+
+
+def ref_brute_join(alg, items):
+    elems, le = _ref_le_pairs(alg)
+    upper = [c for c in elems if all((e, c) in le for e in items)]
+    for m in upper:
+        if all((m, c) in le for c in upper):
+            return m
+    return None
+
+
+def ref_is_sub_gea(ambient, subset):
+    if ambient.zero not in subset:
+        return kernel.SubsetCheck(False, None, "zero missing from subset")
+    elems = list(ambient.elements())
+    window = set(elems)
+    for x in elems:
+        x_in = x in subset
+        for y in elems:
+            z = ambient.add(x, y)
+            if z is None or z not in window:
+                continue
+            y_in = y in subset
+            if x_in + y_in + (z in subset) == 2:
+                cert = (y, x, z) if (y_in and not x_in) else (x, y, z)
+                return kernel.SubsetCheck(False, cert, "closure violated")
+    return kernel.SubsetCheck(True, None, "")
+
+
+def ref_unclosed_pair(ambient, members):
+    for x in members:
+        for y in members:
+            z = ambient.add(x, y)
+            if z is not None and z not in members:
+                return (x, y)
+    return None
+
+
+def ref_meet_via_complement_join(alg, chain, join_oracle=None):
+    chain = list(chain)
+    if not chain:
+        raise ValueError("empty chain")
+    if join_oracle is None:
+        join_oracle = lambda seq: ref_brute_join(alg, seq)  # noqa: E731
+    head = chain[0]
+    diffs = []
+    for a in chain:
+        d = ref_ominus(alg, head, a)
+        if d is None:
+            raise ValueError("chain is not descending from its first element")
+        diffs.append(d)
+    sup = join_oracle(diffs)
+    if sup is None:
+        raise JoinUnavailable("complement chain has no join")
+    meet = ref_ominus(alg, head, sup)
+    if meet is None:
+        raise VerificationFailed("join of complements is not below the chain head")
+    if not all(ref_derived_le(alg, meet, a) for a in chain):
+        raise VerificationFailed("computed meet is not a lower bound")
+    for c in alg.elements():
+        if all(ref_derived_le(alg, c, a) for a in chain) and not ref_derived_le(alg, c, meet):
+            raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
+    return meet
+
+
+def ref_join_via_complement_meet(alg, chain, bound, meet_oracle=None):
+    chain = list(chain)
+    if not chain:
+        raise ValueError("empty chain")
+    if meet_oracle is None:
+        meet_oracle = lambda seq: ref_brute_meet(alg, seq)  # noqa: E731
+    diffs = []
+    for a in chain:
+        d = ref_ominus(alg, bound, a)
+        if d is None:
+            raise ValueError(f"chain element {a} is not below the bound {bound}")
+        diffs.append(d)
+    inf = meet_oracle(diffs)
+    if inf is None:
+        raise MeetUnavailable("complement chain has no meet")
+    join = ref_ominus(alg, bound, inf)
+    if join is None:
+        raise VerificationFailed("meet of complements is not below the bound")
+    if not all(ref_derived_le(alg, a, join) for a in chain):
+        raise VerificationFailed("computed join is not an upper bound")
+    for c in alg.elements():
+        if (
+            all(ref_derived_le(alg, a, c) for a in chain)
+            and ref_derived_le(alg, c, bound)
+            and not ref_derived_le(alg, join, c)
+        ):
+            raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
+    return join
+
+
+class TableAlgebra(kernel.PartialAlgebra):
+    """A partial algebra given by a finite table; missing entries are undefined."""
+
+    enumerable = True
+
+    def __init__(self, window, table, zero):
+        self.window = window
+        self.table = table
+        self.zero = zero
+
+    def __repr__(self):
+        return f"TableAlgebra({self.window!r})"
+
+    def add(self, a, b):
+        return self.table.get((a, b))
+
+    def elements(self):
+        return list(self.window)
+
+
+def random_table_algebra(seed):
+    """Truncated integer addition on 0..k-1 (1 <= k <= 7) whose sums may
+    leave the window into a few outside values, with some entries
+    overwritten at random: undefined, a window value or an outside one."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 7)
+    top = k + rng.randint(0, 3)  # values k..top-1 lie outside the window
+    universe = list(range(top))
+    noise = rng.choice((0.0, 0.0, 0.03, 0.1, 0.3))
+    table = {}
+    for a in universe:
+        for b in universe:
+            s = a + b if a + b < top else None
+            if rng.random() < noise:
+                s = rng.choice([None, *universe])
+            if s is not None:
+                table[a, b] = s
+    window = list(range(k))
+    if rng.random() < 0.1:
+        window.append(rng.randrange(k))  # an enumeration that repeats an element
+    zero = 0 if rng.random() < 0.9 else rng.choice((top - 1, 99))
+    return TableAlgebra(window, table, zero), universe + [99]
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (GealabError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+SMALL_INSTANCES = [
+    instances.NatGEA(6),
+    instances.EvenGapGEA(14),
+    instances.ConeGEA(2, 3),
+    instances.ConeGEA(3, 2),
+    instances.make_interval_ea(5),
+    instances.make_interval_ea((2, 3)),
+    instances.make_half_open(4),
+    instances.make_half_open((2, 2)),
+    instances.BrokenMaxGEA(6),
+    kernel.RestrictedAlgebra(instances.NatGEA(12), [0, 3, 5, 6, 9]),
+]
+
+
+@pytest.mark.parametrize("alg", SMALL_INSTANCES, ids=repr)
+def test_check_axioms_matches_reference_on_instances(alg):
+    assert kernel.check_axioms(alg).to_dict() == ref_check_axioms(alg).to_dict()
+
+
+def test_check_axioms_matches_reference_on_random_tables():
+    failing = {a: 0 for a in kernel.AXIOMS}
+    for seed in range(300):
+        alg, _ = random_table_algebra(seed)
+        got = kernel.check_axioms(alg).to_dict()
+        assert got == ref_check_axioms(alg).to_dict(), seed
+        for v in got["verdicts"]:
+            failing[v["axiom"]] += not v["passed"]
+    # the sample breaks every axiom somewhere, and leaves some algebras whole
+    assert all(failing.values()), failing
+
+
+@pytest.mark.parametrize("alg", SMALL_INSTANCES, ids=repr)
+def test_order_helpers_match_reference_on_instances(alg):
+    elems = list(alg.elements())
+    extra = [alg.add(x, y) for x in elems[-2:] for y in elems[-2:]]  # sums past the window
+    values = elems + [v for v in extra if v is not None]
+    for a in values:
+        for b in values:
+            assert kernel.derived_le(alg, a, b) == ref_derived_le(alg, a, b), (a, b)
+            assert _outcome(kernel.ominus, alg, b, a) == _outcome(ref_ominus, alg, b, a), (a, b)
+    for items in [[], *([v] for v in values), *itertools.combinations(values, 2)]:
+        assert kernel.brute_meet(alg, items) == ref_brute_meet(alg, items), items
+        assert kernel.brute_join(alg, items) == ref_brute_join(alg, items), items
+
+
+def test_order_helpers_match_reference_on_random_tables():
+    for seed in range(300):
+        alg, values = random_table_algebra(seed)
+        rng = random.Random(seed)
+        for a in values:
+            for b in values:
+                assert kernel.derived_le(alg, a, b) == ref_derived_le(alg, a, b), (seed, a, b)
+                got = _outcome(kernel.ominus, alg, b, a)
+                assert got == _outcome(ref_ominus, alg, b, a), (seed, a, b)
+        for items in [[], *itertools.combinations(values, 1), *itertools.combinations(values, 2)]:
+            assert kernel.brute_meet(alg, items) == ref_brute_meet(alg, items), (seed, items)
+            assert kernel.brute_join(alg, items) == ref_brute_join(alg, items), (seed, items)
+        for _ in range(4):
+            subset = {alg.zero} | {v for v in values if rng.random() < 0.5}
+            assert kernel.is_sub_gea(alg, subset) == ref_is_sub_gea(alg, subset), (seed, subset)
+            members = sorted(subset)
+            expected = ref_unclosed_pair(alg, members)
+            if expected is None:
+                assert kernel.restrict(alg, members).elements() == members
+            else:
+                with pytest.raises(NotSumClosed) as err:
+                    kernel.restrict(alg, members)
+                assert err.value.witness == expected, (seed, members)
+
+
+def test_complement_routes_match_reference_on_random_tables():
+    outcomes = set()
+    for seed in range(300):
+        alg, values = random_table_algebra(seed)
+        rng = random.Random(seed)
+
+        def oracle(seq):
+            # a fixed, often wrong extremum, so the verification steps run
+            return values[(sum(seq) * 7 + seed) % len(values)]
+
+        for _ in range(6):
+            chain = rng.sample(values, rng.randint(1, min(3, len(values))))
+            bound = rng.choice(values)
+            for fn, ref, args in (
+                (kernel.meet_via_complement_join, ref_meet_via_complement_join, (chain,)),
+                (kernel.join_via_complement_meet, ref_join_via_complement_meet, (chain, bound)),
+            ):
+                for extra in ((), (oracle,)):
+                    got = _outcome(fn, alg, *args, *extra)
+                    assert got == _outcome(ref, alg, *args, *extra), (seed, fn.__name__, args, extra)
+                    outcomes.add((fn.__name__, got[0], got[1].split(" ")[0] if got[0] != "value" else ""))
+    # both routes end in a value and in a failed verification somewhere
+    for name in ("meet_via_complement_join", "join_via_complement_meet"):
+        assert (name, "value", "") in outcomes
+        assert any(o[0] == name and o[1] == "VerificationFailed" for o in outcomes)
+
+
+def test_order_helpers_outside_the_window():
+    alg = instances.NatGEA(10)
+    assert kernel.derived_le(alg, 12, 15)
+    assert not kernel.derived_le(alg, 15, 12)
+    assert kernel.derived_le(alg, 5, 12)  # 5 + 7, a sum past the cap
+    assert kernel.ominus(alg, 15, 12) == 3
+    assert kernel.ominus(alg, 12, 5) == 7
+    assert kernel.brute_meet(alg, [12]) == 10
+
+
+def test_exhaustive_check_builds_the_sum_table_once(monkeypatch):
+    calls = 0
+    add = instances.ConeGEA.add
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(instances.ConeGEA, "add", counting)
+    alg = instances.ConeGEA(2, 8)
+    assert kernel.check_axioms(alg).all_pass
+    # one add per tuple would be 81 + 81^2 + 2 * 81^3, about 1.07 million
+    assert calls <= 100_000
+
+
+def test_sum_table_follows_a_changed_instance():
+    alg = instances.NatGEA(5)
+    assert kernel.check_axioms(alg).samples_tested == 6 + 6**2 + 6**3
+    assert not kernel.derived_le(alg, 3, 9)  # 9 lies past cap 5
+    alg.cap = 10
+    assert kernel.derived_le(alg, 3, 9)
+    assert kernel.ominus(alg, 9, 3) == 6
+    assert kernel.check_axioms(alg).samples_tested == 11 + 11**2 + 11**3
+
+
+def test_exhaustive_check_refuses_oversized_carrier(monkeypatch):
+    def no_add(self, a, b):
+        raise AssertionError("the sum table was built")
+
+    monkeypatch.setattr(instances.ConeGEA, "add", no_add)
+    n = 51 * 51
+    with pytest.raises(ValueError) as err:
+        kernel.check_axioms(instances.ConeGEA(2, 50))
+    assert str(n + n * n + n**3) in str(err.value)
+    assert "--mode sampled" in str(err.value)
 
 
 def test_axioms_pass_on_interval():
