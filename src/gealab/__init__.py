@@ -37,19 +37,16 @@ from .families import (
     ominus_forms,
     oplus,
     oplus_bar,
-    oplus_d,
     oplus_family,
     preceq,
     regular_sum_demo,
     sa_form_sum,
     sample_form,
     sample_operator,
-    verify_operator_correspondence,
 )
 from .forms import (
     FormAtom,
     FormSpec,
-    OperatorSpec,
     associated_operator,
     bounded_matrix_form,
     catalog_forms,
@@ -63,7 +60,6 @@ from .forms import (
     extend_bounded,
     form_add,
     form_from_json,
-    form_of_operator,
     form_scale,
     form_to_json,
     hamel_form,
@@ -72,7 +68,6 @@ from .forms import (
     is_regular,
     is_singular,
     make_form,
-    make_operator,
     matrix_at,
     numerical_range_bounds,
     quadratic,

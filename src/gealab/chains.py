@@ -359,140 +359,105 @@ def _candidate_palette(chain: FormChain, extra=()) -> list[FormSpec]:
     return list(dict.fromkeys(base + scaled))
 
 
-def meet_in_family(
-    chain: FormChain,
-    family: str,
-    candidates=None,
-    n_max: int = DEFAULT_N_MAX,
-) -> ChainReport:
-    """Meet of a descending chain in a family order, over candidates.
+# evidence keys per direction: the search name, then the keys of a found
+# bound, then those of an obstruction
+_BOUND_KEYS = {
+    "down": (
+        "meet",
+        "lower_bound",
+        "dominates_candidate_lower_bounds",
+        "both_lower_bounds",
+        "candidates_dominating_both",
+    ),
+    "up": (
+        "join",
+        "upper_bound",
+        "below_candidate_upper_bounds",
+        "both_upper_bounds",
+        "candidates_bounded_by_both",
+    ),
+}
 
-    Positive verdict: the declared limit is a member, a lower bound of
-    every term, and dominates every candidate lower bound.  Negative
-    verdict: an obstruction pair of lower bounds, incomparable both ways,
-    such that no candidate dominates both while staying below all terms.
+
+def _bound_in_family(chain, family, direction, candidates, n_max) -> ChainReport:
+    """Meet ("down") or join ("up") of a monotone chain over candidates.
+
+    ``below`` is the family order for a meet and the reversed one for a
+    join.  Positive verdict: the declared limit (else a candidate) is a
+    member, a bound of every term, and on the far side of every candidate
+    bound.  Negative verdict: an obstruction pair of extremal bounds,
+    incomparable both ways, with no candidate bound beyond both.
     """
+    name, bound_key, count_key, both_key, blocked_key = _BOUND_KEYS[direction]
     pred = _family_predicate(family, chain.model)
+    below = pred if direction == "down" else lambda x, y: pred(y, x)
     terms = chain.terms(n_max)
     for t in terms:
         if not families.in_family(t, family):
             raise NotInFamily(f"chain term {describe(t)} is outside {family}")
     for n in range(len(terms) - 1):
-        if not pred(terms[n + 1], terms[n]):
+        if not below(terms[n + 1], terms[n]):
             raise MonotonicityViolation(n + 1)
     cands = _candidate_palette(chain) if candidates is None else list(candidates)
-    lower = [c for c in cands if all(pred(c, t) for t in terms)]
+    names = tuple(describe(c) for c in cands)
+    bounds = [c for c in cands if all(below(c, t) for t in terms)]
     lim = chain.limit
-    # the meet, when it exists among candidates, is a lower bound above
-    # every other candidate lower bound; prefer the declared limit
-    ordered = [lim] + lower if lim in lower else list(lower)
+    # the extremum, when it exists among candidates, is a bound beyond
+    # every other candidate bound; prefer the declared limit
+    ordered = [lim] + bounds if lim in bounds else list(bounds)
     for g in ordered:
-        if all(pred(b, g) for b in lower):
+        if all(below(b, g) for b in bounds):
             return ChainReport(
                 chain_id=chain.chain_id,
                 family=family,
-                direction="down",
+                direction=direction,
                 n_max=n_max,
                 found=g,
                 evidence={
-                    "lower_bound": True,
+                    bound_key: True,
                     "is_declared_limit": g == lim,
-                    "dominates_candidate_lower_bounds": len(lower),
+                    count_key: len(bounds),
                 },
-                candidates=tuple(describe(c) for c in cands),
+                candidates=names,
             )
-    # maximal lower bounds: no other candidate lower bound sits above them
-    maximal = [b for b in lower if not any(o != b and pred(b, o) for o in lower)]
-    pair = _obstruction_pair(maximal, pred, prefer=lim)
+    # extremal bounds: no other candidate bound lies beyond them
+    extremal = [b for b in bounds if not any(o != b and below(b, o) for o in bounds)]
+    pair = _obstruction_pair(extremal, pred, prefer=lim)
     if pair is None:
         raise VerificationFailed(
-            f"no meet and no obstruction pair for {chain.chain_id} in {family}"
+            f"no {name} and no obstruction pair for {chain.chain_id} in {family}"
         )
     a, b = pair
-    blocked = [
-        c
-        for c in lower
-        if pred(a, c) and pred(b, c)
-    ]
+    blocked = [describe(c) for c in bounds if below(a, c) and below(b, c)]
     return ChainReport(
         chain_id=chain.chain_id,
         family=family,
-        direction="down",
+        direction=direction,
         n_max=n_max,
         found=None,
         witnesses=(a, b),
         evidence={
-            "both_lower_bounds": True,
+            both_key: True,
             "a_le_b": pred(a, b),
             "b_le_a": pred(b, a),
-            "candidates_dominating_both": [describe(c) for c in blocked],
+            blocked_key: blocked,
         },
-        candidates=tuple(describe(c) for c in cands),
+        candidates=names,
     )
+
+
+def meet_in_family(
+    chain: FormChain, family: str, candidates=None, n_max: int = DEFAULT_N_MAX
+) -> ChainReport:
+    """Meet of a descending chain in a family order, over candidates."""
+    return _bound_in_family(chain, family, "down", candidates, n_max)
 
 
 def join_in_family(
-    chain: FormChain,
-    family: str,
-    candidates=None,
-    n_max: int = DEFAULT_N_MAX,
+    chain: FormChain, family: str, candidates=None, n_max: int = DEFAULT_N_MAX
 ) -> ChainReport:
-    """Join of an ascending chain in a family order, over candidates.
-
-    Mirror image of :func:`meet_in_family`: positive when the declared
-    limit is an upper bound below every candidate upper bound, negative
-    with an incomparable pair of minimal upper bounds otherwise.
-    """
-    pred = _family_predicate(family, chain.model)
-    terms = chain.terms(n_max)
-    for t in terms:
-        if not families.in_family(t, family):
-            raise NotInFamily(f"chain term {describe(t)} is outside {family}")
-    for n in range(len(terms) - 1):
-        if not pred(terms[n], terms[n + 1]):
-            raise MonotonicityViolation(n + 1)
-    cands = _candidate_palette(chain) if candidates is None else list(candidates)
-    upper = [c for c in cands if all(pred(t, c) for t in terms)]
-    lim = chain.limit
-    ordered = [lim] + upper if lim in upper else list(upper)
-    for g in ordered:
-        if all(pred(g, b) for b in upper):
-            return ChainReport(
-                chain_id=chain.chain_id,
-                family=family,
-                direction="up",
-                n_max=n_max,
-                found=g,
-                evidence={
-                    "upper_bound": True,
-                    "is_declared_limit": g == lim,
-                    "below_candidate_upper_bounds": len(upper),
-                },
-                candidates=tuple(describe(c) for c in cands),
-            )
-    minimal = [b for b in upper if not any(o != b and pred(o, b) for o in upper)]
-    pair = _obstruction_pair(minimal, pred, prefer=lim)
-    if pair is None:
-        raise VerificationFailed(
-            f"no join and no obstruction pair for {chain.chain_id} in {family}"
-        )
-    a, b = pair
-    blocked = [c for c in upper if pred(c, a) and pred(c, b)]
-    return ChainReport(
-        chain_id=chain.chain_id,
-        family=family,
-        direction="up",
-        n_max=n_max,
-        found=None,
-        witnesses=(a, b),
-        evidence={
-            "both_upper_bounds": True,
-            "a_le_b": pred(a, b),
-            "b_le_a": pred(b, a),
-            "candidates_bounded_by_both": [describe(c) for c in blocked],
-        },
-        candidates=tuple(describe(c) for c in cands),
-    )
+    """Join of an ascending chain in a family order, over candidates."""
+    return _bound_in_family(chain, family, "up", candidates, n_max)
 
 
 def _obstruction_pair(extremal, pred, prefer=None):
@@ -642,16 +607,28 @@ def sigma_report(n_max: int = DEFAULT_N_MAX, seed: int = 0) -> dict:
         }
     )
 
-    return {
-        "n_max": n_max,
-        "seed": seed,
-        "rows": rows,
-        "summary": {
-            "vfd:h1_grid": "up and down",
-            "vf": "down only",
-            "bf": "down",
-            "rf": "neither",
-            "cf": "neither (up holds under the pointwise order)",
-            "vf-bar": "neither",
-        },
-    }
+    return {"n_max": n_max, "seed": seed, "rows": rows, "summary": _sigma_summary(rows)}
+
+
+def _sigma_summary(rows: list[dict]) -> dict:
+    """One phrase per family, read off its rows: the directions complete
+    in the family order, then any that hold under the pointwise order."""
+    complete: dict = {}
+    pointwise: dict = {}
+    for row in rows:
+        target = pointwise if row.get("order") == "prec" else complete
+        target.setdefault(row["family"], {})[row["direction"]] = row["sigma_complete"]
+    summary = {}
+    for family, verdicts in complete.items():
+        holds = [d for d in ("up", "down") if verdicts.get(d)]
+        if len(holds) == 2:
+            phrase = "up and down"
+        elif not holds:
+            phrase = "neither"
+        else:
+            phrase = holds[0] if len(verdicts) == 1 else f"{holds[0]} only"
+        for direction, ok in pointwise.get(family, {}).items():
+            if ok:
+                phrase += f" ({direction} holds under the pointwise order)"
+        summary[family] = phrase
+    return summary

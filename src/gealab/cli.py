@@ -218,7 +218,6 @@ def cmd_chain(args) -> int:
         "n_max": args.n_max,
         "levels": args.levels,
         "seed": args.seed,
-        "tol": args.tol,
     }
     try:
         if args.n_max < 2:
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--order", default=None, help="oplus | prec | cf | rf | bar")
     p_ch.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
     p_ch.add_argument("--levels", type=_parse_levels, default=None, help="comma-separated levels")
-    p_ch.add_argument("--tol", type=float, default=None)
     common(p_ch)
     p_ch.set_defaults(func=cmd_chain)
 

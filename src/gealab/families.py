@@ -1,12 +1,13 @@
-"""Partial-sum algebras of positive forms and their operator mirrors.
+"""Partial-sum algebras of positive forms and of the operators generating them.
 
 The base algebra carries every catalog form whose declared data is
 admissible (a bounded form must live on the full space); its partial sum
 is defined when an operand is bounded or the domain tags coincide.  The
 bar variant additionally requires the regular parts to add.  Subfamilies
 (bounded, regular, singular, operator-generated, closed, fixed-domain)
-restrict the sum to members.  Operator algebras mirror the generated
-forms atom for atom, so the correspondence checks are exact.
+restrict the sum to members.  A catalog operator is the form it
+generates, a member of gf, so the operator algebras vh and sa run on the
+same FormSpecs.
 
 Family ids (also the CLI strings): vf, vf-bar, bf, rf, sf, gf, cf,
 vfd:<tag>, plus the operator models vh and sa.
@@ -37,15 +38,12 @@ from .forms import (
     BOUNDARY1,
     DIRICHLET,
     FormSpec,
-    OperatorSpec,
     bounded_mat_atom,
     diag_atom,
     endpoint_form,
     energy_form,
     form_add,
-    form_of_operator,
     make_form,
-    make_operator,
     matrix_at,
     reg_sing_split,
     tag_from_str,
@@ -239,59 +237,20 @@ def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
 # -------------------------------------------------------------- operators
 
 
-def operator_zero(model: str) -> OperatorSpec:
-    return OperatorSpec(model, FULL_SPACE, ())
-
-
-def in_vh(op: OperatorSpec) -> bool:
-    return in_vf(form_of_operator(op))
-
-
-def in_sa(op: OperatorSpec) -> bool:
-    return forms.is_closed(form_of_operator(op))
-
-
-def oplus_d(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec | None:
-    """Operator sum: defined iff an operand is bounded or domains agree,
-    mirrored through the generated forms."""
-    u = oplus(form_of_operator(a), form_of_operator(b))
-    return None if u is None else OperatorSpec(u.model, u.domain, u.atoms)
-
-
-def sa_form_sum(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec | None:
+def sa_form_sum(a: FormSpec, b: FormSpec) -> FormSpec | None:
     """Sum of self-adjoint catalog operators through their closed forms."""
     for op in (a, b):
-        if not in_sa(op):
+        if not forms.is_closed(op):
             raise NotSelfAdjointCatalog(f"{op!r} does not generate a closed form")
-    u = oplus(form_of_operator(a), form_of_operator(b))
-    if u is None or not forms.is_closed(u):
-        return None
-    return OperatorSpec(u.model, u.domain, u.atoms)
+    u = oplus(a, b)
+    return u if u is not None and forms.is_closed(u) else None
 
 
-def generator_of_form(t: FormSpec) -> OperatorSpec:
-    """Inverse of form_of_operator on the operator-generated family."""
+def generator_of_form(t: FormSpec) -> FormSpec:
+    """The catalog operator generating t: t itself, guarded to family gf."""
     if not in_family(t, "gf"):
         raise NotInGf(f"{forms.describe(t)} is not operator generated")
-    return make_operator(t.model, t.atoms_dict(), t.domain)
-
-
-def verify_operator_correspondence(samples: int = 100, seed: int = 0, model: str = SEQUENCE) -> dict:
-    """Sampled check that form_of_operator is a partial-algebra isomorphism:
-    definedness and values of the two sums agree through the map."""
-    rng = random.Random(seed)
-    checked = mismatches = 0
-    while checked < samples:
-        a = sample_operator(model, rng, closed_only=False)
-        b = sample_operator(model, rng, closed_only=False)
-        checked += 1
-        op_sum = oplus_d(a, b)
-        fm_sum = oplus(form_of_operator(a), form_of_operator(b))
-        if (op_sum is None) != (fm_sum is None):
-            mismatches += 1
-        elif op_sum is not None and form_of_operator(op_sum) != fm_sum:
-            mismatches += 1
-    return {"model": model, "checked": checked, "mismatches": mismatches, "ok": mismatches == 0}
+    return t
 
 
 # ------------------------------------------------------------- the algebras
@@ -339,18 +298,16 @@ class OperatorGEA(PartialAlgebra):
 
     def __init__(self, model: str = SEQUENCE):
         self.model = model
-        self.zero = operator_zero(model)
+        self.zero = zero_form(model)
         self.enumerable = False
         self.le_oracle = self._le
 
     def add(self, a, b):
-        return oplus_d(a, b)
+        return oplus(a, b)
 
     def _le(self, a, b):
-        r = ominus_forms(form_of_operator(b), form_of_operator(a))
-        if r is None or not all(x.kind in _GF_KINDS for x, _ in r.atoms):
-            return False
-        return self.add(a, OperatorSpec(r.model, r.domain, r.atoms)) == b
+        r = ominus_forms(b, a)
+        return r is not None and self.add(a, r) == b
 
     def sample(self, rng: random.Random):
         return sample_operator(self.model, rng, closed_only=False)
@@ -507,18 +464,18 @@ def sample_form(model: str, family: str, rng: random.Random) -> FormSpec:
     raise ValueError(f"no form sampler for family {family!r}")
 
 
-def sample_operator(model: str, rng: random.Random, closed_only: bool = True) -> OperatorSpec:
+def sample_operator(model: str, rng: random.Random, closed_only: bool = True) -> FormSpec:
+    """Seeded catalog operator, as the gf form it generates."""
     if rng.random() < _ZERO_RATE:
-        return operator_zero(model)
+        return zero_form(model)
     if model == GRID or rng.random() < 0.35:
-        f = _bounded_form(model, rng)
-        return make_operator(model, f.atoms_dict())
+        return _bounded_form(model, rng)
     atoms = {diag_atom(rng.choice(_UNBOUNDED_LAMS)): _coeff(rng)}
     if rng.random() < 0.4:
         a = _bounded_atom(SEQUENCE, rng)
         atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
     dom = FINITE_SUPPORT if not closed_only and rng.random() < 0.25 else None
-    return make_operator(SEQUENCE, atoms, dom)
+    return make_form(SEQUENCE, atoms, dom)
 
 
 # ------------------------------------------------------------ closure suites

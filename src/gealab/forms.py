@@ -711,48 +711,6 @@ def associated_operator(t: FormSpec, level: int) -> np.ndarray:
     return _gram_solve(t, level)
 
 
-# ------------------------------------------------------ operator catalog
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Positive catalog operator: diagonal and bounded-matrix atoms only."""
-
-    model: str
-    domain: DomainTag
-    atoms: tuple[tuple[FormAtom, Fraction], ...]
-
-    def atoms_dict(self) -> dict[FormAtom, Fraction]:
-        return dict(self.atoms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms
-
-    def __repr__(self):
-        return f"OperatorSpec({describe(form_of_operator(self))})"
-
-
-_OPERATOR_KINDS = ("diag", "bounded_mat")
-
-
-def make_operator(model: str, atoms: dict, domain: DomainTag | None = None) -> OperatorSpec:
-    for atom in atoms:
-        if atom.kind not in _OPERATOR_KINDS:
-            raise OutsideCatalog(f"atom kind {atom.kind!r} does not define a catalog operator")
-    probe = make_form(model, atoms, domain)
-    return OperatorSpec(probe.model, probe.domain, probe.atoms)
-
-
-def form_of_operator(op: OperatorSpec) -> FormSpec:
-    """The form (A x, y) generated by a catalog operator on its domain."""
-    return FormSpec(op.model, op.domain, op.atoms)
-
-
-def operator_matrix_at(op: OperatorSpec, level: int) -> np.ndarray:
-    return _gram_solve(form_of_operator(op), level)
-
-
 # ------------------------------------------------------------------ JSON
 
 

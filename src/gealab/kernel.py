@@ -52,7 +52,7 @@ class PartialAlgebra:
 
     def sample(self, rng: random.Random):
         if self.enumerable:
-            elems = list(self.elements())
+            elems = _sum_table(self).elems  # enumerated once, cached on the instance
             return elems[rng.randrange(len(elems))]
         raise NotEnumerable(f"{type(self).__name__} has no sampler")
 

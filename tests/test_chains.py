@@ -235,6 +235,27 @@ def test_join_obstruction_truncated_diag():
     assert all(chains.le_oplus(t, double) for t in chain.terms(N_MAX))
 
 
+@pytest.mark.parametrize(
+    "search, chain_fn, family, verdict, keys",
+    [
+        ("meet", surplus_energy_chain, "vf", "found",
+         {"lower_bound", "is_declared_limit", "dominates_candidate_lower_bounds"}),
+        ("meet", surplus_energy_chain, "rf", "obstruction",
+         {"both_lower_bounds", "a_le_b", "b_le_a", "candidates_dominating_both"}),
+        ("join", filling_energy_chain, "vfd:h1_grid", "found",
+         {"upper_bound", "is_declared_limit", "below_candidate_upper_bounds"}),
+        ("join", filling_energy_chain, "rf", "obstruction",
+         {"both_upper_bounds", "a_le_b", "b_le_a", "candidates_bounded_by_both"}),
+    ],
+)
+def test_evidence_keys(search, chain_fn, family, verdict, keys):
+    search_fn = meet_in_family if search == "meet" else join_in_family
+    report = search_fn(chain_fn(), family, n_max=N_MAX)
+    assert report.direction == ("down" if search == "meet" else "up")
+    assert report.to_dict()["verdict"] == verdict
+    assert set(report.evidence) == keys
+
+
 # ------------------------------------------------- pointwise least bound
 
 
@@ -313,3 +334,25 @@ def test_sigma_report_shape_and_verdicts():
     up_rows = [r for r in rows if r["direction"] == "up" and "note" in r]
     assert len(up_rows) == 3  # the transferred verdicts carry their note
     assert set(out["summary"]) == {"vfd:h1_grid", "vf", "bf", "rf", "cf", "vf-bar"}
+
+
+def test_sigma_summary_is_read_off_the_rows():
+    rows = sigma_report(n_max=N_MAX)["rows"]
+    summary = chains._sigma_summary(rows)
+    assert summary == {
+        "vfd:h1_grid": "up and down",
+        "vf": "down only",
+        "bf": "down",
+        "rf": "neither",
+        "cf": "neither (up holds under the pointwise order)",
+        "vf-bar": "neither",
+    }
+    for i, row in enumerate(rows):
+        flipped = list(rows)
+        flipped[i] = dict(row, sigma_complete=not row["sigma_complete"])
+        changed = chains._sigma_summary(flipped)
+        family = row["family"]
+        assert changed[family] != summary[family], row
+        assert {f: p for f, p in changed.items() if f != family} == {
+            f: p for f, p in summary.items() if f != family
+        }

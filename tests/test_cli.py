@@ -167,6 +167,13 @@ def test_chain_nonpositive_level_is_config_error(capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_chain_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chain", "--chain", "kato", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_sigma_n_max_below_two_is_config_error(capsys):
     code, out, err = run_cli(["sigma", "--n-max", "1"], capsys)
     assert code == 2 and not out

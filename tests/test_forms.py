@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gealab import forms, hilbert
+from gealab import families, forms, hilbert
 from gealab.errors import (
     DimensionMismatch,
     DomainViolation,
     ModelMismatch,
     NotClosed,
+    NotInGf,
     OutsideCatalog,
     SymbolicOnly,
     UnboundedForm,
@@ -353,12 +354,12 @@ def test_associated_operator():
 
 
 def test_operator_catalog():
-    op = forms.make_operator(SEQUENCE, {diag_atom("1/j"): 1})
-    t = forms.form_of_operator(op)
-    assert t == diag_form("1/j")
-    assert np.allclose(forms.operator_matrix_at(op, 4), np.diag([1, 1 / 2, 1 / 3, 1 / 4]))
-    with pytest.raises(OutsideCatalog):
-        forms.make_operator(GRID, {DIRICHLET: 1})
+    # a catalog operator is the gf form it generates
+    t = diag_form("1/j")
+    assert families.generator_of_form(t) == t
+    assert np.allclose(forms.associated_operator(t, 4), np.diag([1, 1 / 2, 1 / 3, 1 / 4]))
+    with pytest.raises(NotInGf):
+        families.generator_of_form(energy_form(1))
 
 
 # ------------------------------------------------------------------ JSON

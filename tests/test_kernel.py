@@ -354,6 +354,37 @@ def test_exhaustive_check_builds_the_sum_table_once(monkeypatch):
     assert calls <= 100_000
 
 
+def _enumerate_per_draw(alg, rng):
+    """The sampler as it was: re-enumerate the carrier on every draw."""
+    elems = list(alg.elements())
+    return elems[rng.randrange(len(elems))]
+
+
+def test_sampled_check_enumerates_the_carrier_once(monkeypatch):
+    calls = 0
+    elements = instances.ConeGEA.elements
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return elements(self)
+
+    monkeypatch.setattr(instances.ConeGEA, "elements", counting)
+    got = kernel.check_axioms(instances.ConeGEA(2, 50), mode="sampled", samples=200, seed=3)
+    assert calls <= 1  # three draws per sample would enumerate 600 times
+    monkeypatch.setattr(instances.ConeGEA, "sample", _enumerate_per_draw)
+    want = kernel.check_axioms(instances.ConeGEA(2, 50), mode="sampled", samples=200, seed=3)
+    assert got.to_dict() == want.to_dict() and got.all_pass
+
+
+def test_sampled_check_keeps_its_draws(monkeypatch):
+    alg = instances.instance_by_name("broken-max")
+    got = kernel.check_axioms(alg, mode="sampled", samples=300, seed=5)
+    monkeypatch.setattr(instances.BrokenMaxGEA, "sample", _enumerate_per_draw)
+    want = kernel.check_axioms(alg, mode="sampled", samples=300, seed=5)
+    assert not got.all_pass and got.to_dict() == want.to_dict()
+
+
 def test_sum_table_follows_a_changed_instance():
     alg = instances.NatGEA(5)
     assert kernel.check_axioms(alg).samples_tested == 6 + 6**2 + 6**3
