@@ -24,9 +24,8 @@ from .chains import (
 )
 from .errors import GealabError
 from .families import (
+    FAMILIES,
     FormsGEA,
-    OperatorGEA,
-    SelfAdjointGEA,
     closure_violations,
     gea_by_name,
     generator_of_form,
@@ -40,7 +39,6 @@ from .families import (
     oplus_family,
     preceq,
     regular_sum_demo,
-    sa_form_sum,
     sample_form,
     sample_operator,
 )
@@ -72,6 +70,7 @@ from .forms import (
     numerical_range_bounds,
     quadratic,
     reg_sing_split,
+    singular_atoms,
     riesz_operator_of_bounded,
     singularity_witness,
     zero_form,

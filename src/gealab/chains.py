@@ -27,7 +27,7 @@ from .errors import (
     NotInFamily,
     VerificationFailed,
 )
-from .families import le_bar, le_family, le_oplus, preceq
+from .families import le_oplus, preceq
 from .forms import (
     FINITE_SUPPORT,
     FormSpec,
@@ -42,8 +42,8 @@ from .forms import (
 )
 from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 
-CHAIN_IDS = ("kato", "shifted", "complement", "diag", "bounded")
-ORDER_IDS = ("oplus", "prec", "cf", "rf", "bar")
+# order id -> the family whose derived order it is; None is the pointwise order
+ORDERS = {"oplus": "vf", "prec": None, "cf": "cf", "rf": "rf", "bar": "vf-bar"}
 
 DEFAULT_N_MAX = 32
 _GAP_STEPS = (1, 2, 4, 8, 16, 32)
@@ -52,19 +52,10 @@ _RANDOM_SAMPLES = 20
 
 def order_predicate(order: str) -> Callable[[FormSpec, FormSpec], bool]:
     """Resolve an order id to its two-argument predicate."""
-    if order == "oplus":
-        return le_oplus
-    if order == "prec":
-        return preceq
-    if order == "bar":
-        return le_bar
-    if order in ("cf", "rf", "sf", "bf", "gf") or order.startswith("vfd:"):
-        return lambda t, s: le_family(order, t, s)
-    raise ValueError(f"unknown order id {order!r}")
-
-
-def _family_predicate(family: str, model: str) -> Callable[[FormSpec, FormSpec], bool]:
-    return families.gea_by_name(family, model).le_oracle
+    if order not in ORDERS:
+        raise ValueError(f"unknown order id {order!r}")
+    family = ORDERS[order]
+    return preceq if family is None else families.family_ops(family)[1]
 
 
 # ------------------------------------------------------------------ chains
@@ -166,6 +157,7 @@ _CHAIN_BUILDERS = {
     "diag": truncated_diag_chain,
     "bounded": shrinking_bounded_chain,
 }
+CHAIN_IDS = tuple(_CHAIN_BUILDERS)
 
 
 def chain_by_name(name: str) -> FormChain:
@@ -389,7 +381,7 @@ def _bound_in_family(chain, family, direction, candidates, n_max) -> ChainReport
     incomparable both ways, with no candidate bound beyond both.
     """
     name, bound_key, count_key, both_key, blocked_key = _BOUND_KEYS[direction]
-    pred = _family_predicate(family, chain.model)
+    pred = families.family_ops(family)[1]
     below = pred if direction == "down" else lambda x, y: pred(y, x)
     terms = chain.terms(n_max)
     for t in terms:

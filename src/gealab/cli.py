@@ -208,9 +208,6 @@ def cmd_counterexample(args) -> int:
 # ------------------------------------------------------------------ chains
 
 
-_ORDER_TO_FAMILY = {"oplus": "vf", "bar": "vf-bar", "cf": "cf", "rf": "rf"}
-
-
 def cmd_chain(args) -> int:
     config = {
         "chain": args.chain,
@@ -238,12 +235,12 @@ def cmd_chain(args) -> int:
         body["pointwise"] = chains.pointwise_limit(
             chain, levels=args.levels, seed=args.seed, n_max=args.n_max
         )
-        family = _ORDER_TO_FAMILY.get(order)
-        if order == "prec":
+        family = chains.ORDERS[order]
+        if family is None:
             if chain.dominators:
                 sup = chains.cf_prec_sup(chain, chain.dominators[-1], n_max=args.n_max)
                 body["sup"] = forms.form_to_dict(sup)
-        elif family is not None:
+        else:
             if chain.direction == "descending":
                 rep = chains.meet_in_family(chain, family, n_max=args.n_max)
             else:
@@ -325,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ax = sub.add_parser("axioms", help="run the defining-axiom suite on an instance or family")
     p_ax.add_argument("--instance", default=None, help="zplus | even-gap | cone:<d> | interval:<u> | half-open:<u> | broken-max")
-    p_ax.add_argument("--family", default=None, help="vf | vf-bar | bf | rf | sf | gf | cf | vfd:<tag> | vh | sa")
+    family_ids = (b if f.model else f"{b}:<tag>" for b, f in families.FAMILIES.items())
+    p_ax.add_argument("--family", default=None, help=" | ".join(family_ids))
     p_ax.add_argument("--model", default=None, help="override the family's default model")
     p_ax.add_argument("--cap", type=int, default=50, help="carrier cap for integer instances")
     p_ax.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
@@ -339,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.set_defaults(func=cmd_counterexample)
 
     p_ch = sub.add_parser("chain", help="monotone chain experiment")
-    p_ch.add_argument("--chain", required=True, help="kato | shifted | complement | diag | bounded")
-    p_ch.add_argument("--order", default=None, help="oplus | prec | cf | rf | bar")
+    p_ch.add_argument("--chain", required=True, help=" | ".join(chains.CHAIN_IDS))
+    p_ch.add_argument("--order", default=None, help=" | ".join(chains.ORDERS))
     p_ch.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
     p_ch.add_argument("--levels", type=_parse_levels, default=None, help="comma-separated levels")
     common(p_ch)

@@ -104,10 +104,6 @@ class NotInGf(GealabError):
     """Form is not generated by a catalog operator."""
 
 
-class NotSelfAdjointCatalog(GealabError):
-    """Operator is outside the self-adjoint catalog (its form is not closed)."""
-
-
 # -------------------------------------------------------- convergence lab
 
 

@@ -6,17 +6,20 @@ is defined when an operand is bounded or the domain tags coincide.  The
 bar variant additionally requires the regular parts to add.  Subfamilies
 (bounded, regular, singular, operator-generated, closed, fixed-domain)
 restrict the sum to members.  A catalog operator is the form it
-generates, a member of gf, so the operator algebras vh and sa run on the
-same FormSpecs.
+generates, a member of gf, so the operator algebras vh and sa are gf and
+cf on the sequence model with the operator samplers.
 
-Family ids (also the CLI strings): vf, vf-bar, bf, rf, sf, gf, cf,
-vfd:<tag>, plus the operator models vh and sa.
+Every family id (also the CLI string) is a key of ``FAMILIES``, which
+holds each family's default model, membership rule and sampler.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .errors import (
     NegativeCoefficient,
     NotInFamily,
     NotInGf,
-    NotSelfAdjointCatalog,
     SymbolicOnly,
     VerificationFailed,
 )
@@ -37,6 +39,7 @@ from .forms import (
     BOUNDARY0,
     BOUNDARY1,
     DIRICHLET,
+    DomainTag,
     FormSpec,
     bounded_mat_atom,
     diag_atom,
@@ -48,25 +51,33 @@ from .forms import (
     reg_sing_split,
     tag_from_str,
     tag_includes,
+    tag_to_str,
     zero_form,
 )
 from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 from .kernel import PartialAlgebra
 
-FAMILY_IDS = ("vf", "vf-bar", "bf", "rf", "sf", "gf", "cf", "vfd", "vh", "sa")
-
 _GF_KINDS = {"diag", "bounded_mat"}
 
 
-def _base(family: str) -> str:
-    return family.split(":", 1)[0]
-
-
-def _vfd_tag(family: str):
-    base, _, tag = family.partition(":")
-    if base != "vfd" or not tag:
+@functools.lru_cache(maxsize=None)
+def _lookup(family: str) -> tuple[Family, DomainTag | None]:
+    """Registry entry and domain tag of a family id such as "cf" or "vfd:h1_grid"."""
+    base, colon, text = family.partition(":")
+    if base not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    entry = FAMILIES[base]
+    if entry.model is not None:
+        if colon:
+            raise ValueError(f"family {base!r} takes no tag, got {family!r}")
+        return entry, None
+    if not text:
         raise ValueError(f"fixed-domain family needs a tag, got {family!r}")
-    return tag_from_str(tag)
+    return entry, tag_from_str(text)
+
+
+def _tag_model(tag: DomainTag) -> str:
+    return GRID if tag == H1_GRID else SEQUENCE
 
 
 def in_vf(t: FormSpec) -> bool:
@@ -75,26 +86,8 @@ def in_vf(t: FormSpec) -> bool:
 
 
 def in_family(t: FormSpec, family: str) -> bool:
-    base = _base(family)
-    if base not in FAMILY_IDS:
-        raise ValueError(f"unknown family {family!r}")
-    if not in_vf(t):
-        return False
-    if base in ("vf", "vf-bar"):
-        return True
-    if base == "bf":
-        return forms.is_bounded(t)
-    if base == "rf":
-        return forms.is_regular(t)
-    if base == "sf":
-        return forms.is_singular(t)
-    if base == "gf":
-        return all(a.kind in _GF_KINDS for a, _ in t.atoms)
-    if base == "cf":
-        return forms.is_closed(t)
-    if base == "vfd":
-        return forms.is_bounded(t) or t.domain == _vfd_tag(family)
-    raise ValueError(f"family {family!r} does not carry forms")
+    entry, tag = _lookup(family)
+    return in_vf(t) and (entry.rule is None or entry.rule(t, tag))
 
 
 # ------------------------------------------------------------ partial sums
@@ -112,7 +105,8 @@ def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
 
 
 def _reg_atoms(t: FormSpec) -> dict:
-    return reg_sing_split(t)[0].atoms_dict()
+    sing = forms.singular_atoms(t)
+    return {a: c for a, c in t.atoms if a not in sing}
 
 
 def oplus_bar(t: FormSpec, s: FormSpec) -> FormSpec | None:
@@ -136,7 +130,7 @@ def oplus_family(family: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
     for operand in (t, s):
         if not in_family(operand, family):
             raise NotInFamily(f"{forms.describe(operand)} is not in {family}")
-    u = oplus_bar(t, s) if _base(family) == "vf-bar" else oplus(t, s)
+    u = oplus_bar(t, s) if _lookup(family)[0].bar else oplus(t, s)
     if u is None or not in_family(u, family):
         return None
     return u
@@ -234,16 +228,14 @@ def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
     return oplus_family(family, t, r) == s
 
 
-# -------------------------------------------------------------- operators
-
-
-def sa_form_sum(a: FormSpec, b: FormSpec) -> FormSpec | None:
-    """Sum of self-adjoint catalog operators through their closed forms."""
-    for op in (a, b):
-        if not forms.is_closed(op):
-            raise NotSelfAdjointCatalog(f"{op!r} does not generate a closed form")
-    u = oplus(a, b)
-    return u if u is not None and forms.is_closed(u) else None
+def family_ops(family: str) -> tuple[Callable, Callable]:
+    """The partial sum and derived order of a family, by its kind: the
+    plain sum for vf, the bar sum for vf-bar, the family-restricted sum
+    for every family with a membership rule."""
+    entry, _ = _lookup(family)
+    if entry.rule is not None:
+        return functools.partial(oplus_family, family), functools.partial(le_family, family)
+    return (oplus_bar, le_bar) if entry.bar else (oplus, le_oplus)
 
 
 def generator_of_form(t: FormSpec) -> FormSpec:
@@ -260,29 +252,14 @@ class FormsGEA(PartialAlgebra):
     """A family of forms as a partial algebra with its derived-order oracle."""
 
     def __init__(self, model: str, family: str = "vf"):
-        base = _base(family)
-        if base in ("vh", "sa") or base not in FAMILY_IDS:
-            raise ValueError(f"not a form family: {family!r}")
-        if base == "vfd":
-            _vfd_tag(family)  # validate eagerly
+        self._sum, self.le_oracle = family_ops(family)
         self.model = model
         self.family = family
         self.zero = zero_form(model)
         self.enumerable = False
-        if base == "vf":
-            self.le_oracle = le_oplus
-        elif base == "vf-bar":
-            self.le_oracle = le_bar
-        else:
-            self.le_oracle = lambda a, b: le_family(family, a, b)
 
     def add(self, a, b):
-        base = _base(self.family)
-        if base == "vf":
-            return oplus(a, b)
-        if base == "vf-bar":
-            return oplus_bar(a, b)
-        return oplus_family(self.family, a, b)
+        return self._sum(a, b)
 
     def sample(self, rng: random.Random):
         return sample_form(self.model, self.family, rng)
@@ -291,67 +268,9 @@ class FormsGEA(PartialAlgebra):
         return f"FormsGEA({self.family!r}, model={self.model!r})"
 
 
-class OperatorGEA(PartialAlgebra):
-    """Positive catalog operators with the bounded-or-equal-domain sum."""
-
-    family = "vh"
-
-    def __init__(self, model: str = SEQUENCE):
-        self.model = model
-        self.zero = zero_form(model)
-        self.enumerable = False
-        self.le_oracle = self._le
-
-    def add(self, a, b):
-        return oplus(a, b)
-
-    def _le(self, a, b):
-        r = ominus_forms(b, a)
-        return r is not None and self.add(a, r) == b
-
-    def sample(self, rng: random.Random):
-        return sample_operator(self.model, rng, closed_only=False)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(model={self.model!r})"
-
-
-class SelfAdjointGEA(OperatorGEA):
-    """Self-adjoint catalog operators under the closed-form sum."""
-
-    family = "sa"
-
-    def add(self, a, b):
-        return sa_form_sum(a, b)
-
-    def sample(self, rng: random.Random):
-        return sample_operator(self.model, rng, closed_only=True)
-
-
-_DEFAULT_MODEL = {
-    "vf": GRID,
-    "vf-bar": GRID,
-    "bf": SEQUENCE,
-    "rf": GRID,
-    "sf": GRID,
-    "gf": SEQUENCE,
-    "cf": GRID,
-    "vfd": GRID,
-    "vh": SEQUENCE,
-    "sa": SEQUENCE,
-}
-
-
 def gea_by_name(family: str, model: str | None = None) -> PartialAlgebra:
-    base = _base(family)
-    if base not in FAMILY_IDS:
-        raise ValueError(f"unknown family {family!r}")
-    model = model or _DEFAULT_MODEL[base]
-    if base == "vh":
-        return OperatorGEA(model)
-    if base == "sa":
-        return SelfAdjointGEA(model)
-    return FormsGEA(model, family)
+    entry, tag = _lookup(family)
+    return FormsGEA(model or entry.model or _tag_model(tag), family)
 
 
 # --------------------------------------------------------------- samplers
@@ -388,13 +307,24 @@ def _bounded_form(model: str, rng) -> FormSpec:
     return make_form(model, atoms)
 
 
-def _seq_unbounded(rng, allow_restriction: bool = True) -> FormSpec:
-    atoms = {diag_atom(rng.choice(_UNBOUNDED_LAMS)): _coeff(rng)}
+def _seq_unbounded_atoms(rng, lam: str) -> dict:
+    atoms = {diag_atom(lam): _coeff(rng)}
     if rng.random() < 0.4:
         a = _bounded_atom(SEQUENCE, rng)
         atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
+    return atoms
+
+
+def _seq_unbounded(rng, allow_restriction: bool = True) -> FormSpec:
+    atoms = _seq_unbounded_atoms(rng, rng.choice(_UNBOUNDED_LAMS))
     dom = FINITE_SUPPORT if allow_restriction and rng.random() < 0.25 else None
     return make_form(SEQUENCE, atoms, dom)
+
+
+def _seq_regular(rng, allow_restriction: bool = True) -> FormSpec:
+    if rng.random() < 0.4:
+        return _bounded_form(SEQUENCE, rng)
+    return _seq_unbounded(rng, allow_restriction)
 
 
 def _grid_boundary_atoms(rng) -> dict:
@@ -412,6 +342,10 @@ def _grid_energy(rng, boundary_rate: float = 0.5) -> FormSpec:
     return make_form(GRID, atoms)
 
 
+def _grid_regular(rng) -> FormSpec:
+    return _bounded_form(GRID, rng) if rng.random() < 0.35 else _grid_energy(rng)
+
+
 def _grid_singularish(rng) -> FormSpec:
     atoms = _grid_boundary_atoms(rng)
     if rng.random() < 0.35:
@@ -420,62 +354,116 @@ def _grid_singularish(rng) -> FormSpec:
     return make_form(GRID, atoms)
 
 
+def _draw_any(model: str, tag, rng) -> FormSpec:
+    if model == GRID:
+        r = rng.random()
+        if r < 0.3:
+            return _bounded_form(GRID, rng)
+        if r < 0.7:
+            return _grid_energy(rng)
+        return _grid_singularish(rng)
+    return _bounded_form(SEQUENCE, rng) if rng.random() < 0.45 else _seq_unbounded(rng)
+
+
+def _draw_singular(model: str, tag, rng) -> FormSpec:
+    if model == GRID:
+        return make_form(GRID, _grid_boundary_atoms(rng))
+    return forms.hamel_form(_coeff(rng))
+
+
+def _draw_fixed_domain(model: str, tag: DomainTag, rng) -> FormSpec:
+    """A bounded form, or an unbounded one on the tag: grid energy and
+    boundary forms for h1_grid, else an unbounded diagonal restricted to
+    the tag (the diagonal lam itself for diag_max:lam)."""
+    home = _tag_model(tag)
+    if model != home:
+        raise ValueError(f"the {tag_to_str(tag)} tag lives on the {home} model")
+    if rng.random() < 0.3:
+        return _bounded_form(model, rng)
+    if model == GRID:
+        return _grid_energy(rng) if rng.random() < 0.6 else _grid_singularish(rng)
+    lam = tag.param if tag.kind == "diag_max" else rng.choice(_UNBOUNDED_LAMS)
+    return make_form(SEQUENCE, _seq_unbounded_atoms(rng, lam), tag)
+
+
+def _draw_operator(model: str, rng, closed_only: bool) -> FormSpec:
+    if model == GRID or rng.random() < 0.35:
+        return _bounded_form(model, rng)
+    return _seq_unbounded(rng, allow_restriction=not closed_only)
+
+
 def sample_form(model: str, family: str, rng: random.Random) -> FormSpec:
     """Seeded family-appropriate form generator for axiom suites."""
-    base = _base(family)
+    entry, tag = _lookup(family)
     if rng.random() < _ZERO_RATE:
         return zero_form(model)
-    if base == "bf":
-        return _bounded_form(model, rng)
-    if base == "sf":
-        if model == GRID:
-            return make_form(GRID, _grid_boundary_atoms(rng))
-        return forms.hamel_form(_coeff(rng))
-    if base == "gf":
-        if model == GRID:
-            return _bounded_form(GRID, rng)
-        return _bounded_form(SEQUENCE, rng) if rng.random() < 0.4 else _seq_unbounded(rng)
-    if base == "rf":
-        if model == GRID:
-            return _bounded_form(GRID, rng) if rng.random() < 0.35 else _grid_energy(rng)
-        return _bounded_form(SEQUENCE, rng) if rng.random() < 0.4 else _seq_unbounded(rng)
-    if base == "cf":
-        if model == GRID:
-            return _bounded_form(GRID, rng) if rng.random() < 0.35 else _grid_energy(rng)
-        if rng.random() < 0.4:
-            return _bounded_form(SEQUENCE, rng)
-        return _seq_unbounded(rng, allow_restriction=False)
-    if base == "vfd":
-        tag = _vfd_tag(family)
-        if tag == H1_GRID and model != GRID:
-            raise ValueError("the h1_grid tag lives on the grid model")
-        if rng.random() < 0.3:
-            return _bounded_form(model, rng)
-        return _grid_energy(rng) if rng.random() < 0.6 else _grid_singularish(rng)
-    if base in ("vf", "vf-bar"):
-        if model == GRID:
-            r = rng.random()
-            if r < 0.3:
-                return _bounded_form(GRID, rng)
-            if r < 0.7:
-                return _grid_energy(rng)
-            return _grid_singularish(rng)
-        return _bounded_form(SEQUENCE, rng) if rng.random() < 0.45 else _seq_unbounded(rng)
-    raise ValueError(f"no form sampler for family {family!r}")
+    return entry.draw(model, tag, rng)
 
 
 def sample_operator(model: str, rng: random.Random, closed_only: bool = True) -> FormSpec:
     """Seeded catalog operator, as the gf form it generates."""
     if rng.random() < _ZERO_RATE:
         return zero_form(model)
-    if model == GRID or rng.random() < 0.35:
-        return _bounded_form(model, rng)
-    atoms = {diag_atom(rng.choice(_UNBOUNDED_LAMS)): _coeff(rng)}
-    if rng.random() < 0.4:
-        a = _bounded_atom(SEQUENCE, rng)
-        atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
-    dom = FINITE_SUPPORT if not closed_only and rng.random() < 0.25 else None
-    return make_form(SEQUENCE, atoms, dom)
+    return _draw_operator(model, rng, closed_only)
+
+
+# ---------------------------------------------------------------- registry
+
+
+def _generated(t: FormSpec, tag) -> bool:
+    return all(a.kind in _GF_KINDS for a, _ in t.atoms)
+
+
+def _closed(t: FormSpec, tag) -> bool:
+    return forms.is_closed(t)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family: its default model, its membership rule and its sampler.
+
+    ``model`` is None for a family fixed by a domain tag ("vfd:<tag>"),
+    whose default model is the tag's.  ``rule(t, tag)`` decides membership
+    beyond the carrier rule; None admits the whole carrier and keeps the
+    unrestricted sum, the bar sum when ``bar`` is set.  ``draw(model, tag,
+    rng)`` draws a sample after ``sample_form`` has drawn against the zero.
+    """
+
+    model: str | None
+    rule: Callable[[FormSpec, DomainTag | None], bool] | None
+    draw: Callable[[str, DomainTag | None, random.Random], FormSpec]
+    bar: bool = False
+
+
+FAMILIES = {
+    "vf": Family(GRID, None, _draw_any),
+    "vf-bar": Family(GRID, None, _draw_any, bar=True),
+    "bf": Family(
+        SEQUENCE,
+        lambda t, tag: forms.is_bounded(t),
+        lambda m, tag, rng: _bounded_form(m, rng),
+    ),
+    "rf": Family(
+        GRID,
+        lambda t, tag: forms.is_regular(t),
+        lambda m, tag, rng: _grid_regular(rng) if m == GRID else _seq_regular(rng),
+    ),
+    "sf": Family(GRID, lambda t, tag: forms.is_singular(t), _draw_singular),
+    "gf": Family(
+        SEQUENCE,
+        _generated,
+        lambda m, tag, rng: _bounded_form(GRID, rng) if m == GRID else _seq_regular(rng),
+    ),
+    "cf": Family(
+        GRID,
+        _closed,
+        lambda m, tag, rng: _grid_regular(rng) if m == GRID else _seq_regular(rng, False),
+    ),
+    "vfd": Family(None, lambda t, tag: forms.is_bounded(t) or t.domain == tag, _draw_fixed_domain),
+    # the operator algebras: gf and cf on the sequence model, drawn as operators
+    "vh": Family(SEQUENCE, _generated, lambda m, tag, rng: _draw_operator(m, rng, False)),
+    "sa": Family(SEQUENCE, _closed, lambda m, tag, rng: _draw_operator(m, rng, True)),
+}
 
 
 # ------------------------------------------------------------ closure suites

@@ -556,24 +556,29 @@ def classify_boundedness(t: FormSpec, levels=None) -> bool:
     return declared
 
 
-def reg_sing_split(t: FormSpec) -> tuple[FormSpec, FormSpec]:
-    """Split into regular + singular parts by the whole-form catalog rule.
+def singular_atoms(t: FormSpec) -> frozenset:
+    """The atoms of t's singular part, by the whole-form catalog rule.
 
     Grid forms with a positive derivative-energy coefficient are entirely
-    regular; with zero energy the boundary atoms are the singular part and
-    the bounded atoms the regular part.  Sequence forms are regular except
-    for the symbolic singular atom.  The parts partition the atom multiset,
-    so their matrices reassemble the original exactly at every level.
+    regular; with zero energy the boundary atoms are singular.  On the
+    sequence model only the symbolic singular atom is.
     """
-    atoms = t.atoms_dict()
     if t.model == GRID:
         if t.coeff(DIRICHLET) > 0:
-            return t, zero_form(t.model)
-        sing = {a: c for a, c in atoms.items() if a.kind in ("boundary0", "boundary1")}
-        reg = {a: c for a, c in atoms.items() if a.kind not in ("boundary0", "boundary1")}
-    else:
-        sing = {a: c for a, c in atoms.items() if a.kind == "hamel"}
-        reg = {a: c for a, c in atoms.items() if a.kind != "hamel"}
+            return frozenset()
+        return frozenset(a for a, _ in t.atoms if a.kind in ("boundary0", "boundary1"))
+    return frozenset(a for a, _ in t.atoms if a.kind == "hamel")
+
+
+def reg_sing_split(t: FormSpec) -> tuple[FormSpec, FormSpec]:
+    """Split into regular + singular parts along ``singular_atoms``.
+
+    The parts partition the atom multiset, so their matrices reassemble
+    the original exactly at every level.
+    """
+    sing_atoms = singular_atoms(t)
+    sing = {a: c for a, c in t.atoms if a in sing_atoms}
+    reg = {a: c for a, c in t.atoms if a not in sing_atoms}
     reg_dom = None if not reg else (t.domain if any(not atom_is_bounded(a) for a in reg) else None)
     t_r = make_form(t.model, reg, reg_dom) if reg else zero_form(t.model)
     t_s = make_form(t.model, sing) if sing else zero_form(t.model)
@@ -581,11 +586,11 @@ def reg_sing_split(t: FormSpec) -> tuple[FormSpec, FormSpec]:
 
 
 def is_regular(t: FormSpec) -> bool:
-    return reg_sing_split(t)[1].is_zero
+    return not singular_atoms(t)
 
 
 def is_singular(t: FormSpec) -> bool:
-    return reg_sing_split(t)[0].is_zero
+    return len(singular_atoms(t)) == len(t.atoms)
 
 
 def is_closed(t: FormSpec) -> bool:

@@ -472,6 +472,9 @@ class RestrictedAlgebra(PartialAlgebra):
     def elements(self):
         return list(self._elems)
 
+    def __repr__(self):
+        return f"RestrictedAlgebra({self.base!r}, {self._elems!r})"
+
 
 def restrict(ambient: PartialAlgebra, subset, check: bool = True) -> RestrictedAlgebra:
     """Restrict the ambient sum to a subset containing zero.

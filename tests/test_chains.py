@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gealab import chains, forms, hilbert
+from gealab import chains, families, forms, hilbert
 from gealab.chains import (
     FormChain,
     cf_prec_sup,
@@ -54,6 +54,22 @@ def test_chain_registry():
         chain_by_name("cauchy")
     with pytest.raises(ValueError):
         order_predicate("lexicographic")
+
+
+def test_order_table():
+    assert order_predicate("prec") is families.preceq
+    assert order_predicate("oplus") is families.le_oplus
+    assert order_predicate("bar") is families.le_bar
+    pairs = [(T_PRIME, T_1), (T_PRIME, energy_form(2)), (T_0, T_1)]
+    for order, family in chains.ORDERS.items():
+        if family is not None:
+            assert [order_predicate(order)(t, s) for t, s in pairs] == [
+                families.gea_by_name(family).le_oracle(t, s) for t, s in pairs
+            ]
+    # family ids are no order ids unless the table names them
+    for family in ("sf", "bf", "gf", "vfd:h1_grid"):
+        with pytest.raises(ValueError):
+            order_predicate(family)
 
 
 def test_term_values_vanishing_energy():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gealab import cli, instances
+from gealab import chains, cli, families, instances
 
 
 def run_cli(argv, capsys):
@@ -152,6 +152,54 @@ def test_chain_unknown_ids(capsys):
     assert code == 2 and "config error" in err
     code, _, err = run_cli(["chain", "--chain", "kato", "--order", "zorn"], capsys)
     assert code == 2
+
+
+def test_chain_order_ids_come_from_the_order_table(capsys):
+    # family ids outside the order table are no chain orders
+    for order in ("sf", "vfd:h1_grid"):
+        code, out, err = run_cli(["chain", "--chain", "kato", "--order", order], capsys)
+        assert code == 2 and not out
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_help_lists_the_registries(capsys):
+    for argv, ids in (
+        (["axioms", "--help"], [b if f.model else f"{b}:<tag>" for b, f in families.FAMILIES.items()]),
+        (["chain", "--help"], list(chains.CHAIN_IDS)),
+        (["chain", "--help"], list(chains.ORDERS)),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        text = " ".join(capsys.readouterr().out.split())
+        assert " | ".join(ids) in text
+
+
+def test_fixed_domain_families_on_sequence_tags(capsys):
+    for family in ("vfd:finite_support", "vfd:diag_max:j"):
+        code, body, _ = run_json(["axioms", "--family", family, "--samples", "500"], capsys)
+        assert code == 0 and body["ok"], family
+        assert body["report"]["algebra"] == f"FormsGEA({family!r}, model='sequence')"
+    code, out, err = run_cli(["axioms", "--family", "vfd:finite_support", "--model", "grid"], capsys)
+    assert code == 2 and not out and err.startswith("config error:")
+
+
+BYTE_STABLE_RUNS = [
+    ["axioms", "--instance", "half-open:3,3", "--cap", "8"],
+    ["axioms", "--family", "vh", "--samples", "300"],
+    ["axioms", "--family", "vfd:finite_support", "--samples", "300"],
+    *(["counterexample", name] for name in cli.COUNTEREXAMPLES),
+    ["chain", "--chain", "kato", "--n-max", "8"],
+    ["sigma", "--n-max", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", BYTE_STABLE_RUNS, ids=" ".join)
+def test_json_is_byte_stable_in_process(argv, capsys):
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv + ["--seed", "7", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_chain_n_max_below_two_is_config_error(capsys):

@@ -1,5 +1,6 @@
 """Form families: membership, the two partial sums, orders, closure suites."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,14 +15,12 @@ from gealab.errors import (
     NegativeCoefficient,
     NotInFamily,
     NotInGf,
-    NotSelfAdjointCatalog,
     SymbolicOnly,
     VerificationFailed,
 )
 from gealab.families import (
+    FAMILIES,
     FormsGEA,
-    OperatorGEA,
-    SelfAdjointGEA,
     gea_by_name,
     in_family,
     in_vf,
@@ -369,11 +368,14 @@ def test_regular_sum_demo_pinned():
 def test_operator_families():
     rng = random.Random(1)
     a = families.sample_operator(SEQUENCE, rng)
-    assert in_family(a, "gf")
+    assert in_family(a, "gf") and in_family(a, "vh")
     zero = zero_form(SEQUENCE)
     assert oplus(a, zero) == a
-    with pytest.raises(NotSelfAdjointCatalog):
-        families.sa_form_sum(diag_form("j", domain=FINITE_SUPPORT), zero)
+    # an operator whose form is not closed is outside sa, and sa's sum refuses it
+    restricted = diag_form("j", domain=FINITE_SUPPORT)
+    assert in_family(restricted, "vh") and not in_family(restricted, "sa")
+    with pytest.raises(NotInFamily):
+        gea_by_name("sa").add(restricted, zero)
 
 
 def test_generator_of_form_round_trip():
@@ -403,36 +405,83 @@ def test_operator_correspondence():
 
 
 def test_operator_axioms_sampled():
-    for alg in (OperatorGEA(SEQUENCE), SelfAdjointGEA(SEQUENCE)):
+    for alg in (gea_by_name("vh"), gea_by_name("sa")):
         rep = kernel.check_axioms(alg, mode="sampled", samples=200, seed=3)
         assert rep.all_pass, rep.to_dict()
 
 
 # ------------------------------------------------------------- factories
 
+# every registry id; a fixed-domain family with one tag per model
+REGISTRY_IDS = tuple(b for b, f in FAMILIES.items() if f.model) + tuple(
+    f"{b}:{tag}" for b, f in FAMILIES.items() if not f.model for tag in ("h1_grid", "finite_support")
+)
+
+
+def test_every_registry_id_is_accepted():
+    assert len(REGISTRY_IDS) == len(FAMILIES) + 1
+    for family in REGISTRY_IDS:
+        alg = gea_by_name(family)
+        assert alg.family == family
+        assert in_family(alg.zero, family)
+        t = sample_form(alg.model, family, random.Random(0))
+        assert in_family(t, family), (family, t)
+
+
+def test_operator_families_draw_the_operator_samplers():
+    for family, closed_only in (("vh", False), ("sa", True)):
+        a, b = random.Random(8), random.Random(8)
+        for _ in range(300):
+            assert sample_form(SEQUENCE, family, a) == families.sample_operator(SEQUENCE, b, closed_only)
+
+
+def test_fixed_domain_samplers_draw_on_their_tag():
+    rng = random.Random(4)
+    for family, tag in (("vfd:finite_support", FINITE_SUPPORT), ("vfd:diag_max:j", forms.diag_domain("j"))):
+        draws = [sample_form(SEQUENCE, family, rng) for _ in range(300)]
+        unbounded = [t for t in draws if not forms.is_bounded(t)]
+        assert len(unbounded) > 100 and all(t.domain == tag for t in unbounded)
+    # on diag_max:j the unbounded draws carry the diagonal j itself
+    assert all(diag_atom("j") in t.atoms_dict() for t in unbounded)
+    with pytest.raises(ValueError):
+        sample_form(GRID, "vfd:finite_support", random.Random(1))
+    # the h1_grid draws are those of the grid energy and boundary sampler
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        digest.update(forms.form_to_json(sample_form(GRID, "vfd:h1_grid", rng)).encode())
+    assert digest.hexdigest() == "6a8f5297a24ffbd920e254cad44186ff9ab4c16f242bc442eea4436052abc17b"
+
+
 
 def test_gea_by_name():
     alg = gea_by_name("cf")
     assert isinstance(alg, FormsGEA) and alg.model == GRID
     assert gea_by_name("bf").model == SEQUENCE
-    assert isinstance(gea_by_name("vh"), OperatorGEA)
-    assert isinstance(gea_by_name("sa"), SelfAdjointGEA)
+    for family in ("vh", "sa"):
+        alg = gea_by_name(family)
+        assert isinstance(alg, FormsGEA) and alg.family == family and alg.model == SEQUENCE
+        assert repr(alg) == f"FormsGEA({family!r}, model='sequence')"
     assert gea_by_name("vfd:h1_grid").family == "vfd:h1_grid"
+    assert gea_by_name("vfd:h1_grid").model == GRID
+    assert gea_by_name("vfd:finite_support").model == SEQUENCE
+    assert gea_by_name("vfd:diag_max:j").model == SEQUENCE
     with pytest.raises(ValueError):
         gea_by_name("hf")
     with pytest.raises(ValueError):
-        FormsGEA(SEQUENCE, "vh")
+        FormsGEA(SEQUENCE, "hf")
     with pytest.raises(ValueError):
         gea_by_name("vfd")
+    with pytest.raises(ValueError):
+        gea_by_name("rf:h1_grid")  # only the fixed-domain family takes a tag
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_samplers_produce_members(seed):
     rng = random.Random(seed)
-    for family in ("vf", "bf", "rf", "sf", "gf", "cf", "vfd:h1_grid"):
-        model = GRID if family.startswith("vfd") else families._DEFAULT_MODEL[family.split(":")[0]]
-        t = sample_form(model, family, rng)
+    for family in REGISTRY_IDS + ("vfd:diag_max:j", "vfd:diag_max:j^2"):
+        t = sample_form(gea_by_name(family).model, family, rng)
         assert in_family(t, family), (family, t)
 
 

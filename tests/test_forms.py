@@ -1,5 +1,6 @@
 """Form catalog: construction, matrices, splits, probes, JSON."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,34 @@ def test_reg_sing_split_keeps_restricted_domain():
     t = diag_form("j", domain=FINITE_SUPPORT)
     r, s = forms.reg_sing_split(t)
     assert r.domain == FINITE_SUPPORT and s.is_zero
+
+
+def test_singular_atoms_rule():
+    t_0 = endpoint_form(1, 1)
+    assert forms.singular_atoms(form_add(energy_form(1), t_0)) == frozenset()
+    assert forms.singular_atoms(form_add(bounded_matrix_form("id", model=GRID), t_0)) == {
+        a for a, _ in t_0.atoms
+    }
+    assert forms.singular_atoms(form_add(hamel_form(), diag_form("1/j"))) == {forms.HAMEL}
+    assert forms.singular_atoms(diag_form("j")) == frozenset()
+
+
+def test_singular_atoms_agree_with_the_split():
+    # is_regular / is_singular / the bar sum's regular atoms read the atom
+    # rule directly; they must say what the two-form split says
+    import random
+
+    rng = random.Random(31)
+    pool = [t for model in hilbert.MODELS for _, t in forms.catalog_forms(model, include_symbolic=True)]
+    for model in hilbert.MODELS:
+        for family in ("vf", "sf"):
+            pool += [families.sample_form(model, family, rng) for _ in range(150)]
+    for t in pool:
+        r, s = forms.reg_sing_split(t)
+        assert forms.is_regular(t) == s.is_zero, t
+        assert forms.is_singular(t) == r.is_zero, t
+        assert families._reg_atoms(t) == r.atoms_dict(), t
+        assert {a for a, _ in s.atoms} == forms.singular_atoms(t), t
 
 
 # ----------------------------------------------------------- closedness

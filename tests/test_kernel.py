@@ -385,6 +385,13 @@ def test_sampled_check_keeps_its_draws(monkeypatch):
     assert not got.all_pass and got.to_dict() == want.to_dict()
 
 
+def test_restricted_algebra_repr_names_ambient_and_members():
+    alg = kernel.restrict(instances.NatGEA(12), [9, 0, 3, 6], check=False)
+    assert repr(alg) == "RestrictedAlgebra(NatGEA(cap=12), [0, 3, 6, 9])"
+    assert repr(alg) == repr(kernel.restrict(instances.NatGEA(12), [0, 3, 6, 9], check=False))
+    assert "object at" not in repr(alg)
+
+
 def test_sum_table_follows_a_changed_instance():
     alg = instances.NatGEA(5)
     assert kernel.check_axioms(alg).samples_tested == 6 + 6**2 + 6**3
