@@ -86,8 +86,12 @@ def in_vf(t: FormSpec) -> bool:
 
 
 def in_family(t: FormSpec, family: str) -> bool:
-    entry, tag = _lookup(family)
-    return in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+    """Membership, decided once per form and family id and kept on the form."""
+    memo = t.__dict__.setdefault("in_family", {})
+    if family not in memo:
+        entry, tag = _lookup(family)
+        memo[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+    return memo[family]
 
 
 # ------------------------------------------------------------ partial sums
@@ -146,7 +150,7 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
         raise ModelMismatch("operands live on different models")
     diff = s.atoms_dict()
     for atom, c in t.atoms:
-        r = diff.get(atom, Fraction(0)) - c
+        r = diff.get(atom, forms.ZERO) - c
         if r < 0:
             if strict:
                 raise NegativeCoefficient(f"{atom} exceeds its coefficient in the minuend")
@@ -155,11 +159,8 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
             diff.pop(atom, None)
         else:
             diff[atom] = r
-    if not diff:
-        out = zero_form(t.model)
-    else:
-        unbounded = any(not forms.atom_is_bounded(a) for a in diff)
-        out = make_form(t.model, diff, s.domain if unbounded else None)
+    unbounded = any(not forms.atom_is_bounded(a) for a in diff)
+    out = make_form(t.model, diff, s.domain if unbounded else None)  # the zero form when diff is empty
     if oplus(t, out) != s:
         if strict:
             raise VerificationFailed("difference does not add back to the minuend")
@@ -374,11 +375,13 @@ def _draw_singular(model: str, tag, rng) -> FormSpec:
 def _draw_fixed_domain(model: str, tag: DomainTag, rng) -> FormSpec:
     """A bounded form, or an unbounded one on the tag: grid energy and
     boundary forms for h1_grid, else an unbounded diagonal restricted to
-    the tag (the diagonal lam itself for diag_max:lam)."""
+    the tag (the diagonal lam itself for diag_max:lam).  No unbounded catalog
+    form lives on full or a bounded lam's diag_max: there it draws bounded forms."""
     home = _tag_model(tag)
     if model != home:
         raise ValueError(f"the {tag_to_str(tag)} tag lives on the {home} model")
-    if rng.random() < 0.3:
+    bounded_only = tag == FULL_SPACE or (tag.kind == "diag_max" and forms.lam_sup(tag.param) is not None)
+    if bounded_only or rng.random() < 0.3:
         return _bounded_form(model, rng)
     if model == GRID:
         return _grid_energy(rng) if rng.random() < 0.6 else _grid_singularish(rng)

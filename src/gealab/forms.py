@@ -47,6 +47,20 @@ from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 PSD_TOL = 1e-9
 POLARIZATION_TOL = 1e-10
 GROWTH_FACTOR = 1.5
+ZERO = Fraction(0)  # the coefficient of an absent atom, shared rather than rebuilt
+
+
+def _once(fn):
+    """Keep ``fn(t)`` in the ``__dict__`` of an immutable atom or form ``t``: no field, freed with ``t``."""
+    key = fn.__name__
+
+    def cached(t):
+        memo = t.__dict__
+        if key not in memo:
+            memo[key] = cached.__wrapped__(t)
+        return memo[key]
+
+    return functools.update_wrapper(cached, fn)
 
 
 # ------------------------------------------------------------ domain tags
@@ -149,6 +163,12 @@ class FormAtom:
     cut: int | None = None
     gen: str = ""
 
+    @_once
+    def _hash(self) -> int:  # the dataclass hash, computed once per atom
+        return hash((self.kind, self.lam, self.cut, self.gen))
+
+    __hash__ = _hash
+
 
 DIRICHLET = FormAtom("dirichlet")
 BOUNDARY0 = FormAtom("boundary0")
@@ -172,6 +192,7 @@ def bounded_mat_atom(gen: str = "id") -> FormAtom:
     return FormAtom("bounded_mat", gen=gen)
 
 
+@_once
 def atom_is_bounded(atom: FormAtom) -> bool:
     if atom.kind == "diag":
         return atom.cut is not None or lam_sup(atom.lam) is not None
@@ -205,7 +226,7 @@ class FormSpec:
         for a, c in self.atoms:
             if a == atom:
                 return c
-        return Fraction(0)
+        return ZERO
 
     def atoms_dict(self) -> dict[FormAtom, Fraction]:
         return dict(self.atoms)
@@ -219,6 +240,12 @@ class FormSpec:
 
     def __repr__(self):  # keep reprs short in reports and counterexamples
         return f"FormSpec({describe(self)})"
+
+    @_once
+    def _hash(self) -> int:  # the dataclass hash, computed once per form
+        return hash((self.model, self.domain, self.atoms))
+
+    __hash__ = _hash
 
 
 def _freeze(atoms: dict[FormAtom, Fraction]) -> tuple:
@@ -251,14 +278,15 @@ def make_form(model: str, atoms: dict, domain: DomainTag | None = None) -> FormS
     allowed = _SEQ_KINDS if model == SEQUENCE else _GRID_KINDS
     items: dict[FormAtom, Fraction] = {}
     for atom, c in atoms.items():
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c < 0:
             raise ValueError(f"coefficient of {atom} is negative")
-        if c == 0:
+        if not c:
             continue
         if atom.kind not in allowed:
             raise ModelMismatch(f"atom kind {atom.kind!r} not available on the {model} model")
-        items[atom] = items.get(atom, Fraction(0)) + c
+        items[atom] = c
     if not items:
         return FormSpec(model, FULL_SPACE, ())
 
@@ -302,7 +330,8 @@ def form_add(t: FormSpec, s: FormSpec) -> FormSpec:
         raise OutsideCatalog("sum of forms on incomparable domains")
     merged = t.atoms_dict()
     for atom, c in s.atoms:
-        merged[atom] = merged.get(atom, Fraction(0)) + c
+        have = merged.get(atom)
+        merged[atom] = c if have is None else have + c
     # operands are valid forms, so the merged multiset needs no revalidation
     return FormSpec(t.model, dom, _freeze(merged))
 
@@ -416,7 +445,8 @@ def _seeded_unit_psd(dim: int, seed: int) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-@functools.lru_cache(maxsize=None)
+# sigma and chain --chain diag meet at most 128 distinct arguments: 512 keeps their hits
+@functools.lru_cache(maxsize=512)
 def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
     dim = hilbert.dim_of(model, level)
     if atom.kind == "diag":
@@ -449,7 +479,7 @@ def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=512)
 def matrix_at(t: FormSpec, level: int) -> np.ndarray:
     """Coefficient matrix of the form at a level: t(x, y) = y* M x.
 
@@ -522,6 +552,7 @@ def numerical_range_bounds(t: FormSpec, level: int) -> tuple[float, float]:
     return lo, hi
 
 
+@_once
 def is_bounded(t: FormSpec) -> bool:
     """Catalog boundedness: every atom is bounded."""
     return all(atom_is_bounded(a) for a, _ in t.atoms)
@@ -556,6 +587,7 @@ def classify_boundedness(t: FormSpec, levels=None) -> bool:
     return declared
 
 
+@_once
 def singular_atoms(t: FormSpec) -> frozenset:
     """The atoms of t's singular part, by the whole-form catalog rule.
 
@@ -593,6 +625,7 @@ def is_singular(t: FormSpec) -> bool:
     return len(singular_atoms(t)) == len(t.atoms)
 
 
+@_once
 def is_closed(t: FormSpec) -> bool:
     """Closedness by the catalog rule.
 
@@ -719,10 +752,6 @@ def associated_operator(t: FormSpec, level: int) -> np.ndarray:
 # ------------------------------------------------------------------ JSON
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def form_to_dict(t: FormSpec) -> dict:
     atoms = []
     boundary = {}
@@ -731,26 +760,26 @@ def form_to_dict(t: FormSpec) -> dict:
             entry = {
                 "kind": "diag",
                 "lambda": atom.lam,
-                "sup": "inf" if not atom_is_bounded(atom) else _coeff_str(_diag_sup(atom)),
-                "coeff": _coeff_str(c),
+                "sup": "inf" if not atom_is_bounded(atom) else str(_diag_sup(atom)),
+                "coeff": str(c),
             }
             if atom.cut is not None:
                 entry["cut"] = atom.cut
             atoms.append(entry)
         elif atom.kind == "bounded_mat":
-            atoms.append({"kind": "bounded_mat", "gen": atom.gen, "coeff": _coeff_str(c)})
+            atoms.append({"kind": "bounded_mat", "gen": atom.gen, "coeff": str(c)})
         elif atom.kind == "dirichlet":
-            atoms.append({"kind": "dirichlet", "c": _coeff_str(c)})
+            atoms.append({"kind": "dirichlet", "c": str(c)})
         elif atom.kind in ("boundary0", "boundary1"):
             boundary[atom.kind] = c
         else:
-            atoms.append({"kind": "hamel", "coeff": _coeff_str(c)})
+            atoms.append({"kind": "hamel", "coeff": str(c)})
     if boundary:
         atoms.append(
             {
                 "kind": "boundary",
-                "alpha": _coeff_str(boundary.get("boundary0", Fraction(0))),
-                "beta": _coeff_str(boundary.get("boundary1", Fraction(0))),
+                "alpha": str(boundary.get("boundary0", Fraction(0))),
+                "beta": str(boundary.get("boundary1", Fraction(0))),
             }
         )
     atoms.sort(key=lambda e: json.dumps(e, sort_keys=True))

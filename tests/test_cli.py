@@ -183,6 +183,13 @@ def test_fixed_domain_families_on_sequence_tags(capsys):
     assert code == 2 and not out and err.startswith("config error:")
 
 
+@pytest.mark.parametrize("seed", ["7", "101"])
+@pytest.mark.parametrize("family", ["vfd:full", "vfd:diag_max:1/j", "vfd:diag_max:const:2"])
+def test_fixed_domain_families_without_unbounded_forms(family, seed, capsys):
+    code, body, err = run_json(["axioms", "--family", family, "--samples", "500", "--seed", seed], capsys)
+    assert code == 0 and body["ok"] and not err, (family, err)
+
+
 BYTE_STABLE_RUNS = [
     ["axioms", "--instance", "half-open:3,3", "--cap", "8"],
     ["axioms", "--family", "vh", "--samples", "300"],

@@ -451,7 +451,70 @@ def test_fixed_domain_samplers_draw_on_their_tag():
     for _ in range(300):
         digest.update(forms.form_to_json(sample_form(GRID, "vfd:h1_grid", rng)).encode())
     assert digest.hexdigest() == "6a8f5297a24ffbd920e254cad44186ff9ab4c16f242bc442eea4436052abc17b"
+    # the sequence-tag draws keep their bytes too
+    pinned = {
+        "vfd:finite_support": "8cb118517f64f5a4346e7293c5c5874ca063d9a1b885b6a1d530b9ac5e81aabc",
+        "vfd:diag_max:j": "0dcf00325860bf57334e809ef754fb36f29ce01e706e8932d9b58d59fc66a4cd",
+    }
+    for family, want in pinned.items():
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            digest.update(forms.form_to_json(sample_form(SEQUENCE, family, rng)).encode())
+        assert digest.hexdigest() == want, family
 
+
+@pytest.mark.parametrize("family", ["vfd:full", "vfd:diag_max:1/j", "vfd:diag_max:const:2"])
+def test_fixed_domain_without_unbounded_forms_draws_bounded_forms(family):
+    # no unbounded catalog form lives on these tags: the family is V_F^D with D = H
+    rng, bf = random.Random(9), random.Random(9)
+    draws = [sample_form(SEQUENCE, family, rng) for _ in range(300)]
+    assert all(forms.is_bounded(t) and t.domain == FULL_SPACE for t in draws)
+    assert all(in_family(t, family) for t in draws)
+    assert draws == [sample_form(SEQUENCE, "bf", bf) for _ in range(300)]
+
+
+FAMILY_IDS = [*(f for f in FAMILIES if f != "vfd"), "vfd:h1_grid", "vfd:finite_support"]
+
+
+def _rebuilt(t):
+    """A structurally equal copy of t built from fresh objects, nothing cached."""
+    atoms = tuple(
+        (forms.FormAtom(a.kind, a.lam, a.cut, a.gen), Fraction(c.numerator, c.denominator))
+        for a, c in t.atoms
+    )
+    return forms.FormSpec(t.model, forms.DomainTag(t.domain.kind, t.domain.param, t.domain.budget), atoms)
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_cached_classification_matches_a_fresh_copy(family):
+    alg = gea_by_name(family)
+    rng = random.Random(17)
+    draws = [alg.sample(rng) for _ in range(500)]
+    # the family sums classify the operands and their sums before the comparison
+    sums = [alg.add(x, y) for x, y in zip(draws, draws[1:])]
+    for t in draws + [u for u in sums if u is not None]:
+        fresh = _rebuilt(t)
+        assert fresh == t and hash(fresh) == hash(t) and "is_bounded" not in vars(fresh)
+        for predicate in (forms.is_bounded, forms.singular_atoms, forms.is_closed):
+            assert predicate(t) == predicate(fresh), (predicate.__name__, t)
+        assert [forms.atom_is_bounded(a) for a, _ in t.atoms] == [
+            forms.atom_is_bounded(a) for a, _ in fresh.atoms
+        ]
+        assert [in_family(t, f) for f in FAMILY_IDS] == [in_family(fresh, f) for f in FAMILY_IDS], t
+
+
+def test_is_bounded_body_runs_once_per_form(monkeypatch):
+    seen = []  # keeps every classified form alive, so ids stay distinct
+    body = forms.is_bounded.__wrapped__
+
+    def counting(t):
+        seen.append(t)
+        return body(t)
+
+    monkeypatch.setattr(forms.is_bounded, "__wrapped__", counting)
+    kernel.check_axioms(gea_by_name("vf-bar"), mode="sampled", samples=500, seed=3)
+    assert seen and len({id(t) for t in seen}) == len(seen)
 
 
 def test_gea_by_name():

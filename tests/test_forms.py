@@ -1,5 +1,6 @@
 """Form catalog: construction, matrices, splits, probes, JSON."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gealab import families, forms, hilbert
+from gealab import cli, families, forms, hilbert
 from gealab.errors import (
     DimensionMismatch,
     DomainViolation,
@@ -188,6 +189,53 @@ def test_matrix_additivity_and_cache():
     assert matrix_at(t, 9) is matrix_at(t, 9)  # cached
     with pytest.raises(SymbolicOnly):
         matrix_at(hamel_form(), 8)
+
+
+def test_matrix_caches_are_bounded_and_keep_every_hit(capsys):
+    for cache in (matrix_at, forms._atom_matrix):
+        assert cache.cache_info().maxsize is not None
+        cache.cache_clear()
+    assert cli.main(["sigma", "--seed", "0", "--format", "json"]) == 0
+    capsys.readouterr()
+    m, a = matrix_at.cache_info(), forms._atom_matrix.cache_info()
+    # nothing was evicted, so the hits are those of an unbounded cache
+    assert m.currsize == m.misses and a.currsize == a.misses
+    assert (m.hits, m.misses, a.hits, a.misses) == (1258, 128, 33, 105)
+
+
+def test_cached_hash_is_the_dataclass_hash():
+    rng = random.Random(3)
+    sampled = [families.sample_form(GRID, "vf", rng) for _ in range(200)]
+    sampled += [families.sample_form(SEQUENCE, "vf", rng) for _ in range(200)]
+    for t in [f for _, f in forms.catalog_forms(include_symbolic=True)] + sampled:
+        # the hash a plain frozen dataclass has, so no dict or set order moves
+        assert hash(t) == hash((t.model, t.domain, t.atoms))
+        for a, _ in t.atoms:
+            assert hash(a) == hash((a.kind, a.lam, a.cut, a.gen))
+
+
+def test_cached_classification_stays_out_of_repr_eq_and_json():
+    t, fresh = energy_with_endpoints(1, 1, 1), energy_with_endpoints(1, 1, 1)
+    before = (repr(t), form_to_json(t), [repr(a) for a, _ in t.atoms])
+    hash(t)
+    forms.is_bounded(t), forms.singular_atoms(t), forms.is_closed(t)
+    families.in_family(t, "rf")
+    assert {"_hash", "is_bounded", "singular_atoms", "is_closed", "in_family"} <= set(vars(t))
+    assert "atom_is_bounded" in vars(t.atoms[0][0])
+    after = (repr(t), form_to_json(t), [repr(a) for a, _ in t.atoms])
+    assert before == after == (repr(fresh), form_to_json(fresh), [repr(a) for a, _ in fresh.atoms])
+    assert t == fresh and fresh == t
+    assert [f.name for f in dataclasses.fields(t)] == ["model", "domain", "atoms"]
+
+
+def test_finite_support_budget_survives_an_equal_form():
+    plain = diag_form("j", domain=FINITE_SUPPORT)
+    hash(plain), forms.is_bounded(plain), matrix_at(plain, 8)
+    r = diag_form("j", domain=DomainTag("finite_support", budget=2))
+    assert r == plain and r.domain.budget == 2 and plain.domain.budget is None
+    with pytest.raises(DomainViolation):
+        forms.quadratic(r, np.ones(8))
+    assert forms.quadratic(plain, np.ones(8)) > 0
 
 
 def test_evaluate_checks():

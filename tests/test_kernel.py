@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gealab import instances, kernel
+from gealab import families, instances, kernel
 from gealab.errors import (
     GealabError,
     JoinUnavailable,
@@ -51,6 +51,31 @@ def ref_check_axioms(alg):
         for a in kernel.AXIOMS
     )
     return kernel.AxiomReport("exhaustive", n + n * n + n * n * n, None, verdicts)
+
+
+def ref_check_axioms_sampled(alg, samples, seed):
+    """The sampled loop with every helper calling ``alg.add`` itself."""
+    rng = random.Random(seed)
+    bad = {}
+    for _ in range(samples):
+        x = alg.sample(rng)
+        y = alg.sample(rng)
+        z = alg.sample(rng)
+        if "GEiii" not in bad and kernel._violates_geiii(alg, x):
+            bad["GEiii"] = (x,)
+        if "GEi" not in bad and kernel._violates_gei(alg, x, y):
+            bad["GEi"] = (x, y)
+        if "GEv" not in bad and kernel._violates_gev(alg, x, y):
+            bad["GEv"] = (x, y)
+        if "GEii" not in bad and kernel._violates_geii(alg, x, y, z):
+            bad["GEii"] = (x, y, z)
+        if "GEiv" not in bad and kernel._violates_geiv(alg, x, y, z):
+            bad["GEiv"] = (x, y, z)
+    verdicts = tuple(
+        kernel.AxiomVerdict(axiom=a, passed=a not in bad, counterexample=bad.get(a))
+        for a in kernel.AXIOMS
+    )
+    return kernel.AxiomReport("sampled", samples, seed, verdicts)
 
 
 def ref_derived_le(alg, a, b):
@@ -383,6 +408,53 @@ def test_sampled_check_keeps_its_draws(monkeypatch):
     monkeypatch.setattr(instances.BrokenMaxGEA, "sample", _enumerate_per_draw)
     want = kernel.check_axioms(alg, mode="sampled", samples=300, seed=5)
     assert not got.all_pass and got.to_dict() == want.to_dict()
+
+
+# every registry family, the fixed-domain one on a grid and a sequence tag
+FAMILY_IDS = [*(f for f in families.FAMILIES if f != "vfd"), "vfd:h1_grid", "vfd:finite_support"]
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_sampled_check_matches_reference_on_families(family, seed):
+    alg = families.gea_by_name(family)
+    got = kernel.check_axioms(alg, mode="sampled", samples=300, seed=seed)
+    assert got.to_dict() == ref_check_axioms_sampled(alg, 300, seed).to_dict()
+
+
+@pytest.mark.parametrize("seed", [7, 101])
+@pytest.mark.parametrize("name", ["broken-max", "cone:2", "interval:3,3,4"])
+def test_sampled_check_matches_reference_on_instances(name, seed):
+    alg = instances.instance_by_name(name, cap=8)
+    got = kernel.check_axioms(alg, mode="sampled", samples=2000, seed=seed)
+    assert got.to_dict() == ref_check_axioms_sampled(alg, 2000, seed).to_dict()
+    assert got.all_pass == (name != "broken-max")
+
+
+def test_sampled_check_matches_reference_on_random_tables():
+    failing = {a: 0 for a in kernel.AXIOMS}
+    for seed in range(300):
+        alg, _ = random_table_algebra(seed)
+        got = kernel.check_axioms(alg, mode="sampled", samples=40, seed=seed).to_dict()
+        assert got == ref_check_axioms_sampled(alg, 40, seed).to_dict(), seed
+        for v in got["verdicts"]:
+            failing[v["axiom"]] += not v["passed"]
+    assert all(failing.values()), failing
+
+
+def test_sampled_check_adds_each_distinct_sum_once(monkeypatch):
+    # a draw (x, y, z) needs 7 distinct sums: x+0, x+y, y+x, (x+y)+z, y+z, x+(y+z), x+z
+    calls = 0
+    add = families.FormsGEA.add
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(families.FormsGEA, "add", counting)
+    rep = kernel.check_axioms(families.gea_by_name("vf-bar"), mode="sampled", samples=2000)
+    assert rep.all_pass and 0 < calls <= 7 * 2000
 
 
 def test_restricted_algebra_repr_names_ambient_and_members():
