@@ -12,7 +12,7 @@ claimed universally, only over the scanned candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -170,6 +170,17 @@ def chain_by_name(name: str) -> FormChain:
 # ------------------------------------------------------------ monotonicity
 
 
+def _check_steps(terms: list[FormSpec], below) -> None:
+    """The one step check: each term lies ``below`` its predecessor.
+
+    Raises MonotonicityViolation with the 1-based index of the first
+    failing step.
+    """
+    for n in range(1, len(terms)):
+        if not below(terms[n], terms[n - 1]):
+            raise MonotonicityViolation(n)
+
+
 def check_monotone(
     chain: FormChain,
     n_max: int = DEFAULT_N_MAX,
@@ -188,12 +199,8 @@ def check_monotone(
     if direction not in ("ascending", "descending"):
         raise ValueError(f"unknown direction {direction!r}")
     pred = order_predicate(order)
-    for n in range(1, n_max):
-        lo, hi = chain.term(n + 1), chain.term(n)
-        if direction == "ascending":
-            lo, hi = hi, lo
-        if not pred(lo, hi):
-            raise MonotonicityViolation(n)
+    below = pred if direction == "descending" else lambda x, y: pred(y, x)
+    _check_steps(chain.terms(n_max), below)
     return {
         "chain": chain.chain_id,
         "order": order,
@@ -310,6 +317,7 @@ class ChainReport:
     witnesses: tuple[FormSpec, ...] = ()
     evidence: dict = field(default_factory=dict)
     candidates: tuple[str, ...] = ()
+    bounds: tuple[FormSpec, ...] = ()  # candidate bounds of every term, declared limit first
 
     @property
     def ok(self) -> bool:
@@ -371,71 +379,57 @@ _BOUND_KEYS = {
 }
 
 
-def _bound_in_family(chain, family, direction, candidates, n_max) -> ChainReport:
+def _bound_in_family(
+    chain, family, direction, candidates, n_max, order=None, dominator=None
+) -> ChainReport:
     """Meet ("down") or join ("up") of a monotone chain over candidates.
 
     ``below`` is the family order for a meet and the reversed one for a
-    join.  Positive verdict: the declared limit (else a candidate) is a
-    member, a bound of every term, and on the far side of every candidate
-    bound.  Negative verdict: an obstruction pair of extremal bounds,
-    incomparable both ways, with no candidate bound beyond both.
+    join; ``order`` replaces the family order (``cf_prec_sup`` runs the
+    join in cf under the pointwise order), and a ``dominator`` must then
+    lie beyond every term.  Positive verdict: the declared limit (else a
+    candidate) is a member, a bound of every term, and on the far side of
+    every candidate bound.  Negative verdict: an obstruction pair of
+    extremal bounds, incomparable both ways, with no candidate bound
+    beyond both.
     """
     name, bound_key, count_key, both_key, blocked_key = _BOUND_KEYS[direction]
-    pred = families.family_ops(family)[1]
+    pred = order or families.family_ops(family)[1]
     below = pred if direction == "down" else lambda x, y: pred(y, x)
     terms = chain.terms(n_max)
     for t in terms:
         if not families.in_family(t, family):
             raise NotInFamily(f"chain term {describe(t)} is outside {family}")
-    for n in range(len(terms) - 1):
-        if not below(terms[n + 1], terms[n]):
-            raise MonotonicityViolation(n + 1)
+    _check_steps(terms, below)
+    if dominator is not None:
+        for t in terms:
+            if not below(dominator, t):
+                raise NotDominated(f"{describe(t)} is not below {describe(dominator)}")
     cands = _candidate_palette(chain) if candidates is None else list(candidates)
     names = tuple(describe(c) for c in cands)
-    bounds = [c for c in cands if all(below(c, t) for t in terms)]
     lim = chain.limit
-    # the extremum, when it exists among candidates, is a bound beyond
-    # every other candidate bound; prefer the declared limit
-    ordered = [lim] + bounds if lim in bounds else list(bounds)
-    for g in ordered:
+    # the one pass over the candidates, declared limit first: the extremum,
+    # when it exists among candidates, is a bound beyond every other one
+    bounds = [c for c in cands if all(below(c, t) for t in terms)]
+    bounds.sort(key=lambda c: c != lim)
+    report = ChainReport(
+        chain.chain_id, family, direction, n_max, None, candidates=names, bounds=tuple(bounds)
+    )
+    for g in bounds:
         if all(below(b, g) for b in bounds):
-            return ChainReport(
-                chain_id=chain.chain_id,
-                family=family,
-                direction=direction,
-                n_max=n_max,
-                found=g,
-                evidence={
-                    bound_key: True,
-                    "is_declared_limit": g == lim,
-                    count_key: len(bounds),
-                },
-                candidates=names,
-            )
+            evidence = {bound_key: True, "is_declared_limit": g == lim, count_key: len(bounds)}
+            return replace(report, found=g, evidence=evidence)
     # extremal bounds: no other candidate bound lies beyond them
     extremal = [b for b in bounds if not any(o != b and below(b, o) for o in bounds)]
-    pair = _obstruction_pair(extremal, pred, prefer=lim)
+    pair = _obstruction_pair(extremal, pred)
     if pair is None:
         raise VerificationFailed(
             f"no {name} and no obstruction pair for {chain.chain_id} in {family}"
         )
     a, b = pair
     blocked = [describe(c) for c in bounds if below(a, c) and below(b, c)]
-    return ChainReport(
-        chain_id=chain.chain_id,
-        family=family,
-        direction=direction,
-        n_max=n_max,
-        found=None,
-        witnesses=(a, b),
-        evidence={
-            both_key: True,
-            "a_le_b": pred(a, b),
-            "b_le_a": pred(b, a),
-            blocked_key: blocked,
-        },
-        candidates=names,
-    )
+    evidence = {both_key: True, "a_le_b": pred(a, b), "b_le_a": pred(b, a), blocked_key: blocked}
+    return replace(report, witnesses=(a, b), evidence=evidence)
 
 
 def meet_in_family(
@@ -452,15 +446,11 @@ def join_in_family(
     return _bound_in_family(chain, family, "up", candidates, n_max)
 
 
-def _obstruction_pair(extremal, pred, prefer=None):
-    """First incomparable pair among extremal bounds, preferring to list
-    the declared limit as the first witness when it participates."""
-    ordered = list(extremal)
-    if prefer is not None and prefer in ordered:
-        ordered.remove(prefer)
-        ordered.insert(0, prefer)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
+def _obstruction_pair(extremal, pred):
+    """First incomparable pair among extremal bounds, in their order (a
+    declared limit among them comes first)."""
+    for i, a in enumerate(extremal):
+        for b in extremal[i + 1 :]:
             if not pred(a, b) and not pred(b, a):
                 return a, b
     return None
@@ -482,16 +472,7 @@ def join_obstruction_vf(n_max: int = DEFAULT_N_MAX) -> ChainReport:
         le_oplus(t, d) for t in chain.terms(n_max) for d in (d_max, d_fin)
     )
     evidence["prec_between_dominators"] = preceq(d_max, d_fin)
-    return ChainReport(
-        chain_id=report.chain_id,
-        family=report.family,
-        direction=report.direction,
-        n_max=report.n_max,
-        found=None,
-        witnesses=report.witnesses,
-        evidence=evidence,
-        candidates=report.candidates,
-    )
+    return replace(report, evidence=evidence)
 
 
 def cf_prec_sup(
@@ -503,39 +484,29 @@ def cf_prec_sup(
     """Least upper bound under the pointwise order for an ascending chain
     of closed forms dominated by a closed form.
 
-    Returns the declared parameter-limit form after verifying it is an
-    upper bound of every term and below every candidate upper bound.
+    Guards the join in cf under the pointwise order: the chain declares a
+    limit, its terms, limit and dominator are closed, and the dominator
+    lies above every term.  Returns the declared limit when the search
+    finds it; else names the first candidate upper bound not above it.
     """
-    if chain.limit is None:
+    lim = chain.limit
+    if lim is None:
         raise NoDeclaredLimit(f"chain {chain.chain_id!r} declares no limit form")
-    terms = chain.terms(n_max)
-    for t in terms + [chain.limit]:
-        if not forms.is_closed(t) and not t.is_zero:
+    for t in chain.terms(n_max) + [lim]:
+        if not forms.is_closed(t):
             raise NotClosedChain(f"{describe(t)} is not closed")
     if not forms.is_closed(dominator):
         raise NotClosedChain(f"dominator {describe(dominator)} is not closed")
-    for n in range(len(terms) - 1):
-        if not preceq(terms[n], terms[n + 1]):
-            raise MonotonicityViolation(n + 1)
-    for t in terms:
-        if not preceq(t, dominator):
-            raise NotDominated(f"{describe(t)} is not below {describe(dominator)}")
-    lim = chain.limit
-    cands = _candidate_palette(chain, extra=[dominator]) if candidates is None else list(candidates)
-    if not all(preceq(t, lim) for t in terms):
+    cands = _candidate_palette(chain, extra=[dominator]) if candidates is None else candidates
+    # the symbolic singular form has no pointwise order
+    cands = [lim] + [c for c in cands if c != lim and not c.has_kind("hamel")]
+    report = _bound_in_family(chain, "cf", "up", cands, n_max, order=preceq, dominator=dominator)
+    if report.found == lim:
+        return lim
+    if lim not in report.bounds:
         raise VerificationFailed("declared limit is not an upper bound")
-    uppers = []
-    for c in cands:
-        if c.has_kind("hamel"):
-            continue
-        if all(preceq(t, c) for t in terms):
-            uppers.append(c)
-    for c in uppers:
-        if not preceq(lim, c):
-            raise VerificationFailed(
-                f"{describe(c)} is an upper bound not above the limit"
-            )
-    return lim
+    above = next(c for c in report.bounds if not preceq(lim, c))
+    raise VerificationFailed(f"{describe(above)} is an upper bound not above the limit")
 
 
 # ------------------------------------------------------------ sigma table

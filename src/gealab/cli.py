@@ -254,18 +254,20 @@ def cmd_chain(args) -> int:
     return 0 if ok else 1
 
 
+# (family, direction, order): None is the family's own order
 _EXPECTED_SIGMA = {
-    ("vfd:h1_grid", "down"): True,
-    ("vfd:h1_grid", "up"): True,
-    ("vf", "down"): True,
-    ("vf", "up"): False,
-    ("bf", "down"): True,
-    ("rf", "down"): False,
-    ("rf", "up"): False,
-    ("cf", "down"): False,
-    ("cf", "up"): False,
-    ("vf-bar", "down"): False,
-    ("vf-bar", "up"): False,
+    ("vfd:h1_grid", "down", None): True,
+    ("vfd:h1_grid", "up", None): True,
+    ("vf", "down", None): True,
+    ("vf", "up", None): False,
+    ("bf", "down", None): True,
+    ("rf", "down", None): False,
+    ("rf", "up", None): False,
+    ("cf", "down", None): False,
+    ("cf", "up", None): False,
+    ("vf-bar", "down", None): False,
+    ("vf-bar", "up", None): False,
+    ("cf", "up", "prec"): True,
 }
 
 
@@ -282,15 +284,10 @@ def cmd_sigma(args) -> int:
         return 1
     mismatches = []
     for row in table["rows"]:
-        key = (row["family"], row["direction"])
-        if row.get("order") == "prec":
-            expected = True
-        else:
-            expected = _EXPECTED_SIGMA.get(key)
-        if expected is not None and row["sigma_complete"] != expected:
-            mismatches.append(
-                {"family": key[0], "direction": key[1], "got": row["sigma_complete"], "expected": expected}
-            )
+        family, direction, got = row["family"], row["direction"], row["sigma_complete"]
+        expected = _EXPECTED_SIGMA.get((family, direction, row.get("order")))
+        if expected is not None and got != expected:
+            mismatches.append({"family": family, "direction": direction, "got": got, "expected": expected})
     table["mismatches"] = mismatches
     ok = not mismatches
     _emit(_envelope("sigma", config, table, ok), args)

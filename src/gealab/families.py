@@ -102,9 +102,9 @@ def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
     if forms.is_bounded(t) or forms.is_bounded(s) or t.domain == s.domain:
-        if forms.tag_meet(t.domain, s.domain) is None:
-            return None
-        return form_add(t, s)
+        meet = forms.tag_meet(t.domain, s.domain)
+        if meet is not None:
+            return form_add(t, s, meet)
     return None
 
 
@@ -376,9 +376,10 @@ def _draw_fixed_domain(model: str, tag: DomainTag, rng) -> FormSpec:
     """A bounded form, or an unbounded one on the tag: grid energy and
     boundary forms for h1_grid, else an unbounded diagonal restricted to
     the tag (the diagonal lam itself for diag_max:lam).  No unbounded catalog
-    form lives on full or a bounded lam's diag_max: there it draws bounded forms."""
+    form lives on full or a bounded lam's diag_max: there it draws bounded
+    forms, and full, where bounded forms of either model live, takes either model."""
     home = _tag_model(tag)
-    if model != home:
+    if model != home and tag != FULL_SPACE:
         raise ValueError(f"the {tag_to_str(tag)} tag lives on the {home} model")
     bounded_only = tag == FULL_SPACE or (tag.kind == "diag_max" and forms.lam_sup(tag.param) is not None)
     if bounded_only or rng.random() < 0.3:

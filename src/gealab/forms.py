@@ -317,15 +317,18 @@ def zero_form(model: str) -> FormSpec:
     return FormSpec(model, FULL_SPACE, ())
 
 
-def form_add(t: FormSpec, s: FormSpec) -> FormSpec:
-    """Plain sum on the intersection of the domains (no definedness rule)."""
+def form_add(t: FormSpec, s: FormSpec, meet: DomainTag | None = None) -> FormSpec:
+    """Plain sum on the intersection of the domains (no definedness rule).
+
+    ``meet`` is ``tag_meet(t.domain, s.domain)`` when the caller has it.
+    """
     if t.model != s.model:
         raise ModelMismatch("cannot add forms on different models")
     if t.is_zero:
         return s
     if s.is_zero:
         return t
-    dom = tag_meet(t.domain, s.domain)
+    dom = meet or tag_meet(t.domain, s.domain)
     if dom is None:
         raise OutsideCatalog("sum of forms on incomparable domains")
     merged = t.atoms_dict()

@@ -7,6 +7,7 @@ so kernel verdicts on these instances are certificates, not approximations.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .errors import NonPositiveBound
 from .kernel import PartialAlgebra, check_axioms, derived_le, is_sub_gea
@@ -21,18 +22,17 @@ def _scalar(u, value):
     return value[0] if not isinstance(u, tuple) else value
 
 
+@dataclass(eq=False)
 class NatGEA(PartialAlgebra):
     """Non-negative integers under total addition, enumerated up to a cap."""
 
-    def __init__(self, cap: int = 64):
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        self.cap = cap
-        self.zero = 0
-        self.enumerable = True
+    cap: int = 64
+    zero = 0
+    enumerable = True
 
-    def __repr__(self):
-        return f"NatGEA(cap={self.cap!r})"
+    def __post_init__(self):
+        if self.cap < 0:
+            raise ValueError("cap must be non-negative")
 
     def add(self, a, b):
         return a + b
@@ -41,6 +41,7 @@ class NatGEA(PartialAlgebra):
         return range(self.cap + 1)
 
 
+@dataclass(eq=False)
 class EvenGapGEA(PartialAlgebra):
     """{0, 4, 6, 8, ...} with the sum it inherits from the integers.
 
@@ -50,13 +51,9 @@ class EvenGapGEA(PartialAlgebra):
     witness 2 is missing.
     """
 
-    def __init__(self, cap: int = 64):
-        self.cap = cap
-        self.zero = 0
-        self.enumerable = True
-
-    def __repr__(self):
-        return f"EvenGapGEA(cap={self.cap!r})"
+    cap: int = 64
+    zero = 0
+    enumerable = True
 
     @staticmethod
     def contains(x) -> bool:
@@ -70,17 +67,17 @@ class EvenGapGEA(PartialAlgebra):
         return [0] + list(range(4, self.cap + 1, 2))
 
 
+@dataclass(eq=False)
 class ConeGEA(PartialAlgebra):
     """The positive cone of Z^d under total componentwise addition."""
 
-    def __init__(self, dim: int = 2, cap: int = 8):
-        self.dim = dim
-        self.cap = cap
-        self.zero = (0,) * dim
-        self.enumerable = True
+    dim: int = 2
+    cap: int = 8
+    enumerable = True
 
-    def __repr__(self):
-        return f"ConeGEA(dim={self.dim!r}, cap={self.cap!r})"
+    @property
+    def zero(self):
+        return (0,) * self.dim
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -89,71 +86,56 @@ class ConeGEA(PartialAlgebra):
         return list(itertools.product(range(self.cap + 1), repeat=self.dim))
 
 
-class IntervalEA(PartialAlgebra):
-    """Closed interval [0, u]: the sum is defined when it stays below u.
+@dataclass(eq=False)
+class HalfOpenIntervalGEA(PartialAlgebra):
+    """Half-open interval [0, u): elements g with 0 <= g <= u and g != u.
 
-    Has top element u, so it is in fact an effect algebra.  ``u`` may be a
-    positive int or a componentwise non-negative, nonzero int tuple.
+    The sum is defined when it stays strictly below u in the cone order.
+    For a genuinely multi-dimensional u there is no top element.  ``u``
+    may be a positive int or a componentwise non-negative, nonzero int
+    tuple; the closed interval ``IntervalEA`` shares the sum and the
+    enumeration and differs only in ``_inside``.
     """
 
-    def __init__(self, u):
-        self.u = u
-        ut = _as_tuple(u)
-        self.zero = _scalar(u, (0,) * len(ut))
-        self.enumerable = True
+    u: int | tuple[int, ...]
+    enumerable = True
 
-    def __repr__(self):
-        return f"IntervalEA(u={self.u!r})"
+    @property
+    def zero(self):
+        return _scalar(self.u, (0,) * len(_as_tuple(self.u)))
+
+    def _inside(self, s: tuple) -> bool:
+        """Whether the point s of the box [0, u] belongs to the carrier."""
+        return s != _as_tuple(self.u)
+
+    def add(self, a, b):
+        ut = _as_tuple(self.u)
+        s = tuple(x + y for x, y in zip(_as_tuple(a), _as_tuple(b)))
+        if all(c <= m for c, m in zip(s, ut)) and self._inside(s):
+            return _scalar(self.u, s)
+        return None
+
+    def elements(self):
+        box = itertools.product(*(range(m + 1) for m in _as_tuple(self.u)))
+        return [_scalar(self.u, e) for e in box if self._inside(e)]
+
+
+@dataclass(eq=False)
+class IntervalEA(HalfOpenIntervalGEA):
+    """Closed interval [0, u]: the sum is defined when it stays below u.
+
+    Has top element u, so it is in fact an effect algebra.
+    """
 
     @property
     def top(self):
         return self.u
 
-    def add(self, a, b):
-        ut = _as_tuple(self.u)
-        s = tuple(x + y for x, y in zip(_as_tuple(a), _as_tuple(b)))
-        if all(c <= m for c, m in zip(s, ut)):
-            return _scalar(self.u, s)
-        return None
-
-    def elements(self):
-        ut = _as_tuple(self.u)
-        return [_scalar(self.u, e) for e in itertools.product(*(range(m + 1) for m in ut))]
-
-
-class HalfOpenIntervalGEA(PartialAlgebra):
-    """Half-open interval [0, u): elements g with 0 <= g <= u and g != u.
-
-    The sum is defined when it stays strictly below u in the cone order.
-    For a genuinely multi-dimensional u there is no top element.
-    """
-
-    def __init__(self, u):
-        self.u = u
-        ut = _as_tuple(u)
-        self.zero = _scalar(u, (0,) * len(ut))
-        self.enumerable = True
-
-    def __repr__(self):
-        return f"HalfOpenIntervalGEA(u={self.u!r})"
-
     def _inside(self, s: tuple) -> bool:
-        ut = _as_tuple(self.u)
-        return all(c <= m for c, m in zip(s, ut)) and s != ut
-
-    def add(self, a, b):
-        s = tuple(x + y for x, y in zip(_as_tuple(a), _as_tuple(b)))
-        return _scalar(self.u, s) if self._inside(s) else None
-
-    def elements(self):
-        ut = _as_tuple(self.u)
-        return [
-            _scalar(self.u, e)
-            for e in itertools.product(*(range(m + 1) for m in ut))
-            if self._inside(e)
-        ]
+        return True
 
 
+@dataclass(eq=False)
 class BrokenMaxGEA(PartialAlgebra):
     """Deliberately broken fixture: join instead of addition on {0..cap}.
 
@@ -161,13 +143,9 @@ class BrokenMaxGEA(PartialAlgebra):
     max(x, y) = max(x, z) with y != z.
     """
 
-    def __init__(self, cap: int = 8):
-        self.cap = cap
-        self.zero = 0
-        self.enumerable = True
-
-    def __repr__(self):
-        return f"BrokenMaxGEA(cap={self.cap!r})"
+    cap: int = 8
+    zero = 0
+    enumerable = True
 
     def add(self, a, b):
         return max(a, b)

@@ -166,8 +166,9 @@ class _SumTable:
 
 def _sum_table(alg: PartialAlgebra) -> _SumTable:
     """The sum table of an enumerable algebra, cached on the instance under
-    its ``repr``: instance reprs name the constructor arguments, so changing
-    one (say ``cap``) after a query builds a fresh table."""
+    its ``repr``: an instance's repr names every field (the integer
+    instances are dataclasses), so changing one (say ``cap``) after a query
+    builds a fresh table."""
     key = repr(alg)
     cached = alg.__dict__.get("_sum_table")
     if cached is None or cached[0] != key:

@@ -24,6 +24,7 @@ from gealab.chains import (
     vanishing_energy_chain,
 )
 from gealab.errors import (
+    GealabError,
     MonotonicityViolation,
     NoDeclaredLimit,
     NotClosedChain,
@@ -273,6 +274,91 @@ def test_evidence_keys(search, chain_fn, family, verdict, keys):
 
 
 # ------------------------------------------------- pointwise least bound
+
+
+def ref_cf_prec_sup(chain, dominator, n_max=chains.DEFAULT_N_MAX, candidates=None):
+    """The pointwise least upper bound as its own loop: guards, a
+    monotonicity loop, domination, then every candidate upper bound."""
+    if chain.limit is None:
+        raise NoDeclaredLimit(f"chain {chain.chain_id!r} declares no limit form")
+    terms = chain.terms(n_max)
+    for t in terms + [chain.limit]:
+        if not forms.is_closed(t) and not t.is_zero:
+            raise NotClosedChain(f"{forms.describe(t)} is not closed")
+    if not forms.is_closed(dominator):
+        raise NotClosedChain(f"dominator {forms.describe(dominator)} is not closed")
+    for n in range(len(terms) - 1):
+        if not families.preceq(terms[n], terms[n + 1]):
+            raise MonotonicityViolation(n + 1)
+    for t in terms:
+        if not families.preceq(t, dominator):
+            raise NotDominated(f"{forms.describe(t)} is not below {forms.describe(dominator)}")
+    lim = chain.limit
+    if candidates is None:
+        candidates = chains._candidate_palette(chain, extra=[dominator])
+    if not all(families.preceq(t, lim) for t in terms):
+        raise VerificationFailed("declared limit is not an upper bound")
+    uppers = [
+        c
+        for c in candidates
+        if not c.has_kind("hamel") and all(families.preceq(t, c) for t in terms)
+    ]
+    for c in uppers:
+        if not families.preceq(lim, c):
+            raise VerificationFailed(f"{forms.describe(c)} is an upper bound not above the limit")
+    return lim
+
+
+DOMINATORS = [
+    energy_form(1),
+    energy_form(Fraction(1, 2)),
+    energy_form(3),
+    endpoint_form(1, 1),
+    energy_with_endpoints(1, 1, 1),
+    energy_with_endpoints(2, 2, 2),
+    diag_form("j"),
+    diag_form("j", cut=40),
+    diag_form("1/j", coeff=3),
+    diag_form("j^2"),
+    zero_form(GRID),
+    zero_form(SEQUENCE),
+]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "value", fn(*args, **kwargs)
+    except GealabError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n_max", [2, 8, 32])
+@pytest.mark.parametrize("name", chains.CHAIN_IDS)
+def test_cf_prec_sup_matches_reference(name, n_max):
+    for dominator in DOMINATORS:
+        got = _outcome(cf_prec_sup, chain_by_name(name), dominator, n_max=n_max)
+        assert got == _outcome(ref_cf_prec_sup, chain_by_name(name), dominator, n_max=n_max), dominator
+
+
+def test_cf_prec_sup_names_the_first_upper_bound_not_above_the_limit():
+    chain = filling_energy_chain()
+    # terms 0 and 1/2*energy: the candidate 1/2*energy bounds both, below the limit
+    with pytest.raises(VerificationFailed) as info:
+        cf_prec_sup(chain, dominator=energy_form(3), n_max=2)
+    assert str(info.value) == "1/2*energy on h1_grid [grid] is an upper bound not above the limit"
+    # a limit that is no upper bound is named as such
+    low = FormChain("low", GRID, "ascending", "prec", energy_form(Fraction(1, 4)), chain.term_fn)
+    with pytest.raises(VerificationFailed) as info:
+        cf_prec_sup(low, dominator=T_1, n_max=N_MAX)
+    assert str(info.value) == "declared limit is not an upper bound"
+    assert _outcome(cf_prec_sup, low, T_1, n_max=N_MAX) == _outcome(ref_cf_prec_sup, low, T_1, n_max=N_MAX)
+
+
+def test_cf_prec_sup_custom_candidates_match_reference():
+    chain = filling_energy_chain()
+    for cands in ([T_1, T_PRIME], [T_1], [energy_form(2), T_1], [forms.hamel_form(), T_1]):
+        got = _outcome(cf_prec_sup, chain, T_1, n_max=N_MAX, candidates=cands)
+        assert got == _outcome(ref_cf_prec_sup, chain, T_1, n_max=N_MAX, candidates=cands)
 
 
 def test_cf_prec_sup_positive():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, envelopes, determinism."""
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -190,6 +191,17 @@ def test_fixed_domain_families_without_unbounded_forms(family, seed, capsys):
     assert code == 0 and body["ok"] and not err, (family, err)
 
 
+@pytest.mark.parametrize("seed", ["7", "101"])
+def test_full_tag_takes_either_model(seed, capsys):
+    # bounded grid forms live on the full space too
+    code, body, err = run_json(["axioms", "--family", "vfd:full", "--model", "grid", "--seed", seed], capsys)
+    assert code == 0 and body["ok"] and not err, err
+    assert body["report"]["algebra"] == "FormsGEA('vfd:full', model='grid')"
+    for family in ("vfd:finite_support", "vfd:diag_max:j", "vfd:diag_max:1/j"):
+        code, out, err = run_cli(["axioms", "--family", family, "--model", "grid", "--seed", seed], capsys)
+        assert code == 2 and not out and "lives on the sequence model" in err, family
+
+
 BYTE_STABLE_RUNS = [
     ["axioms", "--instance", "half-open:3,3", "--cap", "8"],
     ["axioms", "--family", "vh", "--samples", "300"],
@@ -240,6 +252,50 @@ def test_sigma_matches_expected_table(capsys):
     assert code == 0 and body["ok"]
     assert body["report"]["mismatches"] == []
     assert len(body["report"]["rows"]) == 12
+
+
+def test_sigma_expected_table_covers_every_row(monkeypatch, capsys):
+    rows = chains.sigma_report(n_max=8)["rows"]
+    assert {(r["family"], r["direction"], r.get("order")) for r in rows} == set(cli._EXPECTED_SIGMA)
+    # a flipped pointwise row is a mismatch like any other
+    real = chains.sigma_report
+
+    def flipped(**kwargs):
+        table = real(**kwargs)
+        table["rows"][-1]["sigma_complete"] = False
+        return table
+
+    monkeypatch.setattr(chains, "sigma_report", flipped)
+    code, body, _ = run_json(["sigma", "--n-max", "8"], capsys)
+    assert code == 1 and not body["ok"]
+    assert body["report"]["mismatches"] == [
+        {"family": "cf", "direction": "up", "got": False, "expected": True}
+    ]
+
+
+# sha256 of the JSON these runs print at --seed 7: a change that moves a
+# byte of these float-free reports has to say so here
+GOLDEN_JSON = [
+    ("sigma", 0, "a3e5b852d9154384bdf81eef54c48015e9382b766e5f3c4c2113bec19a9f74d1"),
+    ("counterexample remark-2-2", 0, "e8f1509b4d217a8bdfca2c3bcc1b769e2dd7b0df8de33965fd820aa2bad4f334"),
+    ("counterexample example-5-4", 0, "651538658f6f9fb1268078dc708c28654bf883d33c22aa2d9023fafa08883c37"),
+    ("counterexample regular-sum", 0, "8d5211d650a3d00fbd4b3efb6dc09099bb5d96728e96315a4a2ee5487c0a96ce"),
+    ("counterexample kato-inf", 0, "0fbf47d918b540bf53df77b5d5efb3df02042b20ff36438ef9cf136d01de2bc8"),
+    ("counterexample bar-inf", 0, "976b7e399cfadcc114a77efbc416fff5cb532d5343e5af92b6ca5c3ad914d821"),
+    ("axioms --instance cone:2 --cap 8", 0, "39d258116236a5a51e98d82ad9a4a05b97e1b1171a0f5a9710f3a8252ea9d5d2"),
+    ("axioms --instance cone:3 --cap 3", 0, "d3abbb5b957c51dc7f7fc507c25381d5311d65fa846c6ffcf23f7216ab51616a"),
+    ("axioms --instance zplus --cap 50", 0, "7760ca1010afd8e9ce7ffd48b59beea8c96713001aef05a9c0ef7718ebbd49e8"),
+    ("axioms --instance even-gap --cap 50", 0, "995674e736d98ca60a6df022f0b2ce2955692d37d51636b6d09dce9843771be6"),
+    ("axioms --instance interval:3,2 --cap 8", 0, "17b34de2a5ec4d37449539afadffe36f7cb421b082f7bfdb7dbc93200178bba7"),
+    ("axioms --instance half-open:3,3 --cap 8", 0, "80685dbfb97764aa27e8c878572f16880255bc1271552143cd8c401c96f633cc"),
+    ("axioms --instance broken-max --cap 8", 1, "791ace7c1f270b88aee28a2f88f1343be7c9273b3e074f071d17114458f091fa"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN_JSON, ids=[g[0] for g in GOLDEN_JSON])
+def test_json_bytes_match_golden_digest(command, code, digest, capsys):
+    assert cli.main(command.split() + ["--seed", "7", "--format", "json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sigma_deterministic_bytes(tmp_path, capsys):

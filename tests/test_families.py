@@ -111,6 +111,21 @@ def test_oplus_definedness():
         oplus(diag_form("j"), T_PRIME)
 
 
+def test_defined_sum_meets_the_domains_once(monkeypatch):
+    t, s = diag_form("j"), diag_form("1/j")
+    calls = []
+    meet = forms.tag_meet
+
+    def counting(a, b):
+        calls.append((a, b))
+        return meet(a, b)
+
+    monkeypatch.setattr(forms, "tag_meet", counting)
+    u = oplus(t, s)
+    assert u is not None and u.domain == forms.diag_domain("j")
+    assert len(calls) == 1
+
+
 def test_oplus_bar_regular_parts_must_add():
     assert oplus_bar(T_PRIME, T_0) is None  # sum absorbs the singular part
     assert oplus_bar(T_PRIME, T_PRIME) == energy_form(2)
@@ -472,6 +487,16 @@ def test_fixed_domain_without_unbounded_forms_draws_bounded_forms(family):
     assert all(forms.is_bounded(t) and t.domain == FULL_SPACE for t in draws)
     assert all(in_family(t, family) for t in draws)
     assert draws == [sample_form(SEQUENCE, "bf", bf) for _ in range(300)]
+
+
+def test_full_tag_draws_bounded_forms_on_either_model():
+    for model in (GRID, SEQUENCE):
+        rng, bf = random.Random(9), random.Random(9)
+        draws = [sample_form(model, "vfd:full", rng) for _ in range(300)]
+        assert all(forms.is_bounded(t) and t.domain == FULL_SPACE and t.model == model for t in draws)
+        assert draws == [sample_form(model, "bf", bf) for _ in range(300)]
+    with pytest.raises(ValueError):
+        sample_form(GRID, "vfd:diag_max:1/j", random.Random(1))
 
 
 FAMILY_IDS = [*(f for f in FAMILIES if f != "vfd"), "vfd:h1_grid", "vfd:finite_support"]

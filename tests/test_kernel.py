@@ -1,5 +1,6 @@
 """Axiom checker, derived order, sub-algebra test and meet/join oracles."""
 
+import dataclasses
 import itertools
 import random
 
@@ -472,6 +473,35 @@ def test_sum_table_follows_a_changed_instance():
     assert kernel.derived_le(alg, 3, 9)
     assert kernel.ominus(alg, 9, 3) == 6
     assert kernel.check_axioms(alg).samples_tested == 11 + 11**2 + 11**3
+
+
+# every field of every integer instance class: (class, fields at the query, field, new value)
+FIELD_CHANGES = [
+    (instances.NatGEA, {"cap": 5}, "cap", 9),
+    (instances.EvenGapGEA, {"cap": 8}, "cap", 14),
+    (instances.ConeGEA, {"dim": 2, "cap": 2}, "dim", 3),
+    (instances.ConeGEA, {"dim": 2, "cap": 2}, "cap", 3),
+    (instances.IntervalEA, {"u": 3}, "u", (2, 2)),
+    (instances.HalfOpenIntervalGEA, {"u": (2, 2)}, "u", 4),
+    (instances.BrokenMaxGEA, {"cap": 4}, "cap", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, name, value", FIELD_CHANGES, ids=[f"{c.__name__}.{n}" for c, _, n, _ in FIELD_CHANGES]
+)
+def test_sum_table_follows_every_changed_field(cls, fields, name, value):
+    assert {f.name for f in dataclasses.fields(cls)} == {n for c, _, n, _ in FIELD_CHANGES if c is cls}
+    alg = cls(**fields)
+    for field in dataclasses.fields(alg):
+        assert f"{field.name}={getattr(alg, field.name)!r}" in repr(alg)
+    kernel.check_axioms(alg)
+    setattr(alg, name, value)
+    fresh = cls(**{**fields, name: value})
+    assert repr(alg) == repr(fresh) and f"{name}={value!r}" in repr(alg)
+    assert alg.zero == fresh.zero
+    assert kernel._sum_table(alg).elems == list(fresh.elements())
+    assert kernel.check_axioms(alg) == kernel.check_axioms(fresh)
 
 
 def test_exhaustive_check_refuses_oversized_carrier(monkeypatch):
