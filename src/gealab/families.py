@@ -82,16 +82,19 @@ def _tag_model(tag: DomainTag) -> str:
 
 def in_vf(t: FormSpec) -> bool:
     """Carrier rule: a bounded form is admitted only on the full space."""
-    return not forms.is_bounded(t) or t.domain == FULL_SPACE
+    return not forms.is_bounded(t) or t.domain is FULL_SPACE or t.domain == FULL_SPACE
 
 
 def in_family(t: FormSpec, family: str) -> bool:
     """Membership, decided once per form and family id and kept on the form."""
-    memo = t.__dict__.setdefault("in_family", {})
-    if family not in memo:
+    memo = t.__dict__.get("in_family")
+    if memo is None:
+        memo = t.__dict__["in_family"] = {}
+    member = memo.get(family)
+    if member is None:
         entry, tag = _lookup(family)
-        memo[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
-    return memo[family]
+        member = memo[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+    return member
 
 
 # ------------------------------------------------------------ partial sums
@@ -101,7 +104,7 @@ def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Partial sum: defined iff an operand is bounded or the tags agree."""
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
-    if forms.is_bounded(t) or forms.is_bounded(s) or t.domain == s.domain:
+    if forms.is_bounded(t) or forms.is_bounded(s) or t.domain is s.domain or t.domain == s.domain:
         meet = forms.tag_meet(t.domain, s.domain)
         if meet is not None:
             return form_add(t, s, meet)
@@ -125,7 +128,7 @@ def oplus_bar(t: FormSpec, s: FormSpec) -> FormSpec | None:
         return None
     merged = _reg_atoms(t)
     for atom, c in _reg_atoms(s).items():
-        merged[atom] = merged.get(atom, Fraction(0)) + c
+        merged[atom] = merged.get(atom, forms.ZERO) + c
     return u if merged == _reg_atoms(u) else None
 
 
@@ -199,7 +202,7 @@ def preceq(t: FormSpec, s: FormSpec, levels=None, tol: float = forms.PSD_TOL) ->
     if not tag_includes(s.domain, t.domain):
         return False
     bound = s.atoms_dict()
-    if all(c <= bound.get(atom, Fraction(0)) for atom, c in t.atoms):
+    if all(c <= bound.get(atom, forms.ZERO) for atom, c in t.atoms):
         return True
     return _preceq_numeric(t, s, levels, tol)
 
@@ -283,41 +286,53 @@ _COEFFS = tuple(
 _GENS = ("id", "seeded:1", "seeded:2", "seeded:3", "seeded:4", "seeded:5", "seeded:6")
 _BOUNDED_LAMS = ("1/j", "const:1/2", "const:2")
 _UNBOUNDED_LAMS = ("j", "j^2")
+_CUTS = (2, 3, 4, 8)
 _ZERO_RATE = 0.08
+# the atoms the samplers draw, built once: rng.choice over each tuple makes the
+# calls that rng.choice over its names made, so every seeded draw keeps its bytes
+_GEN_ATOMS = tuple(bounded_mat_atom(gen) for gen in _GENS)
+_BOUNDED_DIAGS = tuple(diag_atom(lam) for lam in _BOUNDED_LAMS)
+_UNBOUNDED_DIAGS = tuple(diag_atom(lam) for lam in _UNBOUNDED_LAMS)
+_CUT_DIAGS = tuple(tuple(diag_atom(lam, cut) for cut in _CUTS) for lam in _UNBOUNDED_LAMS)
 
 
 def _coeff(rng):
     return rng.choice(_COEFFS)
 
 
+def _bump(atoms: dict, atom, c) -> None:
+    have = atoms.get(atom)
+    atoms[atom] = c if have is None else have + c
+
+
 def _bounded_atom(model: str, rng):
     if model == SEQUENCE:
         r = rng.random()
         if r < 0.45:
-            return diag_atom(rng.choice(_BOUNDED_LAMS))
+            return rng.choice(_BOUNDED_DIAGS)
         if r < 0.65:
-            return diag_atom(rng.choice(_UNBOUNDED_LAMS), cut=rng.choice((2, 3, 4, 8)))
-    return bounded_mat_atom(rng.choice(_GENS))
+            return rng.choice(rng.choice(_CUT_DIAGS))
+    return rng.choice(_GEN_ATOMS)
 
 
 def _bounded_form(model: str, rng) -> FormSpec:
     atoms: dict = {}
     for _ in range(rng.choice((1, 1, 2))):
         a = _bounded_atom(model, rng)
-        atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
+        _bump(atoms, a, _coeff(rng))
     return make_form(model, atoms)
 
 
-def _seq_unbounded_atoms(rng, lam: str) -> dict:
-    atoms = {diag_atom(lam): _coeff(rng)}
+def _seq_unbounded_atoms(rng, diag) -> dict:
+    atoms = {diag: _coeff(rng)}
     if rng.random() < 0.4:
         a = _bounded_atom(SEQUENCE, rng)
-        atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
+        _bump(atoms, a, _coeff(rng))
     return atoms
 
 
 def _seq_unbounded(rng, allow_restriction: bool = True) -> FormSpec:
-    atoms = _seq_unbounded_atoms(rng, rng.choice(_UNBOUNDED_LAMS))
+    atoms = _seq_unbounded_atoms(rng, rng.choice(_UNBOUNDED_DIAGS))
     dom = FINITE_SUPPORT if allow_restriction and rng.random() < 0.25 else None
     return make_form(SEQUENCE, atoms, dom)
 
@@ -339,7 +354,7 @@ def _grid_energy(rng, boundary_rate: float = 0.5) -> FormSpec:
         atoms.update(_grid_boundary_atoms(rng))
     if rng.random() < 0.3:
         a = _bounded_atom(GRID, rng)
-        atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
+        _bump(atoms, a, _coeff(rng))
     return make_form(GRID, atoms)
 
 
@@ -351,7 +366,7 @@ def _grid_singularish(rng) -> FormSpec:
     atoms = _grid_boundary_atoms(rng)
     if rng.random() < 0.35:
         a = _bounded_atom(GRID, rng)
-        atoms[a] = atoms.get(a, Fraction(0)) + _coeff(rng)
+        _bump(atoms, a, _coeff(rng))
     return make_form(GRID, atoms)
 
 
@@ -381,13 +396,22 @@ def _draw_fixed_domain(model: str, tag: DomainTag, rng) -> FormSpec:
     home = _tag_model(tag)
     if model != home and tag != FULL_SPACE:
         raise ValueError(f"the {tag_to_str(tag)} tag lives on the {home} model")
-    bounded_only = tag == FULL_SPACE or (tag.kind == "diag_max" and forms.lam_sup(tag.param) is not None)
+    bounded_only, diag = _fixed_domain_plan(tag)
     if bounded_only or rng.random() < 0.3:
         return _bounded_form(model, rng)
     if model == GRID:
         return _grid_energy(rng) if rng.random() < 0.6 else _grid_singularish(rng)
-    lam = tag.param if tag.kind == "diag_max" else rng.choice(_UNBOUNDED_LAMS)
-    return make_form(SEQUENCE, _seq_unbounded_atoms(rng, lam), tag)
+    return make_form(SEQUENCE, _seq_unbounded_atoms(rng, diag or rng.choice(_UNBOUNDED_DIAGS)), tag)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_domain_plan(tag: DomainTag) -> tuple[bool, forms.FormAtom | None]:
+    """Whether only bounded forms live on the tag, and the diagonal atom of its
+    unbounded sequence draws (None: one of _UNBOUNDED_DIAGS per draw), decided
+    once per tag: both read only the tag's kind and parameter."""
+    bounded_only = tag == FULL_SPACE or (tag.kind == "diag_max" and forms.lam_sup(tag.param) is not None)
+    diag = diag_atom(tag.param) if tag.kind == "diag_max" and not bounded_only else None
+    return bounded_only, diag
 
 
 def _draw_operator(model: str, rng, closed_only: bool) -> FormSpec:

@@ -89,9 +89,9 @@ def diag_domain(lam: str) -> DomainTag:
 
 def tag_includes(a: DomainTag, b: DomainTag) -> bool:
     """True when the domain tagged ``a`` is contained in the one tagged ``b``."""
-    if a == b:
+    if a is b or a == b:
         return True
-    if b == FULL_SPACE:
+    if b is FULL_SPACE or b == FULL_SPACE:
         return True
     if a.kind == "finite_support" and b.kind == "diag_max":
         return True
@@ -156,18 +156,43 @@ def lam_sup(lam: str) -> Fraction | None:
 # ----------------------------------------------------------------- atoms
 
 
-@dataclass(frozen=True)
+_ATOMS: dict[tuple, FormAtom] = {}  # (kind, lam, cut, gen) -> the one atom with those fields
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FormAtom:
+    """A catalog atom, interned: every way of making one (a call, ``copy``,
+    ``pickle``) returns the single atom with its fields, so equality is
+    identity and each ``_once`` fact is computed once per process.  The hash
+    is the dataclass hash ``hash((kind, lam, cut, gen))``, kept on the atom
+    beside ``sort_key``, the atom's place in a form's atom tuple."""
+
     kind: str
     lam: str = ""
     cut: int | None = None
     gen: str = ""
 
-    @_once
-    def _hash(self) -> int:  # the dataclass hash, computed once per atom
-        return hash((self.kind, self.lam, self.cut, self.gen))
+    def __new__(cls, kind: str, lam: str = "", cut: int | None = None, gen: str = ""):
+        fields = (kind, lam, cut, gen)
+        atom = _ATOMS.get(fields)
+        if atom is None:
+            new = object.__new__(cls)
+            new.__dict__.update(
+                kind=kind,
+                lam=lam,
+                cut=cut,
+                gen=gen,
+                _hash=hash(fields),
+                sort_key=(kind, lam, -1 if cut is None else cut, gen),
+            )
+            atom = _ATOMS.setdefault(fields, new)  # one atom even if two threads race here
+        return atom
 
-    __hash__ = _hash
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return FormAtom, (self.kind, self.lam, self.cut, self.gen)
 
 
 DIRICHLET = FormAtom("dirichlet")
@@ -199,16 +224,13 @@ def atom_is_bounded(atom: FormAtom) -> bool:
     return atom.kind == "bounded_mat"
 
 
+@_once
 def atom_natural_domain(atom: FormAtom) -> DomainTag:
     if atom.kind == "diag" and not atom_is_bounded(atom):
         return diag_domain(atom.lam)
     if atom.kind in ("dirichlet", "boundary0", "boundary1"):
         return H1_GRID
     return FULL_SPACE
-
-
-def _atom_key(atom: FormAtom) -> tuple:
-    return (atom.kind, atom.lam, -1 if atom.cut is None else atom.cut, atom.gen)
 
 
 # ------------------------------------------------------------- form spec
@@ -249,7 +271,7 @@ class FormSpec:
 
 
 def _freeze(atoms: dict[FormAtom, Fraction]) -> tuple:
-    return tuple(sorted(atoms.items(), key=lambda item: _atom_key(item[0])))
+    return tuple(sorted(atoms.items(), key=lambda item: item[0].sort_key))
 
 
 def natural_domain(model: str, atoms: dict[FormAtom, Fraction]) -> DomainTag:
@@ -781,8 +803,8 @@ def form_to_dict(t: FormSpec) -> dict:
         atoms.append(
             {
                 "kind": "boundary",
-                "alpha": str(boundary.get("boundary0", Fraction(0))),
-                "beta": str(boundary.get("boundary1", Fraction(0))),
+                "alpha": str(boundary.get("boundary0", ZERO)),
+                "beta": str(boundary.get("boundary1", ZERO)),
             }
         )
     atoms.sort(key=lambda e: json.dumps(e, sort_keys=True))
@@ -791,7 +813,7 @@ def form_to_dict(t: FormSpec) -> dict:
 
 def _diag_sup(atom: FormAtom) -> Fraction:
     if atom.cut is not None:
-        best = Fraction(0)
+        best = ZERO
         for j in range(1, atom.cut + 1):
             best = max(best, lam_value(atom.lam, j))
         return best
@@ -810,7 +832,7 @@ def form_from_dict(data: dict) -> FormSpec:
     atoms: dict[FormAtom, Fraction] = {}
 
     def bump(atom, c):
-        atoms[atom] = atoms.get(atom, Fraction(0)) + Fraction(c)
+        atoms[atom] = atoms.get(atom, ZERO) + Fraction(c)
 
     for entry in entries:
         kind = entry.get("kind")

@@ -503,7 +503,8 @@ FAMILY_IDS = [*(f for f in FAMILIES if f != "vfd"), "vfd:h1_grid", "vfd:finite_s
 
 
 def _rebuilt(t):
-    """A structurally equal copy of t built from fresh objects, nothing cached."""
+    """A structurally equal copy of t: a fresh form, tag and coefficients, nothing
+    cached on the form.  Its atoms are the interned ones, the same objects as t's."""
     atoms = tuple(
         (forms.FormAtom(a.kind, a.lam, a.cut, a.gen), Fraction(c.numerator, c.denominator))
         for a, c in t.atoms
@@ -523,6 +524,12 @@ def test_cached_classification_matches_a_fresh_copy(family):
         assert fresh == t and hash(fresh) == hash(t) and "is_bounded" not in vars(fresh)
         for predicate in (forms.is_bounded, forms.singular_atoms, forms.is_closed):
             assert predicate(t) == predicate(fresh), (predicate.__name__, t)
+        # an atom's facts are computed once per process: recompute them from its fields
+        for a, _ in t.atoms:
+            assert hash(a) == hash((a.kind, a.lam, a.cut, a.gen))
+            assert a.sort_key == (a.kind, a.lam, -1 if a.cut is None else a.cut, a.gen)
+            assert forms.atom_is_bounded(a) == forms.atom_is_bounded.__wrapped__(a), a
+            assert forms.atom_natural_domain(a) == forms.atom_natural_domain.__wrapped__(a), a
         assert [forms.atom_is_bounded(a) for a, _ in t.atoms] == [
             forms.atom_is_bounded(a) for a, _ in fresh.atoms
         ]
@@ -540,6 +547,84 @@ def test_is_bounded_body_runs_once_per_form(monkeypatch):
     monkeypatch.setattr(forms.is_bounded, "__wrapped__", counting)
     kernel.check_axioms(gea_by_name("vf-bar"), mode="sampled", samples=500, seed=3)
     assert seen and len({id(t) for t in seen}) == len(seen)
+
+
+# the families of the sampled-axioms benchmark workload
+BENCH_FAMILIES = ("sf", "vf-bar", "rf", "bf", "cf", "sa", "vfd:h1_grid", "gf", "vh", "vf")
+
+
+def test_sampled_check_reads_each_lam_sup_at_most_once(monkeypatch):
+    calls = []
+    lam_sup = forms.lam_sup
+
+    def counting(lam):
+        calls.append(lam)
+        return lam_sup(lam)
+
+    monkeypatch.setattr(forms, "lam_sup", counting)
+    assert kernel.check_axioms(gea_by_name("bf"), mode="sampled", samples=2000, seed=7).all_pass
+    assert len(calls) == len(set(calls)), len(calls)
+
+
+# sha256 of the draws and sums below, computed before atoms were interned
+DRAWS_AND_SUMS = {
+    "sf": "6d35625fa19de158a782ca41d18c32472dbad601ca6d239ec944f61aa1919813",
+    "vf-bar": "fa04f062f3c00c7f937814863461a5807682f89c665132fe6686a1e8ce70d54b",
+    "rf": "5800a126420cc32c72669bdf8e5b21ac6b6ffeb668d82dd4d74011a61ce4d866",
+    "bf": "66124b11b1f10d5147294991d7bcd8c9dc4438b07c8119fd6c19d486f7ea4d3b",
+    "cf": "5800a126420cc32c72669bdf8e5b21ac6b6ffeb668d82dd4d74011a61ce4d866",
+    "sa": "3ca15a2454bad73ba71d3c9dc08ed9c9a6d257b49dbe17c08ddb2c363fda336a",
+    "vfd:h1_grid": "cf730ad2c4041645bc6e1e23115312f666889c129f4605d1c32623e695aee6c7",
+    "gf": "1a8df8eee65760e802591b1256ed25aae70a9aaa5a5289ea50e82dd8593e2863",
+    "vh": "44d5bcf93c8656b1b0265186a40952d6ca91bbd007aa99397538808b8f018321",
+    "vf": "3ace7ef656514e41dacb11bbeba5e2d25a8a0db91b870022dd428380e08e2aad",
+}
+
+
+@pytest.mark.parametrize("family", BENCH_FAMILIES)
+def test_sampled_draws_and_sums_keep_their_bytes(family):
+    # a passing report prints the same bytes whatever the draws: pin the values
+    alg = gea_by_name(family)
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        x, y, z = alg.sample(rng), alg.sample(rng), alg.sample(rng)
+        xy, yz = alg.add(x, y), alg.add(y, z)
+        sums = (
+            alg.add(x, alg.zero),
+            xy,
+            alg.add(y, x),
+            xy and alg.add(xy, z),
+            yz,
+            yz and alg.add(x, yz),
+            alg.add(x, z),
+        )
+        for t in (x, y, z, *sums):
+            digest.update(b"null" if t is None else forms.form_to_json(t).encode())
+    assert digest.hexdigest() == DRAWS_AND_SUMS[family]
+
+
+@pytest.mark.parametrize("family", BENCH_FAMILIES)
+def test_sampled_check_shares_one_object_per_atom(family):
+    alg = gea_by_name(family)
+    seen = []  # every draw and sum, kept alive so their atoms' ids stay distinct
+    sample, add = alg.sample, alg.add
+
+    def recording_sample(rng):
+        seen.append(sample(rng))
+        return seen[-1]
+
+    def recording_add(a, b):
+        seen.append(add(a, b))
+        return seen[-1]
+
+    alg.sample, alg.add = recording_sample, recording_add
+    kernel.check_axioms(alg, mode="sampled", samples=300, seed=5)
+    ids: dict = {}
+    for t in filter(None, seen):
+        for a, _ in t.atoms:
+            ids.setdefault((a.kind, a.lam, a.cut, a.gen), set()).add(id(a))
+    assert ids and all(group == {id(forms.FormAtom(*fields))} for fields, group in ids.items())
 
 
 def test_gea_by_name():

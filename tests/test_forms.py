@@ -1,6 +1,9 @@
 """Form catalog: construction, matrices, splits, probes, JSON."""
 
+import copy
 import dataclasses
+import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -212,6 +215,48 @@ def test_cached_hash_is_the_dataclass_hash():
         assert hash(t) == hash((t.model, t.domain, t.atoms))
         for a, _ in t.atoms:
             assert hash(a) == hash((a.kind, a.lam, a.cut, a.gen))
+
+
+def _catalog_atoms() -> list:
+    lams = ("j", "j^2", "1/j", "const:1/2", "const:2")
+    atoms = [diag_atom(lam, cut) for lam in lams for cut in (None, 2, 3, 4, 8)]
+    atoms += [forms.bounded_mat_atom(g) for g in ("id", *(f"seeded:{k}" for k in range(1, 7)))]
+    return atoms + [DIRICHLET, forms.BOUNDARY0, forms.BOUNDARY1, forms.HAMEL]
+
+
+def test_every_way_of_making_an_atom_returns_the_interned_one():
+    atom = diag_atom("j", cut=4)
+    assert forms.FormAtom("diag", "j", 4) is forms.FormAtom("diag", lam="j", cut=4) is atom
+    assert forms.FormAtom(kind="diag", lam="j", cut=4, gen="") is atom
+    assert dataclasses.replace(diag_atom("j", cut=2), cut=4) is atom
+    assert form_from_json(form_to_json(diag_form("j", cut=4))).atoms[0][0] is atom
+    assert forms.FormAtom("dirichlet") is DIRICHLET and forms.FormAtom("hamel") is forms.HAMEL
+    for a in _catalog_atoms():
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        assert pickle.loads(pickle.dumps(a)) is a
+        assert forms.FormAtom(a.kind, a.lam, a.cut, a.gen) is a
+    assert diag_atom("j") is not atom and diag_atom("j") != atom
+
+
+def test_interned_atoms_stay_immutable():
+    atom = diag_atom("1/j")
+    with pytest.raises(AttributeError):
+        atom.lam = "j"
+    with pytest.raises(AttributeError):
+        del atom.cut
+    assert atom.lam == "1/j" and atom.cut is None
+
+
+def test_catalog_atom_reprs_are_the_dataclass_reprs():
+    atoms = _catalog_atoms()
+    assert repr(atoms[6]) == "FormAtom(kind='diag', lam='j^2', cut=2, gen='')"
+    # the reprs of a plain frozen dataclass, pinned before atoms were interned
+    text = "\n".join(map(repr, atoms))
+    assert len(atoms) == 36
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "29bd479b00991d98995866a5c224246d36c4f194402af2d932cfbcb96bd4b012"
+    )
+    assert [f.name for f in dataclasses.fields(forms.FormAtom)] == ["kind", "lam", "cut", "gen"]
 
 
 def test_cached_classification_stays_out_of_repr_eq_and_json():
