@@ -41,6 +41,7 @@ from .forms import (
     DIRICHLET,
     DomainTag,
     FormSpec,
+    add_coeff,
     bounded_mat_atom,
     diag_atom,
     endpoint_form,
@@ -87,14 +88,11 @@ def in_vf(t: FormSpec) -> bool:
 
 def in_family(t: FormSpec, family: str) -> bool:
     """Membership, decided once per form and family id and kept on the form."""
-    memo = t.__dict__.get("in_family")
-    if memo is None:
-        memo = t.__dict__["in_family"] = {}
-    member = memo.get(family)
-    if member is None:
+    memo = t.__dict__.get("in_family") or t.__dict__.setdefault("in_family", {})
+    if family not in memo:
         entry, tag = _lookup(family)
-        member = memo[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
-    return member
+        memo[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+    return memo[family]
 
 
 # ------------------------------------------------------------ partial sums
@@ -128,7 +126,7 @@ def oplus_bar(t: FormSpec, s: FormSpec) -> FormSpec | None:
         return None
     merged = _reg_atoms(t)
     for atom, c in _reg_atoms(s).items():
-        merged[atom] = merged.get(atom, forms.ZERO) + c
+        add_coeff(merged, atom, c)
     return u if merged == _reg_atoms(u) else None
 
 
@@ -286,23 +284,16 @@ _COEFFS = tuple(
 _GENS = ("id", "seeded:1", "seeded:2", "seeded:3", "seeded:4", "seeded:5", "seeded:6")
 _BOUNDED_LAMS = ("1/j", "const:1/2", "const:2")
 _UNBOUNDED_LAMS = ("j", "j^2")
-_CUTS = (2, 3, 4, 8)
 _ZERO_RATE = 0.08
-# the atoms the samplers draw, built once: rng.choice over each tuple makes the
-# calls that rng.choice over its names made, so every seeded draw keeps its bytes
+# the drawn atoms, built once and shared, drawn with the rng calls that drew their names
 _GEN_ATOMS = tuple(bounded_mat_atom(gen) for gen in _GENS)
 _BOUNDED_DIAGS = tuple(diag_atom(lam) for lam in _BOUNDED_LAMS)
 _UNBOUNDED_DIAGS = tuple(diag_atom(lam) for lam in _UNBOUNDED_LAMS)
-_CUT_DIAGS = tuple(tuple(diag_atom(lam, cut) for cut in _CUTS) for lam in _UNBOUNDED_LAMS)
+_CUT_DIAGS = tuple(tuple(diag_atom(lam, cut) for cut in (2, 3, 4, 8)) for lam in _UNBOUNDED_LAMS)
 
 
 def _coeff(rng):
     return rng.choice(_COEFFS)
-
-
-def _bump(atoms: dict, atom, c) -> None:
-    have = atoms.get(atom)
-    atoms[atom] = c if have is None else have + c
 
 
 def _bounded_atom(model: str, rng):
@@ -318,16 +309,14 @@ def _bounded_atom(model: str, rng):
 def _bounded_form(model: str, rng) -> FormSpec:
     atoms: dict = {}
     for _ in range(rng.choice((1, 1, 2))):
-        a = _bounded_atom(model, rng)
-        _bump(atoms, a, _coeff(rng))
+        add_coeff(atoms, _bounded_atom(model, rng), _coeff(rng))
     return make_form(model, atoms)
 
 
 def _seq_unbounded_atoms(rng, diag) -> dict:
     atoms = {diag: _coeff(rng)}
     if rng.random() < 0.4:
-        a = _bounded_atom(SEQUENCE, rng)
-        _bump(atoms, a, _coeff(rng))
+        add_coeff(atoms, _bounded_atom(SEQUENCE, rng), _coeff(rng))
     return atoms
 
 
@@ -353,8 +342,7 @@ def _grid_energy(rng, boundary_rate: float = 0.5) -> FormSpec:
     if rng.random() < boundary_rate:
         atoms.update(_grid_boundary_atoms(rng))
     if rng.random() < 0.3:
-        a = _bounded_atom(GRID, rng)
-        _bump(atoms, a, _coeff(rng))
+        add_coeff(atoms, _bounded_atom(GRID, rng), _coeff(rng))
     return make_form(GRID, atoms)
 
 
@@ -365,8 +353,7 @@ def _grid_regular(rng) -> FormSpec:
 def _grid_singularish(rng) -> FormSpec:
     atoms = _grid_boundary_atoms(rng)
     if rng.random() < 0.35:
-        a = _bounded_atom(GRID, rng)
-        _bump(atoms, a, _coeff(rng))
+        add_coeff(atoms, _bounded_atom(GRID, rng), _coeff(rng))
     return make_form(GRID, atoms)
 
 
@@ -396,22 +383,13 @@ def _draw_fixed_domain(model: str, tag: DomainTag, rng) -> FormSpec:
     home = _tag_model(tag)
     if model != home and tag != FULL_SPACE:
         raise ValueError(f"the {tag_to_str(tag)} tag lives on the {home} model")
-    bounded_only, diag = _fixed_domain_plan(tag)
+    bounded_only = tag == FULL_SPACE or (tag.kind == "diag_max" and forms.lam_sup(tag.param) is not None)
     if bounded_only or rng.random() < 0.3:
         return _bounded_form(model, rng)
     if model == GRID:
         return _grid_energy(rng) if rng.random() < 0.6 else _grid_singularish(rng)
-    return make_form(SEQUENCE, _seq_unbounded_atoms(rng, diag or rng.choice(_UNBOUNDED_DIAGS)), tag)
-
-
-@functools.lru_cache(maxsize=None)
-def _fixed_domain_plan(tag: DomainTag) -> tuple[bool, forms.FormAtom | None]:
-    """Whether only bounded forms live on the tag, and the diagonal atom of its
-    unbounded sequence draws (None: one of _UNBOUNDED_DIAGS per draw), decided
-    once per tag: both read only the tag's kind and parameter."""
-    bounded_only = tag == FULL_SPACE or (tag.kind == "diag_max" and forms.lam_sup(tag.param) is not None)
-    diag = diag_atom(tag.param) if tag.kind == "diag_max" and not bounded_only else None
-    return bounded_only, diag
+    diag = diag_atom(tag.param) if tag.kind == "diag_max" else rng.choice(_UNBOUNDED_DIAGS)
+    return make_form(SEQUENCE, _seq_unbounded_atoms(rng, diag), tag)
 
 
 def _draw_operator(model: str, rng, closed_only: bool) -> FormSpec:

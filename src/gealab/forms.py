@@ -156,42 +156,22 @@ def lam_sup(lam: str) -> Fraction | None:
 # ----------------------------------------------------------------- atoms
 
 
-_ATOMS: dict[tuple, FormAtom] = {}  # (kind, lam, cut, gen) -> the one atom with those fields
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True)
 class FormAtom:
-    """A catalog atom, interned: every way of making one (a call, ``copy``,
-    ``pickle``) returns the single atom with its fields, so equality is
-    identity and each ``_once`` fact is computed once per process.  The hash
-    is the dataclass hash ``hash((kind, lam, cut, gen))``, kept on the atom
-    beside ``sort_key``, the atom's place in a form's atom tuple."""
-
     kind: str
     lam: str = ""
     cut: int | None = None
     gen: str = ""
 
-    def __new__(cls, kind: str, lam: str = "", cut: int | None = None, gen: str = ""):
-        fields = (kind, lam, cut, gen)
-        atom = _ATOMS.get(fields)
-        if atom is None:
-            new = object.__new__(cls)
-            new.__dict__.update(
-                kind=kind,
-                lam=lam,
-                cut=cut,
-                gen=gen,
-                _hash=hash(fields),
-                sort_key=(kind, lam, -1 if cut is None else cut, gen),
-            )
-            atom = _ATOMS.setdefault(fields, new)  # one atom even if two threads race here
-        return atom
+    def __post_init__(self):
+        # the dataclass hash, and the atom's place in a form's atom tuple
+        self.__dict__["_hash"] = hash((self.kind, self.lam, self.cut, self.gen))
+        self.__dict__["sort_key"] = (self.kind, self.lam, -1 if self.cut is None else self.cut, self.gen)
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
+    def __reduce__(self):  # rebuilt, not copied: a str hash differs between processes
         return FormAtom, (self.kind, self.lam, self.cut, self.gen)
 
 
@@ -206,6 +186,8 @@ _GRID_KINDS = ("dirichlet", "boundary0", "boundary1", "bounded_mat")
 
 def diag_atom(lam: str, cut: int | None = None) -> FormAtom:
     lam_sup(lam)  # validate against the registry
+    if cut is not None and type(cut) is not int:  # a JSON 4.0 or true is no cut
+        raise OutsideCatalog(f"truncation cut must be an integer, not {cut!r}")
     if cut is not None and cut < 0:
         raise OutsideCatalog("truncation cut must be non-negative")
     return FormAtom("diag", lam=lam, cut=cut)
@@ -268,6 +250,9 @@ class FormSpec:
         return hash((self.model, self.domain, self.atoms))
 
     __hash__ = _hash
+
+    def __reduce__(self):  # rebuilt, not copied: no hash or cached fact from another process
+        return FormSpec, (self.model, self.domain, self.atoms)
 
 
 def _freeze(atoms: dict[FormAtom, Fraction]) -> tuple:
@@ -339,6 +324,12 @@ def zero_form(model: str) -> FormSpec:
     return FormSpec(model, FULL_SPACE, ())
 
 
+def add_coeff(atoms: dict, atom: FormAtom, c: Fraction) -> None:
+    """Add ``c`` to the coefficient of ``atom`` in ``atoms``, building no zero."""
+    have = atoms.get(atom)
+    atoms[atom] = c if have is None else have + c
+
+
 def form_add(t: FormSpec, s: FormSpec, meet: DomainTag | None = None) -> FormSpec:
     """Plain sum on the intersection of the domains (no definedness rule).
 
@@ -355,8 +346,7 @@ def form_add(t: FormSpec, s: FormSpec, meet: DomainTag | None = None) -> FormSpe
         raise OutsideCatalog("sum of forms on incomparable domains")
     merged = t.atoms_dict()
     for atom, c in s.atoms:
-        have = merged.get(atom)
-        merged[atom] = c if have is None else have + c
+        add_coeff(merged, atom, c)
     # operands are valid forms, so the merged multiset needs no revalidation
     return FormSpec(t.model, dom, _freeze(merged))
 
@@ -832,7 +822,7 @@ def form_from_dict(data: dict) -> FormSpec:
     atoms: dict[FormAtom, Fraction] = {}
 
     def bump(atom, c):
-        atoms[atom] = atoms.get(atom, ZERO) + Fraction(c)
+        add_coeff(atoms, atom, Fraction(c))
 
     for entry in entries:
         kind = entry.get("kind")

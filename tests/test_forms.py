@@ -3,8 +3,11 @@
 import copy
 import dataclasses
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +220,22 @@ def test_cached_hash_is_the_dataclass_hash():
             assert hash(a) == hash((a.kind, a.lam, a.cut, a.gen))
 
 
+def test_a_pickled_form_is_found_in_another_process():
+    # a str hash differs between processes: a pickle carries no cached hash or fact
+    t = form_add(diag_form("j"), bounded_matrix_form("seeded:2"))
+    assert hash(t) and forms.is_bounded(t) is False
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and set(vars(back)) == {"model", "domain", "atoms"}
+    code = (
+        "import pickle, sys; from gealab import forms; t = pickle.loads(sys.stdin.buffer.read()); "
+        "print(t in {forms.form_add(forms.diag_form('j'), forms.bounded_matrix_form('seeded:2'))})"
+    )
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(t), capture_output=True, env=env)
+        assert run.stdout.strip() == b"True", run.stderr
+
+
 def _catalog_atoms() -> list:
     lams = ("j", "j^2", "1/j", "const:1/2", "const:2")
     atoms = [diag_atom(lam, cut) for lam in lams for cut in (None, 2, 3, 4, 8)]
@@ -224,33 +243,36 @@ def _catalog_atoms() -> list:
     return atoms + [DIRICHLET, forms.BOUNDARY0, forms.BOUNDARY1, forms.HAMEL]
 
 
-def test_every_way_of_making_an_atom_returns_the_interned_one():
+def test_every_way_of_making_an_atom_gives_an_equal_atom():
     atom = diag_atom("j", cut=4)
-    assert forms.FormAtom("diag", "j", 4) is forms.FormAtom("diag", lam="j", cut=4) is atom
-    assert forms.FormAtom(kind="diag", lam="j", cut=4, gen="") is atom
-    assert dataclasses.replace(diag_atom("j", cut=2), cut=4) is atom
-    assert form_from_json(form_to_json(diag_form("j", cut=4))).atoms[0][0] is atom
-    assert forms.FormAtom("dirichlet") is DIRICHLET and forms.FormAtom("hamel") is forms.HAMEL
+    assert forms.FormAtom("diag", "j", 4) == forms.FormAtom("diag", lam="j", cut=4) == atom
+    assert forms.FormAtom(kind="diag", lam="j", cut=4, gen="") == atom
+    assert dataclasses.replace(diag_atom("j", cut=2), cut=4) == atom
+    assert form_from_json(form_to_json(diag_form("j", cut=4))).atoms[0][0] == atom
+    assert forms.FormAtom("dirichlet") == DIRICHLET and forms.FormAtom("hamel") == forms.HAMEL
     for a in _catalog_atoms():
-        assert copy.copy(a) is a and copy.deepcopy(a) is a
-        assert pickle.loads(pickle.dumps(a)) is a
-        assert forms.FormAtom(a.kind, a.lam, a.cut, a.gen) is a
-    assert diag_atom("j") is not atom and diag_atom("j") != atom
+        forms.atom_is_bounded(a)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)), forms.FormAtom(a.kind, a.lam, a.cut, a.gen)):
+            assert b == a and hash(b) == hash(a) and b.sort_key == a.sort_key
+            # rebuilt from the fields: the hash is this process's, no cached fact comes along
+            assert set(vars(b)) == {"kind", "lam", "cut", "gen", "_hash", "sort_key"}
+    assert diag_atom("j") != atom and diag_atom("j").sort_key < atom.sort_key
 
 
-def test_interned_atoms_stay_immutable():
+def test_atoms_stay_immutable():
     atom = diag_atom("1/j")
-    with pytest.raises(AttributeError):
-        atom.lam = "j"
+    for name in ("lam", "_hash", "sort_key"):
+        with pytest.raises(AttributeError):
+            setattr(atom, name, "j")
     with pytest.raises(AttributeError):
         del atom.cut
-    assert atom.lam == "1/j" and atom.cut is None
+    assert atom.lam == "1/j" and atom.cut is None and hash(atom) == hash(("diag", "1/j", None, ""))
 
 
 def test_catalog_atom_reprs_are_the_dataclass_reprs():
     atoms = _catalog_atoms()
     assert repr(atoms[6]) == "FormAtom(kind='diag', lam='j^2', cut=2, gen='')"
-    # the reprs of a plain frozen dataclass, pinned before atoms were interned
+    # sha256 of the plain dataclass reprs: the stored hash and sort key stay out of them
     text = "\n".join(map(repr, atoms))
     assert len(atoms) == 36
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -517,6 +539,18 @@ def test_json_malformed():
         forms.form_from_dict({"model": SEQUENCE, "domain": "full", "atoms": [{"kind": "mystery"}]})
     with pytest.raises(OutsideCatalog):
         form_from_json('{"model": "sequence", "domain": "full", "atoms": [{"kind": "diag", "lambda": "log"}]}')
+
+
+def test_json_cut_that_is_not_an_integer_is_refused():
+    # a cut of 4.0 or true would make an atom whose matrices cannot be built
+    for cut in ("4.0", "1.0", "true", '"4"'):
+        text = '{"model": "sequence", "domain": "full", "atoms": [{"kind": "diag", "lambda": "j", "cut": %s}]}'
+        with pytest.raises(OutsideCatalog, match="must be an integer"):
+            form_from_json(text % cut)
+    for cut in (4, 1):
+        assert type(diag_atom("j", cut).cut) is int and type(diag_form("j", cut=cut).atoms[0][0].cut) is int
+        assert repr(diag_atom("j", cut)) == f"FormAtom(kind='diag', lam='j', cut={cut}, gen='')"
+        assert forms.matrix_at(diag_form("j", cut=cut), 8).trace() == sum(range(1, cut + 1))
 
 
 # ------------------------------------------------------------- properties
