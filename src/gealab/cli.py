@@ -230,22 +230,23 @@ def cmd_chain(args) -> int:
         return 2
     ok = True
     body: dict = {"chain": args.chain, "order": order, "direction": chain.direction}
+    family = chains.ORDERS[order]
     try:
-        body["monotone"] = chains.check_monotone(chain, n_max=args.n_max, order=order)
-        body["pointwise"] = chains.pointwise_limit(
-            chain, levels=args.levels, seed=args.seed, n_max=args.n_max
-        )
-        family = chains.ORDERS[order]
-        if family is None:
-            if chain.dominators:
-                sup = chains.cf_prec_sup(chain, chain.dominators[-1], n_max=args.n_max)
-                body["sup"] = forms.form_to_dict(sup)
+        # a bound search checks the chain's steps in the run's order and
+        # direction, so it is the run's one monotonicity check
+        found = {}
+        if family is not None:
+            search = chains.meet_in_family if chain.direction == "descending" else chains.join_in_family
+            found["completeness"] = search(chain, family, n_max=args.n_max).to_dict()
+        elif chain.dominators:
+            # the last closed dominator: diag's last one is its finite-support restriction
+            closed = [d for d in chain.dominators if forms.is_closed(d)] or chain.dominators
+            found["sup"] = forms.form_to_dict(chains.cf_prec_sup(chain, closed[-1], n_max=args.n_max))
         else:
-            if chain.direction == "descending":
-                rep = chains.meet_in_family(chain, family, n_max=args.n_max)
-            else:
-                rep = chains.join_in_family(chain, family, n_max=args.n_max)
-            body["completeness"] = rep.to_dict()
+            chains.check_monotone(chain, n_max=args.n_max, order=order)
+        body["monotone"] = chains.monotone_report(chain, order, args.n_max)
+        body["pointwise"] = chains.pointwise_limit(chain, levels=args.levels, seed=args.seed)
+        body.update(found)
     except GealabError as exc:
         body["error"] = str(exc)
         body["witness"] = {"chain": args.chain, "order": order, "n_max": args.n_max}

@@ -172,26 +172,24 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
 # ------------------------------------------------------------------ orders
 
 
-def _psd(mat: np.ndarray, tol: float) -> bool:
+def _psd(mat: np.ndarray) -> bool:
     vals = np.linalg.eigvalsh(mat)
-    return float(vals[0]) >= -tol * max(1.0, abs(float(vals[-1])))
+    return float(vals[0]) >= -forms.PSD_TOL * max(1.0, abs(float(vals[-1])))
 
 
-def _preceq_numeric(t: FormSpec, s: FormSpec, levels, tol: float) -> bool:
-    """t <= s by a PSD eigensolve of M_s - M_t at every level."""
-    if levels is None:
-        levels = DEFAULT_LEVELS[t.model]
-    return all(_psd(matrix_at(s, L) - matrix_at(t, L), tol) for L in levels)
+def _preceq_numeric(t: FormSpec, s: FormSpec) -> bool:
+    """t <= s by a PSD eigensolve of M_s - M_t at every default level."""
+    return all(_psd(matrix_at(s, L) - matrix_at(t, L)) for L in DEFAULT_LEVELS[t.model])
 
 
-def preceq(t: FormSpec, s: FormSpec, levels=None, tol: float = forms.PSD_TOL) -> bool:
+def preceq(t: FormSpec, s: FormSpec) -> bool:
     """Pointwise order: D(t) contains D(s) and t <= s on it.
 
     Decided exactly when no atom coefficient of t exceeds its coefficient
     in s: every catalog atom is PSD at every level, so s - t is then a
     non-negative combination of PSD atoms and the atom-wise difference is
-    the certificate.  Any other pair gets a per-level PSD eigensolve at
-    tolerance ``tol``.
+    the certificate.  Any other pair gets a PSD eigensolve at each of the
+    model's default levels, at tolerance ``forms.PSD_TOL``.
     """
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
@@ -202,15 +200,15 @@ def preceq(t: FormSpec, s: FormSpec, levels=None, tol: float = forms.PSD_TOL) ->
     bound = s.atoms_dict()
     if all(c <= bound.get(atom, forms.ZERO) for atom, c in t.atoms):
         return True
-    return _preceq_numeric(t, s, levels, tol)
+    return _preceq_numeric(t, s)
 
 
-def le_oplus(t: FormSpec, s: FormSpec, levels=None, tol: float = forms.PSD_TOL) -> bool:
+def le_oplus(t: FormSpec, s: FormSpec) -> bool:
     """Derived order of the plain sum, decided by its characterization:
     t <= s iff t precedes s pointwise and D(t) is full or equals D(s)."""
     if not (t.domain == FULL_SPACE or t.domain == s.domain):
         return False
-    return preceq(t, s, levels, tol)
+    return preceq(t, s)
 
 
 def le_bar(t: FormSpec, s: FormSpec) -> bool:

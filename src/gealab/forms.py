@@ -3,8 +3,10 @@
 A form is a multiset of atoms with positive rational coefficients, a model
 (sequence or grid) and a symbolic dense-domain tag.  Algebra on forms
 (sums, differences, regular/singular splits) is exact on the rational
-coefficients so that cancellation holds on the nose; all order, range and
-positivity questions are answered numerically from the per-level matrices.
+coefficients so that cancellation holds on the nose.  Range and
+positivity questions are answered numerically from the per-level matrices;
+the pointwise order (``families.preceq``) is decided exactly from the atom
+coefficients where it can be, and numerically otherwise.
 
 Atom catalog
     diag         sequence model, lambda_j from a small registry, optional
@@ -45,7 +47,6 @@ from .errors import (
 from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 
 PSD_TOL = 1e-9
-POLARIZATION_TOL = 1e-10
 GROWTH_FACTOR = 1.5
 ZERO = Fraction(0)  # the coefficient of an absent atom, shared rather than rebuilt
 
@@ -391,7 +392,7 @@ def hamel_form(coeff=1) -> FormSpec:
 
 
 def catalog_forms(model: str | None = None, include_symbolic: bool = False) -> list[tuple[str, FormSpec]]:
-    """Named sweep of shipped forms, used by invariant tests and the CLI."""
+    """Named sweep of shipped forms, used by the invariant tests."""
     seq: list[tuple[str, FormSpec]] = [
         ("zero[seq]", zero_form(SEQUENCE)),
         ("diag(j)", diag_form("j")),

@@ -148,6 +148,43 @@ def test_chain_order_failure_exits_one(capsys):
     assert "error" in body["report"] and body["report"]["witness"]["order"] == "cf"
 
 
+def test_chain_diag_prec_takes_its_closed_dominator(capsys):
+    # diag's last dominator is its finite-support restriction, which is not
+    # closed; the supremum is taken under the full-domain diagonal instead
+    code, body, _ = run_json(["chain", "--chain", "diag", "--order", "prec", "--n-max", "8"], capsys)
+    assert code == 0 and body["ok"]
+    sup = body["report"]["sup"]
+    assert sup["domain"] == "diag_max:j" and [a["lambda"] for a in sup["atoms"]] == ["j"]
+
+
+# every chain in every order choice (None: the chain's own): exit code and
+# error, both float-free; only diag fails, at its first step, in the
+# orders whose witness needs an atom-wise difference
+CHAIN_RUNS = {(c, o): (0, None) for c in chains.CHAIN_IDS for o in (None, *chains.ORDERS)}
+CHAIN_RUNS.update({("diag", o): (1, "order violated between terms 1 and 2") for o in ("cf", "rf", "bar")})
+
+
+@pytest.mark.parametrize("chain, order", CHAIN_RUNS, ids=str)
+def test_chain_run_checks_its_steps_once(chain, order, monkeypatch, capsys):
+    steps = []
+    check = chains._check_steps
+    monkeypatch.setattr(chains, "_check_steps", lambda terms, below: steps.append(1) or check(terms, below))
+    code, body, _ = run_json(["chain", "--chain", chain] + (["--order", order] if order else []), capsys)
+    assert (code, body["report"].get("error")) == CHAIN_RUNS[chain, order]
+    # the bound search's step check is the run's monotone block
+    assert len(steps) == 1
+    assert ("monotone" in body["report"]) == (code == 0)
+
+
+def test_example_5_4_reads_its_dominators_off_the_search(monkeypatch, capsys):
+    calls = []
+    numeric = families._preceq_numeric
+    monkeypatch.setattr(families, "_preceq_numeric", lambda t, s: calls.append(1) or numeric(t, s))
+    code, body, _ = run_json(["counterexample", "example-5-4"], capsys)
+    assert code == 0 and body["report"]["evidence"]["each_dominator_bounds_chain"]
+    assert len(calls) == 171
+
+
 def test_chain_unknown_ids(capsys):
     code, _, err = run_cli(["chain", "--chain", "zeno"], capsys)
     assert code == 2 and "config error" in err

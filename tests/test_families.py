@@ -264,7 +264,7 @@ def test_catalog_atoms_are_psd(model):
 
 
 def _agrees_with_numeric(t, s):
-    numeric = tag_includes(s.domain, t.domain) and families._preceq_numeric(t, s, None, PSD_TOL)
+    numeric = tag_includes(s.domain, t.domain) and families._preceq_numeric(t, s)
     assert preceq(t, s) == numeric, (t, s)
     return numeric
 
