@@ -28,7 +28,6 @@ from .families import (
     FormsGEA,
     closure_violations,
     gea_by_name,
-    generator_of_form,
     in_family,
     le_bar,
     le_family,
@@ -40,7 +39,6 @@ from .families import (
     preceq,
     regular_sum_demo,
     sample_form,
-    sample_operator,
 )
 from .forms import (
     FormAtom,

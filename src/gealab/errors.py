@@ -23,9 +23,9 @@ class NonUniqueWitness(GealabError):
 class NotSumClosed(GealabError):
     """Subset is not closed under the ambient sums; carries a witness pair."""
 
-    def __init__(self, witness, message=""):
+    def __init__(self, witness):
         self.witness = witness
-        super().__init__(message or f"subset not closed under ambient sums, witness {witness}")
+        super().__init__(f"subset not closed under ambient sums, witness {witness}")
 
 
 class JoinUnavailable(GealabError):
@@ -59,10 +59,6 @@ class DimensionMismatch(GealabError):
 
 class ModelMismatch(GealabError):
     """Operands live on different Hilbert-space models."""
-
-
-class DomainViolation(GealabError):
-    """Vector lies outside the discrete representation of the form domain."""
 
 
 class OutsideCatalog(GealabError):
@@ -100,19 +96,15 @@ class NegativeCoefficient(GealabError):
     """Atom-wise subtraction would produce a negative coefficient."""
 
 
-class NotInGf(GealabError):
-    """Form is not generated by a catalog operator."""
-
-
 # -------------------------------------------------------- convergence lab
 
 
 class MonotonicityViolation(GealabError):
     """A chain failed its declared order between consecutive terms."""
 
-    def __init__(self, n, message=""):
+    def __init__(self, n):
         self.n = n
-        super().__init__(message or f"order violated between terms {n} and {n + 1}")
+        super().__init__(f"order violated between terms {n} and {n + 1}")
 
 
 class NoDeclaredLimit(GealabError):

@@ -6,8 +6,9 @@ is defined when an operand is bounded or the domain tags coincide.  The
 bar variant additionally requires the regular parts to add.  Subfamilies
 (bounded, regular, singular, operator-generated, closed, fixed-domain)
 restrict the sum to members.  A catalog operator is the form it
-generates, a member of gf, so the operator algebras vh and sa are gf and
-cf on the sequence model with the operator samplers.
+generates, so ``in_family(t, "gf")`` is the operator guard, and the
+operator algebras vh and sa are gf and cf on the sequence model with the
+operator samplers.  The numeric order applies ``forms.psd_range``.
 
 Every family id (also the CLI string) is a key of ``FAMILIES``, which
 holds each family's default model, membership rule and sampler.
@@ -21,14 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import forms
 from .errors import (
     ModelMismatch,
     NegativeCoefficient,
     NotInFamily,
-    NotInGf,
     SymbolicOnly,
     VerificationFailed,
 )
@@ -172,14 +170,9 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
 # ------------------------------------------------------------------ orders
 
 
-def _psd(mat: np.ndarray) -> bool:
-    vals = np.linalg.eigvalsh(mat)
-    return float(vals[0]) >= -forms.PSD_TOL * max(1.0, abs(float(vals[-1])))
-
-
 def _preceq_numeric(t: FormSpec, s: FormSpec) -> bool:
-    """t <= s by a PSD eigensolve of M_s - M_t at every default level."""
-    return all(_psd(matrix_at(s, L) - matrix_at(t, L)) for L in DEFAULT_LEVELS[t.model])
+    """t <= s by ``forms.psd_range`` on M_s - M_t at every default level."""
+    return all(forms.psd_range(matrix_at(s, L) - matrix_at(t, L))[2] for L in DEFAULT_LEVELS[t.model])
 
 
 def preceq(t: FormSpec, s: FormSpec) -> bool:
@@ -236,13 +229,6 @@ def family_ops(family: str) -> tuple[Callable, Callable]:
     if entry.rule is not None:
         return functools.partial(oplus_family, family), functools.partial(le_family, family)
     return (oplus_bar, le_bar) if entry.bar else (oplus, le_oplus)
-
-
-def generator_of_form(t: FormSpec) -> FormSpec:
-    """The catalog operator generating t: t itself, guarded to family gf."""
-    if not in_family(t, "gf"):
-        raise NotInGf(f"{forms.describe(t)} is not operator generated")
-    return t
 
 
 # ------------------------------------------------------------- the algebras
@@ -335,9 +321,9 @@ def _grid_boundary_atoms(rng) -> dict:
     return {a: _coeff(rng) for a in which}
 
 
-def _grid_energy(rng, boundary_rate: float = 0.5) -> FormSpec:
+def _grid_energy(rng) -> FormSpec:
     atoms: dict = {DIRICHLET: _coeff(rng)}
-    if rng.random() < boundary_rate:
+    if rng.random() < 0.5:
         atoms.update(_grid_boundary_atoms(rng))
     if rng.random() < 0.3:
         add_coeff(atoms, _bounded_atom(GRID, rng), _coeff(rng))
@@ -402,13 +388,6 @@ def sample_form(model: str, family: str, rng: random.Random) -> FormSpec:
     if rng.random() < _ZERO_RATE:
         return zero_form(model)
     return entry.draw(model, tag, rng)
-
-
-def sample_operator(model: str, rng: random.Random, closed_only: bool = True) -> FormSpec:
-    """Seeded catalog operator, as the gf form it generates."""
-    if rng.random() < _ZERO_RATE:
-        return zero_form(model)
-    return _draw_operator(model, rng, closed_only)
 
 
 # ---------------------------------------------------------------- registry

@@ -4,9 +4,10 @@ A form is a multiset of atoms with positive rational coefficients, a model
 (sequence or grid) and a symbolic dense-domain tag.  Algebra on forms
 (sums, differences, regular/singular splits) is exact on the rational
 coefficients so that cancellation holds on the nose.  Range and
-positivity questions are answered numerically from the per-level matrices;
-the pointwise order (``families.preceq``) is decided exactly from the atom
-coefficients where it can be, and numerically otherwise.
+positivity questions are answered numerically from the per-level matrices,
+by the one positivity rule of ``psd_range``; the pointwise order
+(``families.preceq``) is decided exactly from the atom coefficients where
+it can be, and by that rule otherwise.
 
 Atom catalog
     diag         sequence model, lambda_j from a small registry, optional
@@ -18,7 +19,8 @@ Atom catalog
     hamel        symbolic everywhere-defined singular form; classified but
                  never evaluated numerically
 
-Domain tags and their declared inclusion order
+Domain tags (a kind and, for diag_max, its coefficient id) and their
+declared inclusion order
     finite_support < diag_max(lambda) < full,   h1_grid < full
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,6 @@ from . import hilbert
 from .errors import (
     ClassificationMismatch,
     DimensionMismatch,
-    DomainViolation,
     EigenFailure,
     ModelMismatch,
     NotClosed,
@@ -69,12 +70,10 @@ def _once(fn):
 
 @dataclass(frozen=True)
 class DomainTag:
-    """Symbolic dense domain.  Equality is by kind and parameter; the
-    optional support budget only affects evaluation checks."""
+    """Symbolic dense domain: a kind and, for ``diag_max``, its coefficient id."""
 
     kind: str
     param: str = ""
-    budget: int | None = field(default=None, compare=False)
 
 
 FULL_SPACE = DomainTag("full")
@@ -511,15 +510,6 @@ def matrix_at(t: FormSpec, level: int) -> np.ndarray:
     return m
 
 
-def _check_domain_vector(t: FormSpec, x: np.ndarray):
-    if t.domain.kind == "finite_support" and t.domain.budget is not None:
-        if int(np.count_nonzero(x)) > t.domain.budget:
-            raise DomainViolation(
-                f"vector support {int(np.count_nonzero(x))} exceeds the declared "
-                f"budget {t.domain.budget}"
-            )
-
-
 def evaluate(t: FormSpec, x, y) -> complex:
     """t(x, y) at the level inferred from the vector length."""
     x = np.asarray(x, dtype=complex)
@@ -527,8 +517,6 @@ def evaluate(t: FormSpec, x, y) -> complex:
     if x.shape != y.shape:
         raise DimensionMismatch("operand vectors have different shapes")
     level = hilbert.level_of(t.model, x.shape[0])
-    _check_domain_vector(t, x)
-    _check_domain_vector(t, y)
     m = matrix_at(t, level)
     return complex(np.vdot(y, m @ x))
 
@@ -537,7 +525,6 @@ def quadratic(t: FormSpec, x) -> float:
     """t(x, x); must be real and non-negative up to roundoff."""
     x = np.asarray(x, dtype=complex)
     level = hilbert.level_of(t.model, x.shape[0])
-    _check_domain_vector(t, x)
     value = complex(np.vdot(x, matrix_at(t, level) @ x))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         raise VerificationFailed(f"quadratic value is not real: {value}")
@@ -547,23 +534,30 @@ def quadratic(t: FormSpec, x) -> float:
 # ----------------------------------------------------- range and classes
 
 
+def psd_range(m: np.ndarray) -> tuple[float, float, bool]:
+    """Least and largest eigenvalue of the Hermitian ``m``, and the one
+    positivity rule: the least is at least ``-PSD_TOL * max(1, largest)``."""
+    try:
+        vals = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    lo, hi = float(vals[0]), float(vals[-1])
+    return lo, hi, lo >= -PSD_TOL * max(1.0, hi)
+
+
 def numerical_range_bounds(t: FormSpec, level: int) -> tuple[float, float]:
     """Extremes (m, n) of t(x, x) over unit vectors of the model.
 
     Solved as a Hermitian eigenproblem relative to the model Gram matrix;
-    positivity requires m >= -1e-9 * max(1, n).
+    a form that fails ``psd_range``'s positivity rule raises.
     """
     m = matrix_at(t, level)
     if t.model == GRID:
         # the pencil (M, W) with diagonal W > 0 has the spectrum of W^-1/2 M W^-1/2
         r = 1.0 / np.sqrt(hilbert.gram_weights(t.model, level))
         m = (r[:, None] * m) * r[None, :]
-    try:
-        vals = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    lo, hi = float(vals[0]), float(vals[-1])
-    if lo < -PSD_TOL * max(1.0, hi):
+    lo, hi, positive = psd_range(m)
+    if not positive:
         raise VerificationFailed(f"form is not positive: min range {lo}")
     return lo, hi
 
@@ -574,28 +568,20 @@ def is_bounded(t: FormSpec) -> bool:
     return all(atom_is_bounded(a) for a, _ in t.atoms)
 
 
-def _growth_signature(values, factor: float = GROWTH_FACTOR) -> bool:
-    values = list(values)
-    first, last = values[0], values[-1]
-    return last > factor * max(first, 1e-12) and last > 1e-9
-
-
-def classify_boundedness(t: FormSpec, levels=None) -> bool:
-    """Declared boundedness cross-checked by a three-level growth probe.
+def classify_boundedness(t: FormSpec) -> bool:
+    """Declared boundedness cross-checked by a growth probe.
 
     Returns True for bounded.  The probe flags a form as unbounded when
-    its numerical-range supremum grows by a factor >= 1.5 across the
-    probe levels; disagreement with the declared verdict raises
-    :class:`ClassificationMismatch`.  The symbolic singular form is
-    classified by declaration alone.
+    its numerical-range supremum grows by more than ``GROWTH_FACTOR``
+    across the model's default levels; disagreement with the declared
+    verdict raises :class:`ClassificationMismatch`.  The symbolic singular
+    form is classified by declaration alone.
     """
     declared = is_bounded(t)
     if t.has_kind("hamel"):
         return False
-    if levels is None:
-        levels = DEFAULT_LEVELS[t.model]
-    sup = [numerical_range_bounds(t, level)[1] for level in levels]
-    grows = _growth_signature(sup)
+    sup = [numerical_range_bounds(t, level)[1] for level in DEFAULT_LEVELS[t.model]]
+    grows = sup[-1] > GROWTH_FACTOR * max(sup[0], 1e-12) and sup[-1] > 1e-9
     if declared and grows:
         raise ClassificationMismatch(f"{describe(t)} declared bounded but n_t grows: {sup}")
     if not declared and not grows and not t.is_zero:
@@ -663,7 +649,7 @@ def is_closed(t: FormSpec) -> bool:
 # ----------------------------------------------------- singularity probe
 
 
-def singularity_witness(t: FormSpec, x, tol: float = PSD_TOL):
+def singularity_witness(t: FormSpec, x):
     """Search for y with t(y, y) < |(x, y)|^2 at the level of ``x``.
 
     A singular form admits such a witness for every nonzero x.  For
@@ -707,7 +693,7 @@ def singularity_witness(t: FormSpec, x, tol: float = PSD_TOL):
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     coords = vecs.conj().T @ g
-    null = vals <= tol * max(1.0, float(vals[-1]))
+    null = vals <= PSD_TOL * max(1.0, float(vals[-1]))
     null_overlap = coords.copy()
     null_overlap[~null] = 0.0
     if np.linalg.norm(null_overlap) > 1e-12 * np.linalg.norm(g):
@@ -725,19 +711,19 @@ def singularity_witness(t: FormSpec, x, tol: float = PSD_TOL):
 # ---------------------------------------------- operators of bounded/closed
 
 
-def riesz_operator_of_bounded(t: FormSpec, level: int, check: bool = True) -> np.ndarray:
-    """Matrix A with t(x, y) = (A x, y) in the model inner product."""
+def riesz_operator_of_bounded(t: FormSpec, level: int) -> np.ndarray:
+    """Matrix A with t(x, y) = (A x, y) in the model inner product,
+    verified on four seeded vector pairs."""
     if not is_bounded(t):
         raise UnboundedForm(f"{describe(t)} is not bounded")
     a = _gram_solve(t, level)
-    if check:
-        sampler = hilbert.VectorSampler(t.model, level, seed=13)
-        scale = max(1.0, numerical_range_bounds(t, level)[1])
-        for _ in range(4):
-            x, y = sampler.draw(), sampler.draw()
-            resid = abs(evaluate(t, x, y) - hilbert.inner(t.model, a @ x, y))
-            if resid > 1e-10 * scale * max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y))):
-                raise VerificationFailed(f"representation residual {resid} too large")
+    sampler = hilbert.VectorSampler(t.model, level, seed=13)
+    scale = max(1.0, numerical_range_bounds(t, level)[1])
+    for _ in range(4):
+        x, y = sampler.draw(), sampler.draw()
+        resid = abs(evaluate(t, x, y) - hilbert.inner(t.model, a @ x, y))
+        if resid > 1e-10 * scale * max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y))):
+            raise VerificationFailed(f"representation residual {resid} too large")
     return a
 
 

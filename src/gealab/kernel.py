@@ -485,23 +485,20 @@ class RestrictedAlgebra(PartialAlgebra):
         return f"RestrictedAlgebra({self.base!r}, {self._elems!r})"
 
 
-def restrict(ambient: PartialAlgebra, subset, check: bool = True) -> RestrictedAlgebra:
-    """Restrict the ambient sum to a subset containing zero.
-
-    With ``check=True`` (enumerable subsets only) the subset is verified to
-    be closed under ambient sums of its members; a violating pair raises
-    :class:`NotSumClosed`.  Callers restricting non-closed subsets on
-    purpose can pass ``check=False``.
+def restrict(ambient: PartialAlgebra, subset) -> RestrictedAlgebra:
+    """Restrict the ambient sum to a subset containing zero and closed
+    under the ambient sums of its members; a violating pair raises
+    :class:`NotSumClosed`.  A restriction to a subset that is not closed
+    is a :class:`RestrictedAlgebra` built directly.
     """
     members = list(subset)
     if ambient.zero not in members:
         raise ValueError("subset must contain the zero element")
-    if check:
-        for x in members:
-            for y in members:
-                z = ambient.add(x, y)
-                if z is not None and z not in subset:
-                    raise NotSumClosed((x, y))
+    for x in members:
+        for y in members:
+            z = ambient.add(x, y)
+            if z is not None and z not in subset:
+                raise NotSumClosed((x, y))
     return RestrictedAlgebra(ambient, members)
 
 

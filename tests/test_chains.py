@@ -162,6 +162,15 @@ def test_pointwise_limit_diag_operator_gaps():
     assert gaps[-1] < 1e-6
 
 
+def test_pointwise_limit_tabulates_powers_of_two_up_to_n_max():
+    chain = truncated_diag_chain()
+    out = pointwise_limit(chain, levels=(8,), n_max=6)
+    assert out["n_values"] == [1, 2, 4]
+    assert [row["n"] for row in out["table"]] == [1, 2, 4]
+    assert [row["n"] for row in out["operator_gaps"]] == [1, 2, 4]
+    assert pointwise_limit(chain, levels=(8,))["n_values"] == [1, 2, 4, 8, 16, 32]
+
+
 def test_pointwise_limit_requires_declared_limit():
     anon = FormChain(
         chain_id="anon",
@@ -278,16 +287,19 @@ def test_evidence_keys(search, chain_fn, family, verdict, keys):
 
 
 def ref_cf_prec_sup(chain, dominator, n_max=chains.DEFAULT_N_MAX, candidates=None):
-    """The pointwise least upper bound as its own loop: guards, a
-    monotonicity loop, domination, then every candidate upper bound."""
+    """The pointwise least upper bound as its own loop: guards, term
+    membership, a monotonicity loop, domination, then every candidate
+    upper bound."""
     if chain.limit is None:
         raise NoDeclaredLimit(f"chain {chain.chain_id!r} declares no limit form")
-    terms = chain.terms(n_max)
-    for t in terms + [chain.limit]:
-        if not forms.is_closed(t) and not t.is_zero:
-            raise NotClosedChain(f"{forms.describe(t)} is not closed")
+    if not forms.is_closed(chain.limit):
+        raise NotClosedChain(f"{forms.describe(chain.limit)} is not closed")
     if not forms.is_closed(dominator):
         raise NotClosedChain(f"dominator {forms.describe(dominator)} is not closed")
+    terms = chain.terms(n_max)
+    for t in terms:
+        if not forms.is_closed(t):
+            raise NotInFamily(f"chain term {forms.describe(t)} is outside cf")
     for n in range(len(terms) - 1):
         if not families.preceq(terms[n], terms[n + 1]):
             raise MonotonicityViolation(n + 1)
@@ -399,6 +411,20 @@ def test_cf_prec_sup_guards():
     )
     with pytest.raises(NoDeclaredLimit):
         cf_prec_sup(anon, dominator=T_PRIME, n_max=N_MAX)
+
+
+def test_cf_prec_sup_classifies_terms_once_in_the_search():
+    # a term outside cf is refused by the search's membership check, after
+    # the limit and dominator guards, and named as a chain term
+    term = {2: T_0}
+    opened = FormChain("opened", GRID, "ascending", "prec", T_PRIME, lambda n: term.get(n, zero_form(GRID)))
+    with pytest.raises(NotInFamily) as info:
+        cf_prec_sup(opened, dominator=T_1, n_max=3)
+    assert str(info.value) == f"chain term {forms.describe(T_0)} is outside cf"
+    assert _outcome(cf_prec_sup, opened, T_1, n_max=3) == _outcome(ref_cf_prec_sup, opened, T_1, n_max=3)
+    with pytest.raises(NotClosedChain) as info:
+        cf_prec_sup(opened, dominator=T_0, n_max=3)
+    assert str(info.value) == f"dominator {forms.describe(T_0)} is not closed"
 
 
 # ------------------------------------------------------------ sigma table

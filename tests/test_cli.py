@@ -51,10 +51,10 @@ def test_axioms_sampled_family(capsys):
 
 
 def test_axioms_selector_usage_errors(capsys):
-    code, out, err = run_cli(["axioms"], capsys)
-    assert code == 2 and not out and "exactly one" in err
-    code, out, err = run_cli(["axioms", "--instance", "zplus", "--family", "bf"], capsys)
-    assert code == 2
+    for argv in (["axioms"], ["axioms", "--instance", "zplus", "--family", "bf"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and not out
+        assert err == "config error: exactly one of --instance / --family is required\n"
     code, out, err = run_cli(["axioms", "--instance", "hilbert-hotel"], capsys)
     assert code == 2 and "config error" in err
     code, out, err = run_cli(["axioms", "--family", "vfd"], capsys)
@@ -262,6 +262,14 @@ def test_chain_n_max_below_two_is_config_error(capsys):
     code, out, err = run_cli(["chain", "--chain", "kato", "--n-max", "1"], capsys)
     assert code == 2 and not out
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_chain_pointwise_table_stops_at_n_max(capsys):
+    code, body, _ = run_json(["chain", "--chain", "kato", "--n-max", "4"], capsys)
+    assert code == 0
+    pointwise = body["report"]["pointwise"]
+    assert pointwise["n_values"] == [1, 2, 4]
+    assert {row["n"] for row in pointwise["table"]} == {1, 2, 4}
 
 
 def test_chain_nonpositive_level_is_config_error(capsys):

@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from gealab import cli, families, forms, hilbert
 from gealab.errors import (
     DimensionMismatch,
-    DomainViolation,
     ModelMismatch,
     NotClosed,
-    NotInGf,
     OutsideCatalog,
     SymbolicOnly,
     UnboundedForm,
@@ -31,7 +29,6 @@ from gealab.forms import (
     FINITE_SUPPORT,
     FULL_SPACE,
     H1_GRID,
-    DomainTag,
     bounded_matrix_form,
     diag_atom,
     diag_domain,
@@ -295,27 +292,10 @@ def test_cached_classification_stays_out_of_repr_eq_and_json():
     assert [f.name for f in dataclasses.fields(t)] == ["model", "domain", "atoms"]
 
 
-def test_finite_support_budget_survives_an_equal_form():
-    plain = diag_form("j", domain=FINITE_SUPPORT)
-    hash(plain), forms.is_bounded(plain), matrix_at(plain, 8)
-    r = diag_form("j", domain=DomainTag("finite_support", budget=2))
-    assert r == plain and r.domain.budget == 2 and plain.domain.budget is None
-    with pytest.raises(DomainViolation):
-        forms.quadratic(r, np.ones(8))
-    assert forms.quadratic(plain, np.ones(8)) > 0
-
-
 def test_evaluate_checks():
     t = diag_form("1/j")
     with pytest.raises(DimensionMismatch):
         forms.evaluate(t, np.ones(4), np.ones(5))
-    budget = DomainTag("finite_support", budget=2)
-    r = diag_form("j", domain=budget)
-    ok = np.zeros(8)
-    ok[0] = ok[3] = 1.0
-    forms.quadratic(r, ok)  # support 2 is inside the budget
-    with pytest.raises(DomainViolation):
-        forms.quadratic(r, np.ones(8))
 
 
 def test_evaluate_sesquilinear():
@@ -500,10 +480,9 @@ def test_associated_operator():
 def test_operator_catalog():
     # a catalog operator is the gf form it generates
     t = diag_form("1/j")
-    assert families.generator_of_form(t) == t
+    assert families.in_family(t, "gf")
     assert np.allclose(forms.associated_operator(t, 4), np.diag([1, 1 / 2, 1 / 3, 1 / 4]))
-    with pytest.raises(NotInGf):
-        families.generator_of_form(energy_form(1))
+    assert not families.in_family(energy_form(1), "gf")
 
 
 # ------------------------------------------------------------------ JSON

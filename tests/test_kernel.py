@@ -459,9 +459,9 @@ def test_sampled_check_adds_each_distinct_sum_once(monkeypatch):
 
 
 def test_restricted_algebra_repr_names_ambient_and_members():
-    alg = kernel.restrict(instances.NatGEA(12), [9, 0, 3, 6], check=False)
+    alg = kernel.RestrictedAlgebra(instances.NatGEA(12), [9, 0, 3, 6])
     assert repr(alg) == "RestrictedAlgebra(NatGEA(cap=12), [0, 3, 6, 9])"
-    assert repr(alg) == repr(kernel.restrict(instances.NatGEA(12), [0, 3, 6, 9], check=False))
+    assert repr(alg) == repr(kernel.RestrictedAlgebra(instances.NatGEA(12), [0, 3, 6, 9]))
     assert "object at" not in repr(alg)
 
 
@@ -601,7 +601,7 @@ def test_restrict_checks_closure():
     with pytest.raises(NotSumClosed) as err:
         kernel.restrict(ambient, [0, 1])  # 1 + 1 = 2 escapes
     assert err.value.witness == (1, 1)
-    sub = kernel.restrict(ambient, [0, 1], check=False)
+    sub = kernel.RestrictedAlgebra(ambient, [0, 1])
     assert sub.add(1, 1) is None
     assert sub.add(0, 1) == 1
 
