@@ -16,6 +16,18 @@ class NoOrderOracle(GealabError):
     """Order query on a non-enumerable carrier without a registered oracle."""
 
 
+class TooManyElements(GealabError):
+    """The carrier has more elements than a check may enumerate; ``n`` is
+    its size, or ``None`` when only a lower bound of ``limit + 1`` is known."""
+
+    def __init__(self, alg, n, limit):
+        self.n, self.limit = n, limit
+        size = f"more than {limit}" if n is None else n
+        super().__init__(
+            f"{alg!r} has {size} elements, and at most {limit} are enumerated; use a smaller --cap or bound"
+        )
+
+
 class NonUniqueWitness(GealabError):
     """Two distinct witnesses for the same difference: cancellation fails."""
 

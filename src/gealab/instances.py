@@ -7,7 +7,10 @@ so kernel verdicts on these instances are certificates, not approximations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonPositiveBound
 from .kernel import PartialAlgebra, check_axioms, derived_le, is_sub_gea
@@ -20,6 +23,21 @@ def _as_tuple(u):
 def _scalar(u, value):
     # mirror tuple results back to plain ints for scalar bounds
     return value[0] if not isinstance(u, tuple) else value
+
+
+class _Lazy:
+    """An enumeration of known length whose elements are made as it is
+    read, so that the kernel can refuse a carrier by its size before it
+    builds it.  Each iteration starts afresh."""
+
+    def __init__(self, n: int, make):
+        self._n, self._make = n, make
+
+    def __len__(self):
+        return self._n
+
+    def __iter__(self):
+        return iter(self._make())
 
 
 @dataclass(eq=False)
@@ -36,6 +54,9 @@ class NatGEA(PartialAlgebra):
 
     def add(self, a, b):
         return a + b
+
+    def add_arrays(self, a, b):
+        return a + b, np.ones(len(a), dtype=bool)
 
     def elements(self):
         return range(self.cap + 1)
@@ -56,15 +77,21 @@ class EvenGapGEA(PartialAlgebra):
     enumerable = True
 
     @staticmethod
-    def contains(x) -> bool:
-        return x == 0 or (x >= 4 and x % 2 == 0)
+    def contains(x):
+        """Membership of an int, or of each entry of an int array."""
+        return (x == 0) | ((x >= 4) & (x % 2 == 0))
 
     def add(self, a, b):
         s = a + b
         return s if self.contains(s) else None
 
+    def add_arrays(self, a, b):
+        s = a + b
+        return s, self.contains(s[:, 0])
+
     def elements(self):
-        return [0] + list(range(4, self.cap + 1, 2))
+        evens = range(4, self.cap + 1, 2)
+        return _Lazy(1 + max(0, (self.cap - 2) // 2), lambda: itertools.chain([0], evens))
 
 
 @dataclass(eq=False)
@@ -82,8 +109,12 @@ class ConeGEA(PartialAlgebra):
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    def add_arrays(self, a, b):
+        return a + b, np.ones(len(a), dtype=bool)
+
     def elements(self):
-        return list(itertools.product(range(self.cap + 1), repeat=self.dim))
+        side, dim = range(self.cap + 1), self.dim
+        return _Lazy((self.cap + 1) ** dim, lambda: itertools.product(side, repeat=dim))
 
 
 @dataclass(eq=False)
@@ -104,9 +135,11 @@ class HalfOpenIntervalGEA(PartialAlgebra):
     def zero(self):
         return _scalar(self.u, (0,) * len(_as_tuple(self.u)))
 
-    def _inside(self, s: tuple) -> bool:
-        """Whether the point s of the box [0, u] belongs to the carrier."""
-        return s != _as_tuple(self.u)
+    def _inside(self, s):
+        """Whether points of the box [0, u] belong to the carrier: all but u.
+        The points lie along the last axis of ``s``; a tuple is one point.
+        No point but u may be left out."""
+        return np.any(np.not_equal(s, _as_tuple(self.u)), axis=-1)
 
     def add(self, a, b):
         ut = _as_tuple(self.u)
@@ -115,9 +148,20 @@ class HalfOpenIntervalGEA(PartialAlgebra):
             return _scalar(self.u, s)
         return None
 
+    def add_arrays(self, a, b):
+        s = a + b
+        return s, (s <= _as_tuple(self.u)).all(axis=1) & self._inside(s)
+
     def elements(self):
-        box = itertools.product(*(range(m + 1) for m in _as_tuple(self.u)))
-        return [_scalar(self.u, e) for e in box if self._inside(e)]
+        u, ut = self.u, _as_tuple(self.u)
+        # u is the last point of the box in C order
+        n = math.prod(m + 1 for m in ut) - (not self._inside(ut))
+
+        def points():
+            box = itertools.product(*(range(m + 1) for m in ut))
+            return (_scalar(u, e) for e in itertools.islice(box, n))
+
+        return _Lazy(n, points)
 
 
 @dataclass(eq=False)
@@ -131,8 +175,8 @@ class IntervalEA(HalfOpenIntervalGEA):
     def top(self):
         return self.u
 
-    def _inside(self, s: tuple) -> bool:
-        return True
+    def _inside(self, s):
+        return np.ones(np.shape(s)[:-1], dtype=bool)
 
 
 @dataclass(eq=False)
@@ -149,6 +193,9 @@ class BrokenMaxGEA(PartialAlgebra):
 
     def add(self, a, b):
         return max(a, b)
+
+    def add_arrays(self, a, b):
+        return np.maximum(a, b), np.ones(len(a), dtype=bool)
 
     def elements(self):
         return range(self.cap + 1)

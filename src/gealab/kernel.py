@@ -10,6 +10,8 @@ integer instances and on the form algebras built elsewhere in the package.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,12 +25,23 @@ from .errors import (
     NoOrderOracle,
     NotEnumerable,
     NotSumClosed,
+    TooManyElements,
     VerificationFailed,
 )
 
 AXIOMS = ("GEi", "GEii", "GEiii", "GEiv", "GEv")
 # n + n^2 + n^3 tuples above this are refused: about 10^3 elements, tens of seconds
 MAX_EXHAUSTIVE_TUPLES = 10**9
+# the most elements an exhaustive check reads
+_EXHAUSTIVE_ELEMENTS = max(
+    n for n in range(round(MAX_EXHAUSTIVE_TUPLES ** (1 / 3)) + 1) if n + n * n + n**3 <= MAX_EXHAUSTIVE_TUPLES
+)
+# sampling and order queries enumerate at most this many elements
+MAX_ENUMERATED = 10**6
+# pairs per array sum, so that peak memory does not grow with the carrier
+_BLOCK = 1 << 16
+# coordinates stay below this in size, so that no sum of two overflows int64
+_COORD_BOUND = 1 << 31
 
 
 class PartialAlgebra:
@@ -37,7 +50,10 @@ class PartialAlgebra:
     Subclasses provide ``add`` (returning ``None`` for undefined sums) and
     either enumeration (``enumerable = True`` plus ``elements``) or a
     sampling method together with an order oracle for the derived order.
-    Elements must support ``==`` and hashing.
+    Elements must support ``==`` and hashing.  A carrier of ints or int
+    tuples may also provide ``add_arrays(a, b) -> (sums, defined)``, the
+    same sum over int64 arrays with one point per row, which the sum
+    table then uses in place of one ``add`` call per pair.
     """
 
     zero = None
@@ -63,14 +79,13 @@ class _SumTable:
     Built once per algebra (see :func:`_sum_table`).  Every value is
     interned to an integer id in first-seen order: the enumerated window
     first, then the sums that leave it; ``-1`` marks an undefined sum.
-    Enumerating is cheap and happens here; each array, and each row of
-    ``first``, is built on first use, so a caller can refuse an oversized
-    carrier before paying for it.
+    Every sum goes through :meth:`sums`.  Each array, and each row of
+    ``first``, is built on first use.
     """
 
-    def __init__(self, alg: PartialAlgebra):
+    def __init__(self, alg: PartialAlgebra, elems: list):
         self.alg = alg
-        self.elems = list(alg.elements())
+        self.elems = elems
         self.ids: dict = {}
         self.vals: list = []
         self.win = np.array([self.intern(e) for e in self.elems], dtype=np.int32)
@@ -78,6 +93,7 @@ class _SumTable:
         # first position of each window id
         self.at = np.unique(self.win, return_index=True)[1]
         self._rows: dict[int, np.ndarray] = {}
+        self._arrays = _array_sums(alg, elems)
 
     def intern(self, value) -> int:
         if value is None:
@@ -93,6 +109,29 @@ class _SumTable:
         i = self.ids.get(value)
         return None if i is None or i >= self.n_window else int(self.at[i])
 
+    def sums(self, xs, ys) -> np.ndarray:
+        """``out[k, l]``: id of ``vals[xs[k]] + vals[ys[l]]``, or -1.
+
+        New values are interned in C order, as nested loops over ``xs`` and
+        ``ys`` would meet them.  The pairs go in blocks of at most
+        ``_BLOCK``, through ``add_arrays`` where the algebra has one that
+        stands for its ``add`` (see :func:`_array_sums`), else one ``add``
+        call per pair.
+        """
+        xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+        m = len(ys)
+        out = np.empty(len(xs) * m, dtype=np.int32)
+        for start in range(0, len(out), _BLOCK):
+            p = np.arange(start, min(start + _BLOCK, len(out)))
+            x, y = xs[p // m], ys[p % m]
+            got = None if self._arrays is None else self._arrays.ids(self, x, y)
+            if got is None:  # the scalar definition, for this block and every later one
+                self._arrays = None
+                add, intern, vals = self.alg.add, self.intern, self.vals
+                got = [intern(add(vals[i], vals[j])) for i, j in zip(x.tolist(), y.tolist())]
+            out[start : start + len(p)] = got
+        return out.reshape(len(xs), m)
+
     def row(self, i: int) -> np.ndarray:
         """``first[i]``, built on its own on first use, so that one order
         query on a large carrier pays n sums rather than n^2."""
@@ -100,15 +139,18 @@ class _SumTable:
             return self.first[i]
         r = self._rows.get(i)
         if r is None:
-            add, intern, x = self.alg.add, self.intern, self.elems[i]
-            r = self._rows[i] = np.array([intern(add(x, y)) for y in self.elems], dtype=np.int32)
+            r = self._rows[i] = self.sums(self.win[i : i + 1], self.win)[0]
         return r
 
     @cached_property
     def first(self) -> np.ndarray:
         """``first[i, j]``: id of ``elems[i] + elems[j]``, or -1."""
         n = len(self.elems)
-        first = np.array([self.row(i) for i in range(n)], dtype=np.int32).reshape(n, n)
+        first = np.empty((n, n), dtype=np.int32)
+        rest = np.ones(n, dtype=bool)
+        for i, r in self._rows.items():
+            first[i], rest[i] = r, False
+        first[rest] = self.sums(self.win[rest], self.win)
         self._rows.clear()
         return first
 
@@ -122,17 +164,16 @@ class _SumTable:
         """``left[v, j]``: id of ``vals[v] + elems[j]`` for each id ``v`` met
         in ``first``; the extra last row is -1, so ``left[-1]`` reads an
         undefined first sum as undefined."""
-        add, intern = self.alg.add, self.intern
-        rows = [[intern(add(self.vals[v], y)) for y in self.elems] for v in range(self.n_first)]
-        rows.append([-1] * len(self.elems))
-        return np.array(rows, dtype=np.int32).reshape(len(rows), len(self.elems))
+        left = np.full((self.n_first + 1, len(self.elems)), -1, dtype=np.int32)
+        left[:-1] = self.sums(np.arange(self.n_first), self.win)
+        return left
 
     @cached_property
     def right(self) -> np.ndarray:
         """``right[i, v]``: id of ``elems[i] + vals[v]``, with a last column of -1."""
-        add, intern = self.alg.add, self.intern
-        cols = [[intern(add(x, self.vals[v])) for v in range(self.n_first)] + [-1] for x in self.elems]
-        return np.array(cols, dtype=np.int32).reshape(len(self.elems), self.n_first + 1)
+        right = np.full((len(self.elems), self.n_first + 1), -1, dtype=np.int32)
+        right[:, :-1] = self.sums(self.win, np.arange(self.n_first))
+        return right
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -164,15 +205,140 @@ class _SumTable:
         return np.zeros(len(self.elems), dtype=bool) if p is None else self.le[p]
 
 
-def _sum_table(alg: PartialAlgebra) -> _SumTable:
+class _ArraySums:
+    """The sums of a table's values through ``add_arrays``, over int64
+    coordinate arrays.
+
+    A value is an int or a tuple of ``dim`` ints; its coordinates are a row
+    of ``coords``, which holds one row per id interned so far.  Each row
+    has a mixed-radix int64 key over the box ``[lo, lo + span)``, and the
+    sorted keys find the ids of a block's sums with one ``searchsorted``,
+    so the table's Python ``intern`` runs once per new value.
+    """
+
+    def __init__(self, add_arrays, scalar: bool, dim: int):
+        self.add_arrays, self.scalar = add_arrays, scalar
+        self.coords = np.empty((0, dim), dtype=np.int64)
+        self.lo = np.zeros(dim, dtype=np.int64)
+        self.span = np.ones(dim, dtype=np.int64)
+        self.strides = np.ones(dim, dtype=np.int64)
+        self.sorted = np.empty(0, dtype=np.int64)  # the keys of coords, ascending
+        self.order = np.empty(0, dtype=np.int32)  # the id of each sorted key
+
+    def ids(self, table: _SumTable, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+        """Ids of ``vals[x[k]] + vals[y[k]]`` (-1 where undefined), new values
+        interned in order; ``None`` when a value has no coordinates or the
+        keys would not fit in int64."""
+        if not self._sync(table.vals):
+            return None
+        s, defined = self.add_arrays(self.coords[x], self.coords[y])
+        s = s[defined]
+        if len(s) and not self._fits(s):
+            return None
+        keys = self._key(s)
+        pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)
+        known = self.sorted[pos] == keys
+        got = self.order[pos]
+        if not known.all():
+            new, first_at, inverse = np.unique(keys[~known], return_index=True, return_inverse=True)
+            fresh = s[~known][first_at].tolist()
+            new_ids = np.empty(len(new), dtype=np.int32)
+            for k in np.argsort(first_at):  # in order of first appearance
+                new_ids[k] = table.intern(fresh[k][0] if self.scalar else tuple(fresh[k]))
+            got[~known] = new_ids[inverse]
+        out = np.full(len(x), -1, dtype=np.int32)
+        out[defined] = got
+        return out
+
+    def _sync(self, vals: list) -> bool:
+        """Give coordinates and keys to the values interned since the last
+        call; False when one is not an int (a tuple of ``dim`` ints) below
+        ``_COORD_BOUND`` in size."""
+        new = vals[len(self.coords) :]
+        if not new:
+            return True
+        rows = [(v,) for v in new] if self.scalar else new
+        dim = self.coords.shape[1]
+        if not all(
+            type(r) is tuple and len(r) == dim and all(type(c) is int and abs(c) < _COORD_BOUND for c in r)
+            for r in rows
+        ):
+            return False
+        c = np.array(rows, dtype=np.int64)
+        if not self._fits(c):
+            return False
+        ids = np.arange(len(self.coords), len(self.coords) + len(c), dtype=np.int32)
+        self.coords = np.concatenate([self.coords, c])
+        keys = self._key(c)
+        at = np.argsort(keys)
+        pos = np.searchsorted(self.sorted, keys[at])
+        self.sorted = np.insert(self.sorted, pos, keys[at])
+        self.order = np.insert(self.order, pos, ids[at])
+        return True
+
+    def _fits(self, c: np.ndarray) -> bool:
+        """Widen the key box to hold the points ``c``, re-keying the known
+        values; False when the keys would not fit in int64."""
+        lo = np.minimum(self.lo, c.min(axis=0))
+        hi = np.maximum(self.lo + self.span, c.max(axis=0) + 1)
+        if (lo == self.lo).all() and (hi == self.lo + self.span).all():
+            return True
+        span = (2 * (hi - lo)).tolist()  # room to grow, so that widening is rare
+        if math.prod(span) > np.iinfo(np.int64).max:
+            return False
+        self.lo, self.span = lo, np.array(span, dtype=np.int64)
+        self.strides = np.array([math.prod(span[k + 1 :]) for k in range(len(span))], dtype=np.int64)
+        keys = self._key(self.coords)
+        self.order = np.argsort(keys).astype(np.int32)
+        self.sorted = keys[self.order]
+        return True
+
+    def _key(self, c: np.ndarray) -> np.ndarray:
+        return ((c - self.lo) * self.strides).sum(axis=1)
+
+
+def _array_sums(alg: PartialAlgebra, elems: list) -> _ArraySums | None:
+    """An :class:`_ArraySums` for ``alg.add_arrays`` where it stands for
+    ``alg.add``, else ``None``: the class that defines ``add`` must define
+    ``add_arrays`` too or lie above the one that does, so a subclass that
+    overrides ``add`` alone is summed through its own ``add``.  The values
+    are ints or tuples, as the first window element is."""
+    if "add" in alg.__dict__ or not elems:
+        return None
+    for cls in type(alg).__mro__:
+        if "add_arrays" in vars(cls):
+            break
+        if "add" in vars(cls):
+            return None
+    else:
+        return None
+    scalar = not isinstance(elems[0], tuple)
+    dim = 1 if scalar else len(elems[0])
+    return _ArraySums(alg.add_arrays, scalar, dim) if dim else None
+
+
+def _sum_table(alg: PartialAlgebra, limit: int = MAX_ENUMERATED) -> _SumTable:
     """The sum table of an enumerable algebra, cached on the instance under
     its ``repr``: an instance's repr names every field (the integer
     instances are dataclasses), so changing one (say ``cap``) after a query
-    builds a fresh table."""
+    builds a fresh table.  A carrier of more than ``limit`` elements raises
+    :class:`TooManyElements`, having read at most ``limit + 1`` of them."""
     key = repr(alg)
     cached = alg.__dict__.get("_sum_table")
     if cached is None or cached[0] != key:
-        cached = alg._sum_table = (key, _SumTable(alg))
+        elems = alg.elements()
+        try:
+            n = len(elems)
+        except OverflowError:  # a length past sys.maxsize
+            n = None
+        except TypeError:  # no length: read one element past the limit
+            elems = list(itertools.islice(elems, limit + 1))
+            n = len(elems) if len(elems) <= limit else None
+        if n is None or n > limit:
+            raise TooManyElements(alg, n, limit)
+        cached = alg._sum_table = (key, _SumTable(alg, list(elems)))
+    if len(cached[1].elems) > limit:
+        raise TooManyElements(alg, len(cached[1].elems), limit)
     return cached[1]
 
 
@@ -347,9 +513,7 @@ def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, t
     n = len(elems)
     zero = table.ids.get(alg.zero, -2)  # -2 matches no id: then no sum is zero
     found = {
-        "GEiii": _first_true(
-            np.array([table.intern(alg.add(x, alg.zero)) for x in elems], dtype=np.int32) != win
-        ),
+        "GEiii": _first_true(table.sums(win, [table.intern(alg.zero)])[:, 0] != win),
         "GEi": _first_true(first != first.T),
         "GEv": _first_true((first == zero) & ~((win == zero)[:, None] & (win == zero)[None, :])),
     }
@@ -392,14 +556,19 @@ def check_axioms(
     if mode == "exhaustive":
         if not alg.enumerable:
             raise NotEnumerable("exhaustive axiom checks need an enumerable carrier")
-        table = _sum_table(alg)
+        try:
+            table = _sum_table(alg, _EXHAUSTIVE_ELEMENTS)
+        except TooManyElements as exc:
+            n = exc.n
+            if n is None:
+                size = f"more than {exc.limit} elements tests more than {MAX_EXHAUSTIVE_TUPLES} tuples"
+            else:
+                size = f"{n} elements tests {n + n * n + n**3} tuples, more than {MAX_EXHAUSTIVE_TUPLES}"
+            raise ValueError(
+                f"an exhaustive check of {size}; use a smaller --cap or --mode sampled"
+            ) from None
         n = len(table.elems)
         tested = n + n * n + n * n * n
-        if tested > MAX_EXHAUSTIVE_TUPLES:
-            raise ValueError(
-                f"an exhaustive check of {n} elements tests {tested} tuples, more than "
-                f"{MAX_EXHAUSTIVE_TUPLES}; use a smaller --cap or --mode sampled"
-            )
         bad = _exhaustive_violations(alg, table)
         used_seed = None
     elif mode == "sampled":

@@ -375,20 +375,34 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
 
 
 def test_axioms_exhaustive_work_is_bounded(monkeypatch, capsys):
-    add = instances.ConeGEA.add
+    add, add_arrays = instances.ConeGEA.add, instances.ConeGEA.add_arrays
 
     def no_add(self, a, b):
         raise AssertionError("the sum table was built")
 
     monkeypatch.setattr(instances.ConeGEA, "add", no_add)
+    monkeypatch.setattr(instances.ConeGEA, "add_arrays", no_add)
     code, out, err = run_cli(["axioms", "--instance", "cone:2"], capsys)
     monkeypatch.setattr(instances.ConeGEA, "add", add)
+    monkeypatch.setattr(instances.ConeGEA, "add_arrays", add_arrays)
     assert code == 2 and not out
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "--cap" in err and "--mode sampled" in err
     code, body, _ = run_json(["axioms", "--instance", "cone:2", "--cap", "8"], capsys)
     assert code == 0 and body["ok"]
     assert body["report"]["samples_tested"] == 81 + 81**2 + 81**3
+
+
+def test_axioms_refuses_an_oversized_carrier_unread(monkeypatch, capsys):
+    def no_iter(self):
+        raise AssertionError("the carrier was enumerated")
+
+    monkeypatch.setattr(instances._Lazy, "__iter__", no_iter)
+    for mode in ("exhaustive", "sampled"):
+        code, out, err = run_cli(["axioms", "--instance", "cone:40", "--cap", "1", "--mode", mode], capsys)
+        assert code == 2 and not out
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(2**40) in err
 
 
 def test_text_format_renders(capsys):

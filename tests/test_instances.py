@@ -90,3 +90,22 @@ def test_instance_by_name():
     assert isinstance(instances.instance_by_name("broken-max"), instances.BrokenMaxGEA)
     with pytest.raises(ValueError):
         instances.instance_by_name("octonions")
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        *(instances.EvenGapGEA(cap) for cap in range(8)),
+        instances.ConeGEA(3, 2),
+        instances.ConeGEA(1, 4),
+        instances.make_interval_ea(3),
+        instances.make_interval_ea((2, 0, 1)),
+        instances.make_half_open(3),
+        instances.make_half_open((1, 2)),
+    ],
+    ids=repr,
+)
+def test_enumeration_length_matches_its_elements(alg):
+    elems = alg.elements()
+    assert len(elems) == len(list(elems)) == len(set(elems))
+    assert list(elems) == list(elems)  # each pass starts afresh

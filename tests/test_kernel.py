@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from gealab.errors import (
     NoOrderOracle,
     NotEnumerable,
     NotSumClosed,
+    TooManyElements,
     VerificationFailed,
 )
 
@@ -288,6 +290,72 @@ def test_check_axioms_matches_reference_on_random_tables():
     assert all(failing.values()), failing
 
 
+# every integer instance whose table sums through ``add_arrays``: the small
+# instances and those of the exact-kernel benchmark workload
+ARRAY_INSTANCES = [alg for alg in SMALL_INSTANCES if not isinstance(alg, kernel.RestrictedAlgebra)] + [
+    instances.instance_by_name(name, cap)
+    for name, cap in (
+        ("cone:2", 8),
+        ("cone:3", 3),
+        ("zplus", 50),
+        ("even-gap", 50),
+        ("interval:3,2", 8),
+        ("half-open:3,3", 8),
+        ("broken-max", 8),
+    )
+]
+
+
+def _coordinates(values):
+    return np.array([v if isinstance(v, tuple) else (v,) for v in values], dtype=np.int64)
+
+
+def assert_array_sums_match_scalar_sums(alg):
+    """The table built through ``add_arrays`` is the one built through ``add``."""
+    fast, slow = (kernel._SumTable(alg, list(alg.elements())) for _ in range(2))
+    slow._arrays = None
+    # in the order an exhaustive check builds them; the second is the GEiii column
+    built = [
+        [t.first, t.sums(t.win, [t.intern(alg.zero)]), t.left, t.right] for t in (fast, slow)
+    ]
+    assert fast._arrays is not None
+    for name, got, want in zip(("first", "GEiii", "left", "right"), *built):
+        assert np.array_equal(got, want), name
+    assert fast.vals == slow.vals
+    return fast
+
+
+@pytest.mark.parametrize("alg", ARRAY_INSTANCES, ids=repr)
+def test_add_arrays_matches_add(alg):
+    table = assert_array_sums_match_scalar_sums(alg)
+    window, met = table.elems, table.vals[: table.n_first]
+    pairs = [(x, y) for x in window for y in window]
+    pairs += [(x, v) for x in window for v in met] + [(v, x) for x in window for v in met]
+    a, b = zip(*pairs)
+    s, defined = alg.add_arrays(_coordinates(a), _coordinates(b))
+    as_value = tuple if isinstance(window[0], tuple) else (lambda row: row[0])
+    got = [as_value(row) if ok else None for row, ok in zip(s.tolist(), defined.tolist())]
+    assert got == [alg.add(x, y) for x, y in pairs]
+
+
+@dataclasses.dataclass(eq=False)
+class OneBrokenSumCone(instances.ConeGEA):
+    """A cone whose sum (1, 0) + (0, 1) is (1, 2), so commutativity fails."""
+
+    def add(self, a, b):
+        return (1, 2) if (a, b) == ((1, 0), (0, 1)) else super().add(a, b)
+
+
+def test_subclass_overriding_add_is_summed_through_its_own_add():
+    alg = OneBrokenSumCone(2, 3)
+    rep = kernel.check_axioms(alg)
+    assert kernel._sum_table(alg)._arrays is None
+    gei = rep.verdict("GEi")
+    assert not gei.passed and gei.counterexample == ((0, 1), (1, 0))
+    assert kernel.replay(alg, gei)
+    assert rep.to_dict() == ref_check_axioms(alg).to_dict()
+
+
 @pytest.mark.parametrize("alg", SMALL_INSTANCES, ids=repr)
 def test_order_helpers_match_reference_on_instances(alg):
     elems = list(alg.elements())
@@ -365,19 +433,25 @@ def test_order_helpers_outside_the_window():
 
 
 def test_exhaustive_check_builds_the_sum_table_once(monkeypatch):
-    calls = 0
-    add = instances.ConeGEA.add
+    pairs = 0
+    add, add_arrays = instances.ConeGEA.add, instances.ConeGEA.add_arrays
 
     def counting(self, a, b):
-        nonlocal calls
-        calls += 1
+        nonlocal pairs
+        pairs += 1
         return add(self, a, b)
 
+    def counting_arrays(self, a, b):
+        nonlocal pairs
+        pairs += len(a)
+        return add_arrays(self, a, b)
+
     monkeypatch.setattr(instances.ConeGEA, "add", counting)
+    monkeypatch.setattr(instances.ConeGEA, "add_arrays", counting_arrays)
     alg = instances.ConeGEA(2, 8)
     assert kernel.check_axioms(alg).all_pass
-    # one add per tuple would be 81 + 81^2 + 2 * 81^3, about 1.07 million
-    assert calls <= 100_000
+    # one sum per tuple would be 81 + 81^2 + 2 * 81^3, about 1.07 million
+    assert 0 < pairs <= 100_000
 
 
 def _enumerate_per_draw(alg, rng):
@@ -509,11 +583,75 @@ def test_exhaustive_check_refuses_oversized_carrier(monkeypatch):
         raise AssertionError("the sum table was built")
 
     monkeypatch.setattr(instances.ConeGEA, "add", no_add)
+    monkeypatch.setattr(instances.ConeGEA, "add_arrays", no_add)
     n = 51 * 51
     with pytest.raises(ValueError) as err:
         kernel.check_axioms(instances.ConeGEA(2, 50))
     assert str(n + n * n + n**3) in str(err.value)
     assert "--mode sampled" in str(err.value)
+
+
+class Endless(kernel.PartialAlgebra):
+    """The naturals, enumerated by a generator that counts what it hands
+    out and stops a reader that goes past the enumeration bound."""
+
+    zero = 0
+    enumerable = True
+
+    def __init__(self):
+        self.read = 0
+
+    def __repr__(self):
+        return "Endless()"
+
+    def add(self, a, b):
+        return a + b
+
+    def elements(self):
+        for x in itertools.count():
+            self.read += 1
+            if self.read > kernel.MAX_ENUMERATED + 1:
+                raise AssertionError(f"read {self.read} elements")
+            yield x
+
+
+def test_enumeration_is_bounded_before_it_runs():
+    alg = Endless()
+    with pytest.raises(ValueError, match="more than 999 elements"):
+        kernel.check_axioms(alg)
+    assert alg.read == 1000  # n + n^2 + n^3 <= 10^9 holds up to n = 999
+    for query in (
+        lambda: kernel.check_axioms(alg, mode="sampled", samples=3),
+        lambda: kernel.derived_le(alg, 1, 2),
+        lambda: kernel.brute_meet(alg, [1]),
+    ):
+        alg.read = 0
+        with pytest.raises(TooManyElements, match=f"more than {kernel.MAX_ENUMERATED} elements"):
+            query()
+        assert alg.read == kernel.MAX_ENUMERATED + 1
+
+
+def test_oversized_integer_carriers_are_refused_unread(monkeypatch):
+    def no_iter(self):
+        raise AssertionError("the carrier was enumerated")
+
+    monkeypatch.setattr(instances._Lazy, "__iter__", no_iter)
+    big = [
+        instances.ConeGEA(40, 1),
+        instances.EvenGapGEA(10**30),
+        instances.NatGEA(10**30),  # a range past sys.maxsize has no len
+        instances.make_half_open((10**4,) * 3),
+        instances.make_interval_ea(10**7),
+    ]
+    for alg in big:
+        with pytest.raises(ValueError, match="--mode sampled"):
+            kernel.check_axioms(alg)
+        with pytest.raises(TooManyElements):
+            kernel.check_axioms(alg, mode="sampled", samples=3)
+        with pytest.raises(TooManyElements):
+            kernel.derived_le(alg, alg.zero, alg.zero)
+    assert len(instances.ConeGEA(40, 1).elements()) == 2**40
+    assert len(instances.make_half_open((10**4,) * 3).elements()) == (10**4 + 1) ** 3 - 1
 
 
 def test_axioms_pass_on_interval():
@@ -655,7 +793,9 @@ def test_complement_route_rejects_empty_chain():
 @settings(max_examples=40, deadline=None)
 @given(u=st.integers(min_value=1, max_value=8))
 def test_interval_axioms_property(u):
-    assert kernel.check_axioms(instances.make_interval_ea(u)).all_pass
+    for alg in (instances.make_interval_ea(u), instances.make_half_open(u)):
+        assert kernel.check_axioms(alg).all_pass
+        assert_array_sums_match_scalar_sums(alg)
 
 
 @settings(max_examples=40, deadline=None)
@@ -665,7 +805,9 @@ def test_interval_axioms_property(u):
     )
 )
 def test_plane_interval_axioms_property(u):
-    assert kernel.check_axioms(instances.make_interval_ea(u)).all_pass
+    for alg in (instances.make_interval_ea(u), instances.make_half_open(u)):
+        assert kernel.check_axioms(alg).all_pass
+        assert_array_sums_match_scalar_sums(alg)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,6 +4,10 @@ and every default of a private function is overridden by some call."""
 import ast
 from pathlib import Path
 
+from test_kernel import ARRAY_INSTANCES
+
+from gealab import instances
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gealab").glob("*.py"))
 
@@ -76,3 +80,9 @@ def test_every_private_default_is_set():
         if not any(_passes(call, param, position) for call in calls.get(fn, []))
     ]
     assert not unset
+
+
+def test_every_array_sum_is_cross_checked():
+    # an add_arrays that no test compares with its add could drift from it
+    defining = {c for c in vars(instances).values() if isinstance(c, type) and "add_arrays" in vars(c)}
+    assert defining and defining <= {type(alg) for alg in ARRAY_INSTANCES}
