@@ -25,6 +25,13 @@ def _scalar(u, value):
     return value[0] if not isinstance(u, tuple) else value
 
 
+def _check_non_negative(**fields):
+    """Refuse a negative size field, naming it."""
+    for name, value in fields.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 class _Lazy:
     """An enumeration of known length whose elements are made as it is
     read, so that the kernel can refuse a carrier by its size before it
@@ -49,8 +56,7 @@ class NatGEA(PartialAlgebra):
     enumerable = True
 
     def __post_init__(self):
-        if self.cap < 0:
-            raise ValueError("cap must be non-negative")
+        _check_non_negative(cap=self.cap)
 
     def add(self, a, b):
         return a + b
@@ -75,6 +81,9 @@ class EvenGapGEA(PartialAlgebra):
     cap: int = 64
     zero = 0
     enumerable = True
+
+    def __post_init__(self):
+        _check_non_negative(cap=self.cap)
 
     @staticmethod
     def contains(x):
@@ -101,6 +110,9 @@ class ConeGEA(PartialAlgebra):
     dim: int = 2
     cap: int = 8
     enumerable = True
+
+    def __post_init__(self):
+        _check_non_negative(dimension=self.dim, cap=self.cap)
 
     @property
     def zero(self):
@@ -191,6 +203,9 @@ class BrokenMaxGEA(PartialAlgebra):
     zero = 0
     enumerable = True
 
+    def __post_init__(self):
+        _check_non_negative(cap=self.cap)
+
     def add(self, a, b):
         return max(a, b)
 
@@ -246,8 +261,14 @@ def instance_by_name(name: str, cap: int | None = None) -> PartialAlgebra:
     """CLI selector: zplus, even-gap, cone:<d>, interval:<u>, half-open:<u>,
     broken-max.  Tuple bounds are comma-separated, e.g. ``interval:3,2``."""
 
+    def parse_int(text: str, part: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"instance {name!r}: {part} {text!r} is not an integer") from None
+
     def parse_bound(text: str):
-        parts = [int(p) for p in text.split(",")]
+        parts = [parse_int(p, "bound entry") for p in text.split(",")]
         return parts[0] if len(parts) == 1 else tuple(parts)
 
     if cap is not None and cap < 0:
@@ -258,7 +279,7 @@ def instance_by_name(name: str, cap: int | None = None) -> PartialAlgebra:
     if base == "even-gap":
         return EvenGapGEA(64 if cap is None else cap)
     if base == "cone":
-        return ConeGEA(int(arg) if arg else 2, 8 if cap is None else cap)
+        return ConeGEA(parse_int(arg, "dimension") if arg else 2, 8 if cap is None else cap)
     if base == "interval":
         return make_interval_ea(parse_bound(arg) if arg else 6)
     if base == "half-open":

@@ -81,6 +81,12 @@ class _SumTable:
     first, then the sums that leave it; ``-1`` marks an undefined sum.
     Every sum goes through :meth:`sums`.  Each array, and each row of
     ``first``, is built on first use.
+
+    The derived order is held as Python-int bitsets over window positions
+    (bit ``i`` stands for ``elems[i]``): ``down[v]`` is the set of window
+    elements below the value of id ``v``, ``up[i]`` the set above
+    ``elems[i]``.  Meets, joins and the complement routes intersect them
+    with ``&``, and the lowest set bit is the first window element.
     """
 
     def __init__(self, alg: PartialAlgebra, elems: list):
@@ -91,8 +97,8 @@ class _SumTable:
         self.win = np.array([self.intern(e) for e in self.elems], dtype=np.int32)
         self.n_window = len(self.vals)
         # first position of each window id
-        self.at = np.unique(self.win, return_index=True)[1]
-        self._rows: dict[int, np.ndarray] = {}
+        self.at = np.unique(self.win, return_index=True)[1].tolist()
+        self._rows: dict[int, list] = {}
         self._arrays = _array_sums(alg, elems)
 
     def intern(self, value) -> int:
@@ -107,7 +113,7 @@ class _SumTable:
     def position(self, value):
         """Index of ``value`` in the window, or ``None`` outside it."""
         i = self.ids.get(value)
-        return None if i is None or i >= self.n_window else int(self.at[i])
+        return None if i is None or i >= self.n_window else self.at[i]
 
     def sums(self, xs, ys) -> np.ndarray:
         """``out[k, l]``: id of ``vals[xs[k]] + vals[ys[l]]``, or -1.
@@ -132,14 +138,13 @@ class _SumTable:
             out[start : start + len(p)] = got
         return out.reshape(len(xs), m)
 
-    def row(self, i: int) -> np.ndarray:
-        """``first[i]``, built on its own on first use, so that one order
-        query on a large carrier pays n sums rather than n^2."""
-        if "first" in self.__dict__:
-            return self.first[i]
+    def row(self, i: int) -> list:
+        """``first[i]`` as a list, built on its own on first use, so that one
+        order query on a large carrier pays n sums rather than n^2."""
         r = self._rows.get(i)
         if r is None:
-            r = self._rows[i] = self.sums(self.win[i : i + 1], self.win)[0]
+            r = self.first[i] if "first" in self.__dict__ else self.sums(self.win[i : i + 1], self.win)[0]
+            r = self._rows[i] = r.tolist()
         return r
 
     @cached_property
@@ -151,7 +156,6 @@ class _SumTable:
         for i, r in self._rows.items():
             first[i], rest[i] = r, False
         first[rest] = self.sums(self.win[rest], self.win)
-        self._rows.clear()
         return first
 
     @cached_property
@@ -176,33 +180,50 @@ class _SumTable:
         return right
 
     @cached_property
-    def reach(self) -> np.ndarray:
-        """``reach[i, v]``: some window ``z`` has ``elems[i] + z`` of id ``v``."""
+    def down(self) -> list[int]:
+        """``down[v]``, for each id ``v`` below ``n_first``: the bitset of the
+        window positions ``i`` such that some window ``z`` has ``elems[i] + z``
+        of id ``v``, that is the window elements below ``vals[v]``."""
+        return _bitsets(self._reach.T)
+
+    @cached_property
+    def up(self) -> list[int]:
+        """``up[i]``: the bitset of the window positions ``k`` with
+        ``elems[i] <= elems[k]``."""
+        return _bitsets(self._reach[:, self.win])
+
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        """``_reach[i, v]``: some window ``z`` has ``elems[i] + z`` of id ``v``;
+        the matrix ``down`` and ``up`` are packed from."""
         n = len(self.elems)
         reach = np.zeros((n, self.n_first + 1), dtype=bool)
         # undefined sums (-1) land in the spare last column, which is dropped
         reach[np.arange(n)[:, None], self.first] = True
-        reach.flags.writeable = False  # below() and above() hand out views
         return reach[:, :-1]
 
-    @cached_property
-    def le(self) -> np.ndarray:
-        """The derived order on the window: ``le[i, k]`` is ``elems[i] <= elems[k]``."""
-        le = self.reach[:, self.win]
-        le.flags.writeable = False
-        return le
-
-    def below(self, b) -> np.ndarray:
-        """``c <= b`` for every window element ``c``."""
-        reach = self.reach  # builds ``first``, which interns the sums
+    def below(self, b) -> int:
+        """The bitset of the window elements ``c`` with ``c <= b``."""
+        down = self.down  # builds ``first``, which interns the sums
         v = self.ids.get(b)
-        return np.zeros(len(self.elems), dtype=bool) if v is None or v >= self.n_first else reach[:, v]
+        return 0 if v is None or v >= len(down) else down[v]
 
-    def above(self, a) -> np.ndarray:
-        """``a <= c`` for every window element ``c``; all false for an ``a``
-        outside the window, whose sums the table does not hold."""
+    def above(self, a) -> int:
+        """The bitset of the window elements ``c`` with ``a <= c``; empty for
+        an ``a`` outside the window, whose sums the table does not hold."""
         p = self.position(a)
-        return np.zeros(len(self.elems), dtype=bool) if p is None else self.le[p]
+        return 0 if p is None else self.up[p]
+
+
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as a Python int whose bit ``j`` is ``row[j]``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r, "little") for r in packed]
+
+
+def _lowest(bits: int) -> int:
+    """Index of the lowest set bit of a nonzero bitset."""
+    return (bits & -bits).bit_length() - 1
 
 
 class _ArraySums:
@@ -342,15 +363,36 @@ def _sum_table(alg: PartialAlgebra, limit: int = MAX_ENUMERATED) -> _SumTable:
     return cached[1]
 
 
-def _witnesses(alg: PartialAlgebra, a, b) -> list:
+def _witnesses(table: _SumTable, a, b) -> list:
     """Every window element z with a + z = b, in window order."""
-    table = _sum_table(alg)
     p = table.position(a)
     if p is None:  # a lies outside the window: scan its sums
-        return [z for z in table.elems if alg.add(a, z) == b]
+        add = table.alg.add
+        return [z for z in table.elems if add(a, z) == b]
     row = table.row(p)  # interns the sums before b is looked up
     v = table.ids.get(b)
-    return [] if v is None else [table.elems[j] for j in np.flatnonzero(row == v)]
+    found, j = [], -1
+    for _ in range(row.count(v)):
+        j = row.index(v, j + 1)
+        found.append(table.elems[j])
+    return found
+
+
+def _ominus(table: _SumTable, b, a):
+    """The :func:`ominus` of a table's algebra."""
+    found = None
+    for z in _witnesses(table, a, b):
+        if found is not None and z != found:
+            raise NonUniqueWitness(f"{a} + {found} = {a} + {z} = {b} with {found} != {z}")
+        found = z
+    return found
+
+
+def _search_table(alg: PartialAlgebra) -> _SumTable:
+    """The sum table that subtraction by search reads."""
+    if not alg.enumerable:
+        raise NoOrderOracle("subtraction by search needs an enumerable carrier")
+    return _sum_table(alg)
 
 
 def derived_le(alg: PartialAlgebra, a, b) -> bool:
@@ -361,7 +403,7 @@ def derived_le(alg: PartialAlgebra, a, b) -> bool:
     registered a decision oracle.
     """
     if alg.enumerable:
-        return bool(_witnesses(alg, a, b))
+        return bool(_witnesses(_sum_table(alg), a, b))
     if alg.le_oracle is not None:
         return bool(alg.le_oracle(a, b))
     raise NoOrderOracle(f"{type(alg).__name__} is not enumerable and has no order oracle")
@@ -374,14 +416,7 @@ def ominus(alg: PartialAlgebra, b, a):
     raises :class:`NonUniqueWitness` because the instance then violates
     the cancellation axiom.
     """
-    if not alg.enumerable:
-        raise NoOrderOracle("subtraction by search needs an enumerable carrier")
-    found = None
-    for z in _witnesses(alg, a, b):
-        if found is not None and z != found:
-            raise NonUniqueWitness(f"{a} + {found} = {a} + {z} = {b} with {found} != {z}")
-        found = z
-    return found
+    return _ominus(_search_table(alg), b, a)
 
 
 # --------------------------------------------------------------- axioms
@@ -674,30 +709,31 @@ def restrict(ambient: PartialAlgebra, subset) -> RestrictedAlgebra:
 # ------------------------------------------------------- meets and joins
 
 
-def _extremum(alg: PartialAlgebra, items, lower: bool):
+def _extremum(table: _SumTable, items, lower: bool):
     """Greatest lower (``lower``) or least upper bound of ``items`` by
     exhaustive scan of the window, or ``None``."""
-    table = _sum_table(alg)
-    # le[c, m]: m dominates c, that is c <= m for a meet and m <= c for a join
-    le = table.le if lower else table.le.T
-    bounds = np.ones(len(table.elems), dtype=bool)
+    bounds = (1 << len(table.elems)) - 1
     for e in items:
         bounds &= table.below(e) if lower else table.above(e)
-    cand = np.flatnonzero(bounds)
-    for m in cand:
-        if le[cand, m].all():
+    cand = bounds
+    while cand:
+        m = _lowest(cand)
+        # the bound m dominates every bound: each lies below m for a meet, above it for a join
+        dominated = table.down[table.win[m]] if lower else table.up[m]
+        if not bounds & ~dominated:
             return table.elems[m]
+        cand &= cand - 1
     return None
 
 
 def brute_meet(alg: PartialAlgebra, items):
     """Greatest lower bound of ``items`` by exhaustive scan, or ``None``."""
-    return _extremum(alg, items, lower=True)
+    return _extremum(_sum_table(alg), items, lower=True)
 
 
 def brute_join(alg: PartialAlgebra, items):
     """Least upper bound of ``items`` by exhaustive scan, or ``None``."""
-    return _extremum(alg, items, lower=False)
+    return _extremum(_sum_table(alg), items, lower=False)
 
 
 def meet_via_complement_join(alg: PartialAlgebra, chain, join_oracle=None):
@@ -705,36 +741,38 @@ def meet_via_complement_join(alg: PartialAlgebra, chain, join_oracle=None):
 
     For a_1 >= a_2 >= ... the differences a_1 - a_n form an ascending
     chain below a_1; if their join a' exists, then a_1 - a' is the meet of
-    the original chain.  On enumerable carriers the result is verified to
-    be a lower bound that dominates every enumerated lower bound.
+    the original chain.  The result is verified to be a lower bound that
+    dominates every enumerated lower bound.
     """
     chain = list(chain)
     if not chain:
         raise ValueError("empty chain")
+    table = _search_table(alg)
     if join_oracle is None:
-        join_oracle = lambda seq: brute_join(alg, seq)  # noqa: E731
+        join_oracle = lambda seq: _extremum(table, seq, lower=False)  # noqa: E731
     head = chain[0]
     diffs = []
     for a in chain:
-        d = ominus(alg, head, a)
+        d = _ominus(table, head, a)
         if d is None:
             raise ValueError("chain is not descending from its first element")
         diffs.append(d)
     sup = join_oracle(diffs)
     if sup is None:
         raise JoinUnavailable("complement chain has no join")
-    meet = ominus(alg, head, sup)
+    meet = _ominus(table, head, sup)
     if meet is None:
         raise VerificationFailed("join of complements is not below the chain head")
-    if alg.enumerable:
-        if not all(derived_le(alg, meet, a) for a in chain):
-            raise VerificationFailed("computed meet is not a lower bound")
-        table = _sum_table(alg)
-        lower = np.logical_and.reduce([table.below(a) for a in chain])
-        stray = np.flatnonzero(lower & ~table.below(meet))
-        if len(stray):
-            c = table.elems[stray[0]]
-            raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
+    lower = (1 << len(table.elems)) - 1
+    for a in chain:
+        lower &= table.below(a)
+    # meet is a witness, so it lies in the window
+    if not lower >> table.position(meet) & 1:
+        raise VerificationFailed("computed meet is not a lower bound")
+    stray = lower & ~table.below(meet)
+    if stray:
+        c = table.elems[_lowest(stray)]
+        raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
     return meet
 
 
@@ -743,38 +781,42 @@ def join_via_complement_meet(alg: PartialAlgebra, chain, bound, meet_oracle=None
 
     For a_1 <= a_2 <= ... <= b the differences b - a_n descend; if their
     meet b' exists, then b - b' is the join of the chain, and it does not
-    depend on which dominating b was used.  On enumerable carriers the
-    result is verified to be the least upper bound below ``bound``.
+    depend on which dominating b was used.  The result is verified to be
+    the least upper bound below ``bound``.
     """
     chain = list(chain)
     if not chain:
         raise ValueError("empty chain")
+    table = _search_table(alg)
     if meet_oracle is None:
-        meet_oracle = lambda seq: brute_meet(alg, seq)  # noqa: E731
+        meet_oracle = lambda seq: _extremum(table, seq, lower=True)  # noqa: E731
     diffs = []
     for a in chain:
-        d = ominus(alg, bound, a)
+        d = _ominus(table, bound, a)
         if d is None:
             raise ValueError(f"chain element {a} is not below the bound {bound}")
         diffs.append(d)
     inf = meet_oracle(diffs)
     if inf is None:
         raise MeetUnavailable("complement chain has no meet")
-    join = ominus(alg, bound, inf)
+    join = _ominus(table, bound, inf)
     if join is None:
         raise VerificationFailed("meet of complements is not below the bound")
-    if alg.enumerable:
-        if not all(derived_le(alg, a, join) for a in chain):
-            raise VerificationFailed("computed join is not an upper bound")
-        table = _sum_table(alg)
-        upper = table.below(bound)
-        for a in chain:
-            if table.position(a) is None:  # a lies outside the window: scan its sums
-                upper = upper & [derived_le(alg, a, c) for c in table.elems]
-            else:
-                upper = upper & table.above(a)
-        stray = np.flatnonzero(upper & ~table.above(join))
-        if len(stray):
-            c = table.elems[stray[0]]
-            raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
+    above = []
+    for a in chain:
+        if table.position(a) is None:  # a lies outside the window: scan its sums
+            above.append(sum(1 << k for k, c in enumerate(table.elems) if _witnesses(table, a, c)))
+        else:
+            above.append(table.above(a))
+    # join is a witness, so it lies in the window
+    p = table.position(join)
+    if not all(m >> p & 1 for m in above):
+        raise VerificationFailed("computed join is not an upper bound")
+    upper = table.below(bound)
+    for m in above:
+        upper &= m
+    stray = upper & ~table.above(join)
+    if stray:
+        c = table.elems[_lowest(stray)]
+        raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
     return join

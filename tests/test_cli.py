@@ -74,6 +74,22 @@ def test_axioms_negative_cap_is_config_error(capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_axioms_negative_cone_dimension_is_config_error(capsys):
+    code, out, err = run_cli(["axioms", "--instance", "cone:-1"], capsys)
+    assert code == 2 and not out
+    assert err == "config error: dimension must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "name, part",
+    [("cone:x", "dimension 'x'"), ("interval:a", "bound entry 'a'"), ("half-open:3,", "bound entry ''")],
+)
+def test_axioms_instance_parse_errors_name_the_selector(capsys, name, part):
+    code, out, err = run_cli(["axioms", "--instance", name], capsys)
+    assert code == 2 and not out
+    assert err == f"config error: instance {name!r}: {part} is not an integer\n"
+
+
 def test_axioms_cap_zero_is_honoured(capsys):
     code, body, _ = run_json(["axioms", "--instance", "zplus", "--cap", "0"], capsys)
     assert code == 0 and body["config"]["cap"] == 0

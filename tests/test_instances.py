@@ -40,6 +40,26 @@ def test_cone_gea():
     assert kernel.check_axioms(alg).all_pass
 
 
+def test_cone_refuses_a_negative_dimension_or_cap():
+    with pytest.raises(ValueError, match=r"^dimension must be non-negative, got -1$"):
+        instances.ConeGEA(-1, 3)
+    with pytest.raises(ValueError, match=r"^cap must be non-negative, got -1$"):
+        instances.ConeGEA(2, -1)
+    assert list(instances.ConeGEA(0, 0).elements()) == [()]
+
+
+def test_even_gap_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match=r"^cap must be non-negative, got -3$"):
+        instances.EvenGapGEA(-3)
+    assert list(instances.EvenGapGEA(0).elements()) == [0]
+
+
+def test_broken_max_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match=r"^cap must be non-negative, got -2$"):
+        instances.BrokenMaxGEA(-2)
+    assert list(instances.BrokenMaxGEA(0).elements()) == [0]
+
+
 def test_interval_ea_has_top():
     alg = instances.make_interval_ea(4)
     assert alg.add(2, 2) == 4

@@ -228,12 +228,13 @@ class TableAlgebra(kernel.PartialAlgebra):
         return list(self.window)
 
 
-def random_table_algebra(seed):
-    """Truncated integer addition on 0..k-1 (1 <= k <= 7) whose sums may
-    leave the window into a few outside values, with some entries
-    overwritten at random: undefined, a window value or an outside one."""
+def random_table_algebra(seed, sizes=(1, 7)):
+    """Truncated integer addition on 0..k-1 (k drawn from ``sizes``, both
+    ends included) whose sums may leave the window into a few outside
+    values, with some entries overwritten at random: undefined, a window
+    value or an outside one."""
     rng = random.Random(seed)
-    k = rng.randint(1, 7)
+    k = rng.randint(*sizes)
     top = k + rng.randint(0, 3)  # values k..top-1 lie outside the window
     universe = list(range(top))
     noise = rng.choice((0.0, 0.0, 0.03, 0.1, 0.3))
@@ -432,6 +433,98 @@ def test_order_helpers_outside_the_window():
     assert kernel.brute_meet(alg, [12]) == 10
 
 
+def assert_order_matches_reference(alg, values, rng):
+    """``derived_le``, ``ominus``, ``brute_meet``/``brute_join`` and both
+    complement routes against the reference loops, on seeded arguments that
+    take in the first and last window positions and values past the window."""
+    elems = list(alg.elements())
+    past = [v for v in values if v not in elems]
+    ends = elems[:2] + elems[-3:] + past[:3]
+    pairs = [*itertools.product(ends, ends), *((rng.choice(values), rng.choice(values)) for _ in range(100))]
+    for a, b in pairs:
+        assert kernel.derived_le(alg, a, b) == ref_derived_le(alg, a, b), (a, b)
+        assert _outcome(kernel.ominus, alg, b, a) == _outcome(ref_ominus, alg, b, a), (a, b)
+    picks = ends + rng.sample(values, min(3, len(values)))
+    for items in [[], *([v] for v in ends), *(rng.sample(picks, 2) for _ in range(3))]:
+        assert kernel.brute_meet(alg, items) == ref_brute_meet(alg, items), items
+        assert kernel.brute_join(alg, items) == ref_brute_join(alg, items), items
+
+    def oracle(seq):
+        # a fixed, often wrong extremum, so the verification steps run
+        return values[hash(tuple(seq)) % len(values)]
+
+    for k in range(4):
+        if k % 2:  # any three values, most of them no chain
+            chain = rng.sample(values, 3)
+        else:  # a descending chain from the upper half of the window
+            chain = [rng.choice(elems[len(elems) // 2 :])]
+            for _ in range(2):
+                chain.append(rng.choice([c for c in elems if ref_derived_le(alg, c, chain[-1])] or chain))
+        bound = rng.choice([chain[0], elems[-1], rng.choice(values)])
+        for fn, ref, args in (
+            (kernel.meet_via_complement_join, ref_meet_via_complement_join, (chain,)),
+            (kernel.join_via_complement_meet, ref_join_via_complement_meet, (chain[::-1], bound)),
+        ):
+            for extra in ((), (oracle,)):
+                got = _outcome(fn, alg, *args, *extra)
+                assert got == _outcome(ref, alg, *args, *extra), (fn.__name__, args, extra)
+
+
+# windows whose order bitsets fill one byte (8 elements) or just pass it (9),
+# end just inside, at or just past one 64-bit word (63, 64, 65), or go past it
+WIDE_INSTANCES = [
+    instances.NatGEA(7),  # 8 elements
+    instances.make_interval_ea(8),  # 9
+    instances.make_half_open((7, 7)),  # 63
+    instances.make_interval_ea((7, 7)),  # 64
+    instances.make_half_open((5, 10)),  # 65
+    instances.BrokenMaxGEA(69),  # 70, with non-unique witnesses
+    kernel.RestrictedAlgebra(instances.NatGEA(99), [0, *range(31, 100)]),  # 70
+    instances.make_interval_ea((8, 8)),  # 81
+    instances.ConeGEA(2, 11),  # 144, past two words
+]
+
+
+@pytest.mark.parametrize("alg", WIDE_INSTANCES, ids=lambda alg: f"{type(alg).__name__}-{len(alg.elements())}")
+def test_order_helpers_match_reference_on_wide_windows(alg):
+    elems = list(alg.elements())
+    extra = [alg.add(x, y) for x in elems[-2:] for y in elems[-2:]]  # sums past the window
+    values = elems + [v for v in extra if v is not None and v not in elems]
+    assert_order_matches_reference(alg, values, random.Random(len(elems)))
+
+
+def test_order_helpers_match_reference_on_wide_random_tables():
+    for k in (8, 9, 63, 64, 65, 70):
+        for seed in range(3):
+            alg, values = random_table_algebra(100 * k + seed, sizes=(k, k))
+            assert_order_matches_reference(alg, values, random.Random(seed))
+
+
+def test_each_public_order_call_looks_up_the_sum_table_once(monkeypatch):
+    calls = 0
+    lookup = kernel._sum_table
+
+    def counting(alg, *args):
+        nonlocal calls
+        calls += 1
+        return lookup(alg, *args)
+
+    monkeypatch.setattr(kernel, "_sum_table", counting)
+    alg = instances.make_interval_ea((4, 4))
+    chain = [(4, 3), (2, 2), (1, 0)]
+    for fn, args, want in (
+        (kernel.meet_via_complement_join, (chain,), (1, 0)),
+        (kernel.join_via_complement_meet, (chain[::-1], (4, 4)), (4, 3)),
+        (kernel.brute_meet, (chain,), (1, 0)),
+        (kernel.brute_join, (chain,), (4, 3)),
+        (kernel.derived_le, ((1, 0), (4, 3)), True),
+        (kernel.ominus, ((4, 3), (1, 0)), (3, 3)),
+    ):
+        calls = 0
+        assert fn(alg, *args) == want, fn.__name__
+        assert calls == 1, fn.__name__
+
+
 def test_exhaustive_check_builds_the_sum_table_once(monkeypatch):
     pairs = 0
     add, add_arrays = instances.ConeGEA.add, instances.ConeGEA.add_arrays
@@ -547,6 +640,24 @@ def test_sum_table_follows_a_changed_instance():
     assert kernel.derived_le(alg, 3, 9)
     assert kernel.ominus(alg, 9, 3) == 6
     assert kernel.check_axioms(alg).samples_tested == 11 + 11**2 + 11**3
+
+
+def test_sum_table_follows_a_changed_base_of_a_restriction():
+    members = [0, 3, 6, 9, 12]
+    base = instances.make_interval_ea(12)
+    alg = kernel.RestrictedAlgebra(base, members)
+    table = kernel._sum_table(alg)
+    assert kernel.derived_le(alg, 6, 12) and kernel.brute_join(alg, [3, 6]) == 6
+    base.u = 10  # 6 + 6 no longer lies in the base
+    fresh = kernel.RestrictedAlgebra(instances.make_interval_ea(10), members)
+    assert kernel._sum_table(alg) is not table
+    assert not kernel.derived_le(alg, 6, 12)
+    for a in members:
+        for b in members:
+            assert kernel.derived_le(alg, a, b) == kernel.derived_le(fresh, a, b), (a, b)
+            assert kernel.ominus(alg, b, a) == kernel.ominus(fresh, b, a), (a, b)
+            assert kernel.brute_meet(alg, [a, b]) == kernel.brute_meet(fresh, [a, b]), (a, b)
+            assert kernel.brute_join(alg, [a, b]) == kernel.brute_join(fresh, [a, b]), (a, b)
 
 
 # every field of every integer instance class: (class, fields at the query, field, new value)
