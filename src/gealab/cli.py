@@ -43,7 +43,11 @@ def _emit(report: dict, args) -> None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone: send the rest, and the flush at exit, nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _render_text(report: dict, indent: int = 0) -> str:

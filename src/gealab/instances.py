@@ -32,6 +32,14 @@ def _check_non_negative(**fields):
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def _validate_bound(u):
+    ut = _as_tuple(u)
+    if not all(isinstance(c, int) for c in ut):
+        raise NonPositiveBound(f"bound must be integral, got {u!r}")
+    if any(c < 0 for c in ut) or all(c == 0 for c in ut):
+        raise NonPositiveBound(f"bound must be strictly positive in the cone order, got {u!r}")
+
+
 class _Lazy:
     """An enumeration of known length whose elements are made as it is
     read, so that the kernel can refuse a carrier by its size before it
@@ -143,6 +151,9 @@ class HalfOpenIntervalGEA(PartialAlgebra):
     u: int | tuple[int, ...]
     enumerable = True
 
+    def __post_init__(self):
+        _validate_bound(self.u)
+
     @property
     def zero(self):
         return _scalar(self.u, (0,) * len(_as_tuple(self.u)))
@@ -216,22 +227,8 @@ class BrokenMaxGEA(PartialAlgebra):
         return range(self.cap + 1)
 
 
-def _validate_bound(u):
-    ut = _as_tuple(u)
-    if not all(isinstance(c, int) for c in ut):
-        raise NonPositiveBound(f"bound must be integral, got {u!r}")
-    if any(c < 0 for c in ut) or all(c == 0 for c in ut):
-        raise NonPositiveBound(f"bound must be strictly positive in the cone order, got {u!r}")
-
-
-def make_interval_ea(u) -> IntervalEA:
-    _validate_bound(u)
-    return IntervalEA(u)
-
-
-def make_half_open(u) -> HalfOpenIntervalGEA:
-    _validate_bound(u)
-    return HalfOpenIntervalGEA(u)
+# the interval factories: each class checks its bound when it is built
+make_interval_ea, make_half_open = IntervalEA, HalfOpenIntervalGEA
 
 
 def restricted_order_demo(cap: int = 50) -> dict:
@@ -274,16 +271,15 @@ def instance_by_name(name: str, cap: int | None = None) -> PartialAlgebra:
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     base, _, arg = name.partition(":")
-    if base == "zplus":
-        return NatGEA(64 if cap is None else cap)
-    if base == "even-gap":
-        return EvenGapGEA(64 if cap is None else cap)
+    capped = {"zplus": NatGEA, "even-gap": EvenGapGEA, "broken-max": BrokenMaxGEA}.get(base)
+    if capped is not None:
+        if arg:
+            raise ValueError(f"instance {name!r}: {base} takes no argument, got {arg!r}")
+        return capped() if cap is None else capped(cap)
     if base == "cone":
         return ConeGEA(parse_int(arg, "dimension") if arg else 2, 8 if cap is None else cap)
     if base == "interval":
-        return make_interval_ea(parse_bound(arg) if arg else 6)
+        return IntervalEA(parse_bound(arg) if arg else 6)
     if base == "half-open":
-        return make_half_open(parse_bound(arg) if arg else (2, 2))
-    if base == "broken-max":
-        return BrokenMaxGEA(8 if cap is None else cap)
+        return HalfOpenIntervalGEA(parse_bound(arg) if arg else (2, 2))
     raise ValueError(f"unknown instance {name!r}")

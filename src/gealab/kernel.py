@@ -11,7 +11,6 @@ integer instances and on the form algebras built elsewhere in the package.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,8 +39,6 @@ _EXHAUSTIVE_ELEMENTS = max(
 MAX_ENUMERATED = 10**6
 # pairs per array sum, so that peak memory does not grow with the carrier
 _BLOCK = 1 << 16
-# coordinates stay below this in size, so that no sum of two overflows int64
-_COORD_BOUND = 1 << 31
 
 
 class PartialAlgebra:
@@ -52,8 +49,8 @@ class PartialAlgebra:
     sampling method together with an order oracle for the derived order.
     Elements must support ``==`` and hashing.  A carrier of ints or int
     tuples may also provide ``add_arrays(a, b) -> (sums, defined)``, the
-    same sum over int64 arrays with one point per row, which the sum
-    table then uses in place of one ``add`` call per pair.
+    same sum over int64 arrays with one point per row, which the sum table
+    uses in place of ``add`` on non-negative coordinates (see ``_ArraySums``).
     """
 
     zero = None
@@ -230,33 +227,35 @@ class _ArraySums:
     """The sums of a table's values through ``add_arrays``, over int64
     coordinate arrays.
 
-    A value is an int or a tuple of ``dim`` ints; its coordinates are a row
-    of ``coords``, which holds one row per id interned so far.  Each row
-    has a mixed-radix int64 key over the box ``[lo, lo + span)``, and the
-    sorted keys find the ids of a block's sums with one ``searchsorted``,
-    so the table's Python ``intern`` runs once per new value.
+    A value is an int or a tuple of ``dim`` ints; ``coords`` holds its
+    coordinates, one row per id interned so far.  A key packs a row into bit
+    fields, the first coordinate highest, so that window order is key order
+    and lookups stay local.  The fields are sized once, from the first
+    values synced (the window, and the zero if it came first): coordinate
+    ``d`` gets ``(3 * max_d).bit_length()`` bits, room for a sum of three
+    window values, the most a table holds; at most 62 bits in all keep a key
+    and a sum of two coordinates in int64.  A value or sum outside its field
+    sends the table to ``add``.  One ``searchsorted`` over the sorted keys
+    finds a block's ids, so ``intern`` runs once per new value.
     """
 
     def __init__(self, add_arrays, scalar: bool, dim: int):
         self.add_arrays, self.scalar = add_arrays, scalar
         self.coords = np.empty((0, dim), dtype=np.int64)
-        self.lo = np.zeros(dim, dtype=np.int64)
-        self.span = np.ones(dim, dtype=np.int64)
-        self.strides = np.ones(dim, dtype=np.int64)
+        self.width = self.scale = None  # each field's bits and unit, from the first sync
         self.sorted = np.empty(0, dtype=np.int64)  # the keys of coords, ascending
         self.order = np.empty(0, dtype=np.int32)  # the id of each sorted key
 
     def ids(self, table: _SumTable, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
         """Ids of ``vals[x[k]] + vals[y[k]]`` (-1 where undefined), new values
-        interned in order; ``None`` when a value has no coordinates or the
-        keys would not fit in int64."""
+        interned in order; ``None`` when a value or sum has no place in the fields."""
         if not self._sync(table.vals):
             return None
         s, defined = self.add_arrays(self.coords[x], self.coords[y])
         s = s[defined]
-        if len(s) and not self._fits(s):
+        if (s >> self.width).any():  # negative, or too wide for its field
             return None
-        keys = self._key(s)
+        keys = s @ self.scale
         pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)
         known = self.sorted[pos] == keys
         got = self.order[pos]
@@ -272,50 +271,31 @@ class _ArraySums:
         return out
 
     def _sync(self, vals: list) -> bool:
-        """Give coordinates and keys to the values interned since the last
-        call; False when one is not an int (a tuple of ``dim`` ints) below
-        ``_COORD_BOUND`` in size."""
+        """Key the values interned since the last call, sizing the fields on
+        the first; False when one is no int (tuple of ``dim`` ints) in them."""
         new = vals[len(self.coords) :]
         if not new:
             return True
         rows = [(v,) for v in new] if self.scalar else new
         dim = self.coords.shape[1]
-        if not all(
-            type(r) is tuple and len(r) == dim and all(type(c) is int and abs(c) < _COORD_BOUND for c in r)
-            for r in rows
-        ):
+        if not all(type(r) is tuple and len(r) == dim and all(type(c) is int for c in r) for r in rows):
             return False
-        c = np.array(rows, dtype=np.int64)
-        if not self._fits(c):
+        try:
+            c = np.array(rows, dtype=np.int64)
+        except OverflowError:
             return False
-        ids = np.arange(len(self.coords), len(self.coords) + len(c), dtype=np.int32)
-        self.coords = np.concatenate([self.coords, c])
-        keys = self._key(c)
+        if self.width is None:
+            self.width = np.array([(3 * m).bit_length() for m in c.max(axis=0).tolist()], dtype=np.int64)
+            self.scale = 1 << (np.cumsum(self.width[::-1])[::-1] - self.width)
+        if self.width.sum() > 62 or (c >> self.width).any():
+            return False
+        keys = c @ self.scale
         at = np.argsort(keys)
         pos = np.searchsorted(self.sorted, keys[at])
         self.sorted = np.insert(self.sorted, pos, keys[at])
-        self.order = np.insert(self.order, pos, ids[at])
+        self.order = np.insert(self.order, pos, len(self.coords) + at)  # the new ids, in key order
+        self.coords = np.concatenate([self.coords, c])
         return True
-
-    def _fits(self, c: np.ndarray) -> bool:
-        """Widen the key box to hold the points ``c``, re-keying the known
-        values; False when the keys would not fit in int64."""
-        lo = np.minimum(self.lo, c.min(axis=0))
-        hi = np.maximum(self.lo + self.span, c.max(axis=0) + 1)
-        if (lo == self.lo).all() and (hi == self.lo + self.span).all():
-            return True
-        span = (2 * (hi - lo)).tolist()  # room to grow, so that widening is rare
-        if math.prod(span) > np.iinfo(np.int64).max:
-            return False
-        self.lo, self.span = lo, np.array(span, dtype=np.int64)
-        self.strides = np.array([math.prod(span[k + 1 :]) for k in range(len(span))], dtype=np.int64)
-        keys = self._key(self.coords)
-        self.order = np.argsort(keys).astype(np.int32)
-        self.sorted = keys[self.order]
-        return True
-
-    def _key(self, c: np.ndarray) -> np.ndarray:
-        return ((c - self.lo) * self.strides).sum(axis=1)
 
 
 def _array_sums(alg: PartialAlgebra, elems: list) -> _ArraySums | None:
@@ -555,11 +535,13 @@ def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, t
     bad = {axiom: tuple(elems[i] for i in at) for axiom, at in found.items() if at is not None}
     left, right = table.left, table.right
     distinct = win[:, None] != win[None, :]
+    # one buffer each for every x, so that no n x n temporary is mapped and faulted in per pass
+    lhs, rhs = np.empty((n, n), dtype=np.int32), np.empty((n, n), dtype=np.int32)
     for i in range(n):
         row = first[i]
         if "GEii" not in bad:
             # (x + y) + z against x + (y + z), undefined as -1 on both sides
-            at = _first_true(left[row] != right[i][first])
+            at = _first_true(np.take(left, row, axis=0, out=lhs) != np.take(right[i], first, out=rhs))
             if at is not None:
                 bad["GEii"] = (elems[i], elems[at[0]], elems[at[1]])
         if "GEiv" not in bad:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gealab import chains, cli, families, instances
+from gealab.errors import GealabError
 
 
 def run_cli(argv, capsys):
@@ -88,6 +89,14 @@ def test_axioms_instance_parse_errors_name_the_selector(capsys, name, part):
     code, out, err = run_cli(["axioms", "--instance", name], capsys)
     assert code == 2 and not out
     assert err == f"config error: instance {name!r}: {part} is not an integer\n"
+
+
+@pytest.mark.parametrize("name", ["zplus:abc", "even-gap:3", "broken-max:x"])
+def test_axioms_selector_without_argument_refuses_one(capsys, name):
+    code, out, err = run_cli(["axioms", "--instance", name, "--cap", "3"], capsys)
+    base, _, arg = name.partition(":")
+    assert code == 2 and not out
+    assert err == f"config error: instance {name!r}: {base} takes no argument, got {arg!r}\n"
 
 
 def test_axioms_cap_zero_is_honoured(capsys):
@@ -295,6 +304,13 @@ def test_chain_nonpositive_level_is_config_error(capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_chain_unparsable_levels_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chain", "--chain", "kato", "--levels", "a,b"])
+    assert exc.value.code == 2
+    assert "bad level list 'a,b'" in capsys.readouterr().err
+
+
 def test_chain_has_no_tol_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["chain", "--chain", "kato", "--tol", "1e-9"])
@@ -426,6 +442,55 @@ def test_text_format_renders(capsys):
     assert code == 0
     assert not out.lstrip().startswith("{")
     assert "two_of_three_violated: True" in out
+
+
+def test_chain_and_sigma_text_format(capsys):
+    code, body, _ = run_json(["chain", "--chain", "kato", "--n-max", "4"], capsys)
+    code_text, out, _ = run_cli(["chain", "--chain", "kato", "--n-max", "4"], capsys)
+    assert code == code_text == 0
+    lines = out.splitlines()
+    # plain list items, and floats at 12 significant digits
+    assert lines[lines.index("    n_values:") + 1 : lines.index("    n_values:") + 4] == [
+        "      - 1",
+        "      - 2",
+        "      - 4",
+    ]
+    gaps = [row["max_gap"] for row in body["report"]["pointwise"]["table"]]
+    assert [line.strip() for line in lines if "max_gap:" in line] == [f"max_gap: {g:.12g}" for g in gaps]
+    assert any(len(f"{g:.12g}".replace(".", "")) == 12 for g in gaps)
+    code, out, _ = run_cli(["sigma", "--n-max", "8"], capsys)
+    assert code == 0 and "ok: True" in out.splitlines()
+    assert "        - 1*energy on h1_grid [grid]" in out.splitlines()
+
+
+def test_counterexample_error_exits_one_with_error_field(monkeypatch, capsys):
+    def fails():
+        raise GealabError("no witness today")
+
+    monkeypatch.setitem(cli._CE_HANDLERS, "regular-sum", fails)
+    code, body, _ = run_json(["counterexample", "regular-sum"], capsys)
+    assert code == 1 and not body["ok"]
+    assert body["report"] == {"error": "no witness today"}
+
+
+def test_sigma_error_exits_one_with_error_field(monkeypatch, capsys):
+    def fails(**kwargs):
+        raise GealabError("no table today")
+
+    monkeypatch.setattr(chains, "sigma_report", fails)
+    code, body, _ = run_json(["sigma", "--n-max", "8"], capsys)
+    assert code == 1 and not body["ok"]
+    assert body["report"] == {"error": "no table today", "witness": {"n_max": 8}}
+
+
+@pytest.mark.parametrize("instance, verdict", [("zplus", 0), ("broken-max", 1)])
+def test_closed_stdout_keeps_the_verdict_code(instance, verdict):
+    cmd = [sys.executable, "-m", "gealab.cli", "axioms", "--instance", instance, "--cap", "3", "--format", "json"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the child is still importing, so it writes to a closed pipe
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == verdict
+    assert err == b""
 
 
 def test_seed_env_fallback(monkeypatch, capsys):

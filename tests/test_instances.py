@@ -1,5 +1,7 @@
 """Exact integer instances and the CLI selector."""
 
+import re
+
 import pytest
 
 from gealab import instances, kernel
@@ -89,6 +91,13 @@ def test_bound_validation():
         instances.make_interval_ea((0, 0))
     with pytest.raises(NonPositiveBound):
         instances.make_half_open(-2)
+
+
+@pytest.mark.parametrize("cls", [instances.IntervalEA, instances.HalfOpenIntervalGEA], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("u", [0, (0, 0), (2, -1), -3, (1, 1.5)])
+def test_interval_classes_check_their_bound_when_built(cls, u):
+    with pytest.raises(NonPositiveBound, match=re.escape(f"got {u!r}") + "$"):
+        cls(u)
 
 
 def test_restricted_order_demo_pinned_facts():

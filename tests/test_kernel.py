@@ -340,6 +340,80 @@ def test_add_arrays_matches_add(alg):
 
 
 @dataclasses.dataclass(eq=False)
+class ShiftedSum(kernel.PartialAlgebra):
+    """A test table on {0, 1, 2, top}: the sum a + b + shift, and a zero that
+    may lie anywhere, so that values and sums can leave the key fields."""
+
+    top: int = 5
+    shift: int = 0
+    zero: int = 0
+    enumerable = True
+
+    def add(self, a, b):
+        return a + b + self.shift
+
+    def add_arrays(self, a, b):
+        return a + b + self.shift, np.ones(len(a), dtype=bool)
+
+    def elements(self):
+        return [0, 1, 2, self.top]
+
+
+@dataclasses.dataclass(eq=False)
+class FarZeroSquare(kernel.PartialAlgebra):
+    """A test table on {(0, 0), (1, 0), (0, 1)} under componentwise sums, with
+    a zero (4, 0) whose sums are undefined: past its 2-bit field, it would
+    take the key of (0, 1)."""
+
+    zero = (4, 0)
+    enumerable = True
+
+    def add(self, a, b):
+        return None if self.zero in (a, b) else (a[0] + b[0], a[1] + b[1])
+
+    def add_arrays(self, a, b):
+        return a + b, ~((a == self.zero).all(axis=1) | (b == self.zero).all(axis=1))
+
+    def elements(self):
+        return [(0, 0), (1, 0), (0, 1)]
+
+
+def _stages(table, zero):
+    """A table's arrays, in the order an exhaustive check builds them."""
+    yield "first", table.first
+    yield "GEiii", table.sums(table.win, [table.intern(zero)])
+    yield "left", table.left
+    yield "right", table.right
+
+
+# the window {0, 1, 2, 5} gets a field of 4 bits, 0 to 15
+@pytest.mark.parametrize(
+    "alg, stage",
+    [
+        (ShiftedSum(5, 1), "left"),  # a sum of three window values reaches 17
+        (ShiftedSum(5, -3), "first"),  # a negative sum
+        (ShiftedSum(5, 0, 99), "GEiii"),  # a zero past its field, interned after the window
+        (ShiftedSum(5, 0, -1), "GEiii"),  # a negative zero
+        (FarZeroSquare(), "GEiii"),  # a zero past its field, with no sum to check
+        (ShiftedSum(2**61), "first"),  # a field of 63 bits
+        (ShiftedSum(2**70), "first"),  # a value past int64
+        (ShiftedSum((2**62 - 1) // 3), None),  # a field of 62 bits holds every sum
+    ],
+    ids=repr,
+)
+def test_array_sums_fall_back_to_add_outside_the_fields(alg, stage):
+    fast, slow = (kernel._SumTable(alg, list(alg.elements())) for _ in range(2))
+    slow._arrays = None
+    off = []  # the arrays built once the array path was given up
+    for (name, got), (_, want) in zip(_stages(fast, alg.zero), _stages(slow, alg.zero)):
+        assert np.array_equal(got, want), name
+        if fast._arrays is None:
+            off.append(name)
+    assert fast.vals == slow.vals
+    assert off[:1] == ([] if stage is None else [stage])
+
+
+@dataclasses.dataclass(eq=False)
 class OneBrokenSumCone(instances.ConeGEA):
     """A cone whose sum (1, 0) + (0, 1) is (1, 2), so commutativity fails."""
 
@@ -899,6 +973,37 @@ def test_complement_route_rejects_empty_chain():
     alg = instances.make_interval_ea(3)
     with pytest.raises(ValueError):
         kernel.meet_via_complement_join(alg, [])
+
+
+def test_complement_join_route_rejects_empty_chain():
+    alg = instances.make_interval_ea(3)
+    with pytest.raises(ValueError, match="^empty chain$"):
+        kernel.join_via_complement_meet(alg, [], 3)
+
+
+def test_cached_table_is_refused_under_a_smaller_limit():
+    alg = instances.NatGEA(1500)
+    assert kernel.derived_le(alg, 3, 1500)  # caches a table of 1501 elements
+    table = alg._sum_table[1]
+    with pytest.raises(ValueError, match=f"^an exhaustive check of 1501 elements tests {1501 + 1501**2 + 1501**3} "):
+        kernel.check_axioms(alg)
+    assert alg._sum_table[1] is table
+
+
+def test_derived_le_asks_a_form_family_its_order_oracle():
+    alg = families.gea_by_name("vf")
+    assert not alg.enumerable
+    oracle, calls = alg.le_oracle, []
+    alg.le_oracle = lambda a, b: calls.append((a, b)) or oracle(a, b)
+    rng = random.Random(5)
+    draws = [alg.sample(rng) for _ in range(5)]
+    for a in draws:
+        assert kernel.derived_le(alg, alg.zero, a)
+        for b in draws:
+            assert kernel.derived_le(alg, a, b) == oracle(a, b)
+            s = alg.add(a, b)
+            assert s is None or kernel.derived_le(alg, a, s)
+    assert (alg.zero, draws[0]) == calls[0] and len(calls) >= 30
 
 
 @settings(max_examples=40, deadline=None)
