@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -84,27 +85,78 @@ def in_vf(t: FormSpec) -> bool:
     return not forms.is_bounded(t) or t.domain is FULL_SPACE or t.domain == FULL_SPACE
 
 
+_MEMBERS: dict[str, dict[int, bool]] = {}  # family id -> support id -> membership
+
+
 def in_family(t: FormSpec, family: str) -> bool:
-    """Membership, decided once per form and family id and kept on the form."""
-    memo = t.__dict__.get("in_family") or t.__dict__.setdefault("in_family", {})
-    if family not in memo:
+    """Membership, decided once per family id and support id."""
+    table = _MEMBERS.get(family)
+    if table is None:
+        _lookup(family)  # an unknown id raises and gets no table
+        table = _MEMBERS[family] = {}
+    member = table.get(t.support_id)
+    if member is None:
         entry, tag = _lookup(family)
-        memo[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
-    return memo[family]
+        member = table[t.support_id] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+    return member
 
 
 # ------------------------------------------------------------ partial sums
+#
+# Whether a sum is defined, and how it is built, depends on the operands'
+# supports alone.  Each sum keeps a plan per pair of support ids: None for
+# undefined, else the ``forms.sum_shape`` of the pair.  A pair is planned
+# only once its operands pass the sum's checks, and a support id names its
+# model, so a planned pair needs no check and an unplanned one is checked
+# on every call.
+
+_PLANS: defaultdict[str, dict] = defaultdict(dict)  # "oplus", "oplus_bar" or a family id -> plans
+_UNPLANNED = object()
+
+
+def _plan(op: str, t: FormSpec, s: FormSpec) -> tuple | None:
+    """The plan of ``op`` for the supports of ``t`` and ``s``, made once."""
+    plans = _PLANS[op]
+    key = (t.support_id, s.support_id)
+    shape = plans.get(key, _UNPLANNED)
+    if shape is not _UNPLANNED:
+        return shape
+    if op == "oplus":
+        defined = forms.is_bounded(t) or forms.is_bounded(s) or t.domain == s.domain
+        shape = forms.sum_shape(t, s) if defined else None  # None when the domains have no meet
+    elif op == "oplus_bar":
+        shape = _plan("oplus", t, s)
+        if shape is not None:
+            merged = _reg_atoms(t)
+            for atom, c in _reg_atoms(s).items():
+                add_coeff(merged, atom, c)
+            if merged != _reg_atoms(forms.add_shaped(t, s, shape)):
+                shape = None
+    else:
+        shape = _plan("oplus_bar" if _lookup(op)[0].bar else "oplus", t, s)
+        if shape is not None and not in_family(forms.add_shaped(t, s, shape), op):
+            shape = None
+    plans[key] = shape
+    return shape
+
+
+def _checked_plan(op: str, t: FormSpec, s: FormSpec) -> tuple | None:
+    """The plan of an unplanned pair, once the operands pass the sum's checks."""
+    if op not in ("oplus", "oplus_bar"):
+        for operand in (t, s):
+            if not in_family(operand, op):
+                raise NotInFamily(f"{forms.describe(operand)} is not in {op}")
+    if t.model != s.model:
+        raise ModelMismatch("operands live on different models")
+    return _plan(op, t, s)
 
 
 def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Partial sum: defined iff an operand is bounded or the tags agree."""
-    if t.model != s.model:
-        raise ModelMismatch("operands live on different models")
-    if forms.is_bounded(t) or forms.is_bounded(s) or t.domain is s.domain or t.domain == s.domain:
-        meet = forms.tag_meet(t.domain, s.domain)
-        if meet is not None:
-            return form_add(t, s, meet)
-    return None
+    shape = _PLANS["oplus"].get((t.support_id, s.support_id), _UNPLANNED)
+    if shape is _UNPLANNED:
+        shape = _checked_plan("oplus", t, s)
+    return None if shape is None else forms.add_shaped(t, s, shape)
 
 
 def _reg_atoms(t: FormSpec) -> dict:
@@ -119,24 +171,18 @@ def oplus_bar(t: FormSpec, s: FormSpec) -> FormSpec | None:
     parts need no separate check because a regular part inherits its
     form's domain.
     """
-    u = oplus(t, s)
-    if u is None:
-        return None
-    merged = _reg_atoms(t)
-    for atom, c in _reg_atoms(s).items():
-        add_coeff(merged, atom, c)
-    return u if merged == _reg_atoms(u) else None
+    shape = _PLANS["oplus_bar"].get((t.support_id, s.support_id), _UNPLANNED)
+    if shape is _UNPLANNED:
+        shape = _checked_plan("oplus_bar", t, s)
+    return None if shape is None else forms.add_shaped(t, s, shape)
 
 
 def oplus_family(family: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Family-restricted sum: base sum defined and the result a member."""
-    for operand in (t, s):
-        if not in_family(operand, family):
-            raise NotInFamily(f"{forms.describe(operand)} is not in {family}")
-    u = oplus_bar(t, s) if _lookup(family)[0].bar else oplus(t, s)
-    if u is None or not in_family(u, family):
-        return None
-    return u
+    shape = _PLANS[family].get((t.support_id, s.support_id), _UNPLANNED)
+    if shape is _UNPLANNED:
+        shape = _checked_plan(family, t, s)
+    return None if shape is None else forms.add_shaped(t, s, shape)
 
 
 def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | None:

@@ -245,6 +245,15 @@ class FormSpec:
     def __repr__(self):  # keep reprs short in reports and counterexamples
         return f"FormSpec({describe(self)})"
 
+    @functools.cached_property
+    def support_id(self) -> int:
+        """Small int naming the support: model, domain and atoms without coefficients.
+
+        The builders set it; a form built from its fields interns it here.
+        It lives in ``__dict__``, outside ``repr``, ``==``, the hash and the JSON.
+        """
+        return _support_id(self.model, self.domain, tuple([a for a, _ in self.atoms]))
+
     @_once
     def _hash(self) -> int:  # the dataclass hash, computed once per form
         return hash((self.model, self.domain, self.atoms))
@@ -255,11 +264,7 @@ class FormSpec:
         return FormSpec, (self.model, self.domain, self.atoms)
 
 
-def _freeze(atoms: dict[FormAtom, Fraction]) -> tuple:
-    return tuple(sorted(atoms.items(), key=lambda item: item[0].sort_key))
-
-
-def natural_domain(model: str, atoms: dict[FormAtom, Fraction]) -> DomainTag:
+def natural_domain(model: str, atoms) -> DomainTag:
     """Meet of the atoms' natural domains under the declared inclusions."""
     dom = FULL_SPACE
     for atom in atoms:
@@ -272,56 +277,113 @@ def natural_domain(model: str, atoms: dict[FormAtom, Fraction]) -> DomainTag:
     return dom
 
 
+# ---------------------------------------------------------------- supports
+#
+# A form's coefficients are positive rationals, so no rule of the catalog
+# reads their size: admissibility, boundedness, singular atoms, closedness,
+# family membership and whether a sum is defined are facts of the support.
+# Each is decided once per support id (per pair of ids for a sum) and kept
+# in a table that holds ids, tags and shared atoms, no form and no Fraction.
+
+_SUPPORT_IDS: dict[tuple, int] = {}  # (model, domain, atoms) -> support id
+# make_form: (model, domain argument, nonzero atoms in call order) -> _shape
+_SHAPES: dict[tuple, tuple] = {}
+
+
+def _support_id(model: str, domain: DomainTag, atoms: tuple) -> int:
+    return _SUPPORT_IDS.setdefault((model, domain, atoms), len(_SUPPORT_IDS))
+
+
+def _built(model: str, domain: DomainTag, atoms: tuple, sid: int) -> FormSpec:
+    """The form of checked parts and its support id: the fields go straight
+    into ``__dict__``, past the frozen dataclass ``__init__``."""
+    t = object.__new__(FormSpec)
+    memo = t.__dict__
+    memo["model"], memo["domain"], memo["atoms"], memo["support_id"] = model, domain, atoms, sid
+    return t
+
+
+def _per_support(fn):
+    """Decide ``fn(t)`` once per support id; the body stays ``__wrapped__``."""
+    table: dict[int, object] = {}
+
+    def cached(t):
+        value = table.get(t.support_id)
+        if value is None:
+            value = table[t.support_id] = cached.__wrapped__(t)
+        return value
+
+    cached.table = table
+    return functools.update_wrapper(cached, fn)
+
+
+def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
+    """Domain, support id and atom positions in sorted order (None when
+    they are in order) of an admissible form with these nonzero atoms;
+    raises for an inadmissible one."""
+    if not atoms:
+        return FULL_SPACE, _support_id(model, FULL_SPACE, ()), None
+    has_hamel = any(a.kind == "hamel" for a in atoms)
+    if has_hamel and any(not atom_is_bounded(a) and a.kind != "hamel" for a in atoms):
+        raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
+
+    if domain is None:
+        dom = natural_domain(model, atoms)
+    else:
+        # an explicit domain only needs to sit inside every atom's own
+        # natural domain; the atoms' meet may not exist (two different
+        # unbounded diagonals restricted to finite support)
+        dom = domain
+        for atom in atoms:
+            if not tag_includes(dom, atom_natural_domain(atom)):
+                raise OutsideCatalog(
+                    f"domain {tag_to_str(dom)} is not contained in the natural "
+                    f"domain {tag_to_str(atom_natural_domain(atom))} of {atom}"
+                )
+    unbounded = any(not atom_is_bounded(a) for a in atoms)
+    if unbounded and dom == FULL_SPACE and not has_hamel:
+        raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
+    order = sorted(range(len(atoms)), key=lambda i: atoms[i].sort_key)
+    sid = _support_id(model, dom, tuple([atoms[i] for i in order]))
+    return dom, sid, None if order == list(range(len(atoms))) else tuple(order)
+
+
 def make_form(model: str, atoms: dict, domain: DomainTag | None = None) -> FormSpec:
     """Validated constructor.
 
     Coefficients are normalised to positive rationals; the domain defaults
     to the meet of the atoms' natural domains and may only be restricted
     further.  An unbounded form never lives on the full space unless it is
-    the symbolic everywhere-defined singular one.
+    the symbolic everywhere-defined singular one.  Every coefficient is
+    checked on every call; the rest is checked once per support.
     """
     if model not in hilbert.MODELS:
         raise ModelMismatch(f"unknown model {model!r}")
     allowed = _SEQ_KINDS if model == SEQUENCE else _GRID_KINDS
-    items: dict[FormAtom, Fraction] = {}
+    kept: list[FormAtom] = []
+    coeffs: list[Fraction] = []
     for atom, c in atoms.items():
         if type(c) is not Fraction:
             c = Fraction(c)
-        if c < 0:
-            raise ValueError(f"coefficient of {atom} is negative")
-        if not c:
+        if c.numerator <= 0:  # the sign of a Fraction is its numerator's
+            if c.numerator:
+                raise ValueError(f"coefficient of {atom} is negative")
             continue
-        if atom.kind not in allowed:
+        if atom.kind not in allowed:  # here, not in _shape, so errors keep their order
             raise ModelMismatch(f"atom kind {atom.kind!r} not available on the {model} model")
-        items[atom] = c
-    if not items:
-        return FormSpec(model, FULL_SPACE, ())
-
-    has_hamel = any(a.kind == "hamel" for a in items)
-    if has_hamel and any(not atom_is_bounded(a) and a.kind != "hamel" for a in items):
-        raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
-
-    if domain is None:
-        dom = natural_domain(model, items)
-    else:
-        # an explicit domain only needs to sit inside every atom's own
-        # natural domain; the atoms' meet may not exist (two different
-        # unbounded diagonals restricted to finite support)
-        dom = domain
-        for atom in items:
-            if not tag_includes(dom, atom_natural_domain(atom)):
-                raise OutsideCatalog(
-                    f"domain {tag_to_str(dom)} is not contained in the natural "
-                    f"domain {tag_to_str(atom_natural_domain(atom))} of {atom}"
-                )
-    unbounded = any(not atom_is_bounded(a) for a in items)
-    if unbounded and dom == FULL_SPACE and not has_hamel:
-        raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
-    return FormSpec(model, dom, _freeze(items))
+        kept.append(atom)
+        coeffs.append(c)
+    key = (model, domain, tuple(kept))
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES[key] = _shape(model, domain, kept)
+    dom, sid, order = shape
+    pairs = tuple(zip(kept, coeffs)) if order is None else tuple([(kept[i], coeffs[i]) for i in order])
+    return _built(model, dom, pairs, sid)
 
 
 def zero_form(model: str) -> FormSpec:
-    return FormSpec(model, FULL_SPACE, ())
+    return _built(model, FULL_SPACE, (), _support_id(model, FULL_SPACE, ()))
 
 
 def add_coeff(atoms: dict, atom: FormAtom, c: Fraction) -> None:
@@ -330,25 +392,53 @@ def add_coeff(atoms: dict, atom: FormAtom, c: Fraction) -> None:
     atoms[atom] = c if have is None else have + c
 
 
-def form_add(t: FormSpec, s: FormSpec, meet: DomainTag | None = None) -> FormSpec:
-    """Plain sum on the intersection of the domains (no definedness rule).
+def sum_shape(t: FormSpec, s: FormSpec) -> tuple | None:
+    """How ``t + s`` is built, from the supports alone: its domain, its
+    support id, the positions in ``t.atoms + s.atoms`` of its atoms in
+    order, and (position, i, j) for each atom whose coefficients at i and j
+    add; ``None`` when the domains have no meet."""
+    dom = tag_meet(t.domain, s.domain)
+    if dom is None:
+        return None
+    both = t.atoms + s.atoms
+    keys = [a.sort_key for a, _ in both]
+    picks: list[int] = []
+    shared = []
+    # a sort key names its atom, both atom tuples are sorted and the sort
+    # is stable: an atom of both operands comes out twice in a row, t's
+    # first, and t's object is kept
+    for k in sorted(range(len(both)), key=keys.__getitem__):
+        if picks and keys[picks[-1]] == keys[k]:
+            shared.append((len(picks) - 1, picks[-1], k))
+        else:
+            picks.append(k)
+    sid = _support_id(t.model, dom, tuple([both[k][0] for k in picks]))
+    return dom, sid, tuple(picks), tuple(shared)
 
-    ``meet`` is ``tag_meet(t.domain, s.domain)`` when the caller has it.
-    """
+
+def add_shaped(t: FormSpec, s: FormSpec, shape: tuple) -> FormSpec:
+    """``t + s`` built by its ``sum_shape``; a zero operand gives the other."""
+    if not t.atoms:
+        return s
+    if not s.atoms:
+        return t
+    dom, sid, picks, shared = shape
+    both = t.atoms + s.atoms
+    atoms = [both[k] for k in picks]
+    for p, i, j in shared:
+        atoms[p] = (both[i][0], both[i][1] + both[j][1])
+    return _built(t.model, dom, tuple(atoms), sid)
+
+
+def form_add(t: FormSpec, s: FormSpec) -> FormSpec:
+    """Plain sum on the intersection of the domains (no definedness rule)."""
     if t.model != s.model:
         raise ModelMismatch("cannot add forms on different models")
-    if t.is_zero:
-        return s
-    if s.is_zero:
-        return t
-    dom = meet or tag_meet(t.domain, s.domain)
-    if dom is None:
+    shape = sum_shape(t, s)  # a zero operand is on the full space, which meets every domain
+    if shape is None:
         raise OutsideCatalog("sum of forms on incomparable domains")
-    merged = t.atoms_dict()
-    for atom, c in s.atoms:
-        add_coeff(merged, atom, c)
     # operands are valid forms, so the merged multiset needs no revalidation
-    return FormSpec(t.model, dom, _freeze(merged))
+    return add_shaped(t, s, shape)
 
 
 def form_scale(t: FormSpec, q) -> FormSpec:
@@ -562,7 +652,7 @@ def numerical_range_bounds(t: FormSpec, level: int) -> tuple[float, float]:
     return lo, hi
 
 
-@_once
+@_per_support
 def is_bounded(t: FormSpec) -> bool:
     """Catalog boundedness: every atom is bounded."""
     return all(atom_is_bounded(a) for a, _ in t.atoms)
@@ -589,7 +679,7 @@ def classify_boundedness(t: FormSpec) -> bool:
     return declared
 
 
-@_once
+@_per_support
 def singular_atoms(t: FormSpec) -> frozenset:
     """The atoms of t's singular part, by the whole-form catalog rule.
 
@@ -627,7 +717,7 @@ def is_singular(t: FormSpec) -> bool:
     return len(singular_atoms(t)) == len(t.atoms)
 
 
-@_once
+@_per_support
 def is_closed(t: FormSpec) -> bool:
     """Closedness by the catalog rule.
 

@@ -276,13 +276,18 @@ class _ArraySums:
         new = vals[len(self.coords) :]
         if not new:
             return True
-        rows = [(v,) for v in new] if self.scalar else new
         dim = self.coords.shape[1]
-        if not all(type(r) is tuple and len(r) == dim and all(type(c) is int for c in r) for r in rows):
+        if self.scalar:
+            coords = new
+        elif set(map(type, new)) == {tuple} and set(map(len, new)) == {dim}:
+            coords = list(itertools.chain.from_iterable(new))
+        else:
+            return False
+        if set(map(type, coords)) != {int}:  # no float, no bool
             return False
         try:
-            c = np.array(rows, dtype=np.int64)
-        except OverflowError:
+            c = np.fromiter(coords, dtype=np.int64, count=len(coords)).reshape(-1, dim)
+        except OverflowError:  # past int64
             return False
         if self.width is None:
             self.width = np.array([(3 * m).bit_length() for m in c.max(axis=0).tolist()], dtype=np.int64)
@@ -514,7 +519,10 @@ def replay(alg: PartialAlgebra, verdict: AxiomVerdict) -> bool:
 
 def _first_true(mask: np.ndarray):
     """Index tuple of the first true entry in C order, or ``None``."""
-    return np.unravel_index(np.argmax(mask), mask.shape) if mask.any() else None
+    if not mask.size:
+        return None
+    at = np.unravel_index(np.argmax(mask), mask.shape)  # the first true entry, or the first entry
+    return at if mask[at] else None
 
 
 def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, tuple]:
@@ -537,6 +545,7 @@ def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, t
     distinct = win[:, None] != win[None, :]
     # one buffer each for every x, so that no n x n temporary is mapped and faulted in per pass
     lhs, rhs = np.empty((n, n), dtype=np.int32), np.empty((n, n), dtype=np.int32)
+    same = np.empty((n, n), dtype=bool)
     for i in range(n):
         row = first[i]
         if "GEii" not in bad:
@@ -545,7 +554,11 @@ def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, t
             if at is not None:
                 bad["GEii"] = (elems[i], elems[at[0]], elems[at[1]])
         if "GEiv" not in bad:
-            at = _first_true((row[:, None] == row[None, :]) & (row >= 0)[:, None] & distinct)
+            # x + y = x + z defined, with y != z
+            np.equal(row[:, None], row[None, :], out=same)
+            same &= (row >= 0)[:, None]
+            same &= distinct
+            at = _first_true(same)
             if at is not None:
                 bad["GEiv"] = (elems[i], elems[at[0]], elems[at[1]])
         if "GEii" in bad and "GEiv" in bad:

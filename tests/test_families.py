@@ -112,7 +112,8 @@ def test_oplus_definedness():
 
 
 def test_defined_sum_meets_the_domains_once(monkeypatch):
-    t, s = diag_form("j"), diag_form("1/j")
+    # once per pair of supports: the first sum of a pair no other test adds
+    t, s = diag_form("j^2"), diag_form("const:7/5")
     calls = []
     meet = forms.tag_meet
 
@@ -122,8 +123,13 @@ def test_defined_sum_meets_the_domains_once(monkeypatch):
 
     monkeypatch.setattr(forms, "tag_meet", counting)
     u = oplus(t, s)
-    assert u is not None and u.domain == forms.diag_domain("j")
+    assert u is not None and u.domain == forms.diag_domain("j^2")
     assert len(calls) == 1
+    # other coefficients on the same supports: the sum is built from its plan
+    v = oplus(diag_form("j^2", coeff=3), diag_form("const:7/5", coeff=Fraction(1, 2)))
+    assert len(calls) == 1
+    assert v.domain == u.domain
+    assert v.atoms == ((diag_atom("const:7/5"), Fraction(1, 2)), (diag_atom("j^2"), Fraction(3)))
 
 
 def test_oplus_bar_regular_parts_must_add():
@@ -525,7 +531,7 @@ def test_cached_classification_matches_a_fresh_copy(family):
     sums = [alg.add(x, y) for x, y in zip(draws, draws[1:])]
     for t in draws + [u for u in sums if u is not None]:
         fresh = _rebuilt(t)
-        assert fresh == t and hash(fresh) == hash(t) and "is_bounded" not in vars(fresh)
+        assert fresh == t and hash(fresh) == hash(t) and "support_id" not in vars(fresh)
         for predicate in (forms.is_bounded, forms.singular_atoms, forms.is_closed):
             assert predicate(t) == predicate(fresh), (predicate.__name__, t)
         # an atom's facts are computed once per atom object: recompute them from its fields
@@ -549,8 +555,15 @@ def test_is_bounded_body_runs_once_per_form(monkeypatch):
         return body(t)
 
     monkeypatch.setattr(forms.is_bounded, "__wrapped__", counting)
-    kernel.check_axioms(gea_by_name("vf-bar"), mode="sampled", samples=500, seed=3)
+    table = forms.is_bounded.table
+    known = dict(table)
+    table.clear()  # every support of the run is classified afresh, and once
+    try:
+        kernel.check_axioms(gea_by_name("vf-bar"), mode="sampled", samples=500, seed=3)
+    finally:
+        table.update(known)
     assert seen and len({id(t) for t in seen}) == len(seen)
+    assert len({t.support_id for t in seen}) == len(seen)
 
 
 # the families of the sampled-axioms benchmark workload

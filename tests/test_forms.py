@@ -284,7 +284,11 @@ def test_cached_classification_stays_out_of_repr_eq_and_json():
     hash(t)
     forms.is_bounded(t), forms.singular_atoms(t), forms.is_closed(t)
     families.in_family(t, "rf")
-    assert {"_hash", "is_bounded", "singular_atoms", "is_closed", "in_family"} <= set(vars(t))
+    # the facts sit in tables keyed by the support id, which the form keeps beside its hash
+    assert set(vars(t)) == {"model", "domain", "atoms", "_hash", "support_id"}
+    assert t.support_id == fresh.support_id
+    assert all(t.support_id in f.table for f in (forms.is_bounded, forms.singular_atoms, forms.is_closed))
+    assert families._MEMBERS["rf"][t.support_id]
     assert "atom_is_bounded" in vars(t.atoms[0][0])
     after = (repr(t), form_to_json(t), [repr(a) for a, _ in t.atoms])
     assert before == after == (repr(fresh), form_to_json(fresh), [repr(a) for a, _ in fresh.atoms])

@@ -413,6 +413,61 @@ def test_array_sums_fall_back_to_add_outside_the_fields(alg, stage):
     assert off[:1] == ([] if stage is None else [stage])
 
 
+def test_first_true_is_the_first_in_c_order():
+    mask = np.zeros((3, 4), dtype=bool)
+    assert kernel._first_true(mask) is None
+    assert kernel._first_true(np.zeros((0, 0), dtype=bool)) is None
+    mask[2, 0] = mask[1, 3] = True
+    assert kernel._first_true(mask) == (1, 3)
+    mask[0, 0] = True  # the entry argmax falls back to when none is true
+    assert kernel._first_true(mask) == (0, 0)
+
+
+@dataclasses.dataclass(eq=False)
+class ListedWindow(kernel.PartialAlgebra):
+    """Componentwise sums on a listed window whose values may hold a
+    coordinate that is no int64: a float, a bool or a wider int."""
+
+    window: tuple = (0, 1)
+    enumerable = True
+
+    @property
+    def zero(self):
+        return self.window[0]
+
+    def add(self, a, b):
+        return a + b if not isinstance(a, tuple) else tuple(x + y for x, y in zip(a, b))
+
+    def add_arrays(self, a, b):
+        return a + b, np.ones(len(a), dtype=bool)
+
+    def elements(self):
+        return list(self.window)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        ListedWindow((0, 1, 2.5)),  # a float
+        ListedWindow((0, True, 2)),  # a bool
+        ListedWindow((0, 1, 2**63)),  # past int64
+        ListedWindow(((0, 0), (1, 0.5))),  # a float coordinate
+        ListedWindow(((0, 0), (False, 1))),  # a bool coordinate
+        ListedWindow(((0, 0), (1, 2**64))),  # a coordinate past int64
+        ListedWindow(((0, 0), (1, 2, 3))),  # a value of another length
+    ],
+    ids=repr,
+)
+def test_array_sums_fall_back_to_add_on_coordinates_no_field_holds(alg):
+    fast, slow = (kernel._SumTable(alg, list(alg.elements())) for _ in range(2))
+    slow._arrays = None
+    assert fast._arrays is not None
+    for (name, got), (_, want) in zip(_stages(fast, alg.zero), _stages(slow, alg.zero)):
+        assert np.array_equal(got, want), name
+        assert fast._arrays is None, name  # sent to add by the first sync
+    assert fast.vals == slow.vals
+
+
 @dataclasses.dataclass(eq=False)
 class OneBrokenSumCone(instances.ConeGEA):
     """A cone whose sum (1, 0) + (0, 1) is (1, 2), so commutativity fails."""

@@ -86,3 +86,17 @@ def test_every_array_sum_is_cross_checked():
     # an add_arrays that no test compares with its add could drift from it
     defining = {c for c in vars(instances).values() if isinstance(c, type) and "add_arrays" in vars(c)}
     assert defining and defining <= {type(alg) for alg in ARRAY_INSTANCES}
+
+
+def test_forms_are_built_only_in_the_forms_module():
+    # the support tables hold because every form comes out of make_form,
+    # form_add or zero_form, so every coefficient is a positive Fraction
+    outside = [
+        f"{p.name}:{node.lineno}"
+        for p in SOURCES
+        if p.name != "forms.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+        and "FormSpec" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not outside

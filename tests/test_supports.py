@@ -1,0 +1,288 @@
+"""Support ids: every coefficient-free fact of a form is decided once per
+support (model, domain, atoms without coefficients) or pair of supports.
+
+The reference oracles below are the per-form path the tables replace: the
+undecorated classifier bodies (``__wrapped__``), membership by the family
+rules, and the sums as a merge of atom dictionaries.  Every planned sum,
+membership and classification must equal them, and no error is cached.
+"""
+
+import contextlib
+import random
+from fractions import Fraction
+
+import pytest
+from test_families import BENCH_FAMILIES
+
+from gealab import families, forms, hilbert, kernel
+from gealab.errors import GealabError, ModelMismatch, NotInFamily, OutsideCatalog
+from gealab.families import gea_by_name, in_family, oplus, oplus_bar, oplus_family
+from gealab.forms import (
+    BOUNDARY0,
+    DIRICHLET,
+    FULL_SPACE,
+    H1_GRID,
+    diag_atom,
+    diag_form,
+    energy_form,
+    make_form,
+)
+from gealab.hilbert import GRID, SEQUENCE
+
+# the benchmark families and the two fixed-domain families it leaves out
+ORACLE_FAMILIES = (*BENCH_FAMILIES, "vfd:finite_support", "vfd:diag_max:j")
+CLASSIFIERS = (forms.is_bounded, forms.singular_atoms, forms.is_closed)
+
+# ------------------------------------------------------------ reference oracles
+
+
+def ref_in_family(t, family):
+    entry, tag = families._lookup(family)
+    return families.in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+
+
+def ref_form_add(t, s):
+    """The plain sum as a merge of atom dictionaries, sorted afterwards."""
+    if t.model != s.model:
+        raise ModelMismatch("cannot add forms on different models")
+    if t.is_zero:
+        return s
+    if s.is_zero:
+        return t
+    dom = forms.tag_meet(t.domain, s.domain)
+    if dom is None:
+        raise OutsideCatalog("sum of forms on incomparable domains")
+    merged = t.atoms_dict()
+    for atom, c in s.atoms:
+        forms.add_coeff(merged, atom, c)
+    return forms.FormSpec(t.model, dom, tuple(sorted(merged.items(), key=lambda item: item[0].sort_key)))
+
+
+def ref_oplus(t, s):
+    if t.model != s.model:
+        raise ModelMismatch("operands live on different models")
+    if forms.is_bounded(t) or forms.is_bounded(s) or t.domain == s.domain:
+        if forms.tag_meet(t.domain, s.domain) is not None:
+            return ref_form_add(t, s)
+    return None
+
+
+def _ref_reg_atoms(t):
+    sing = forms.singular_atoms(t)
+    return {a: c for a, c in t.atoms if a not in sing}
+
+
+def ref_oplus_bar(t, s):
+    u = ref_oplus(t, s)
+    if u is None:
+        return None
+    merged = _ref_reg_atoms(t)
+    for atom, c in _ref_reg_atoms(s).items():
+        forms.add_coeff(merged, atom, c)
+    return u if merged == _ref_reg_atoms(u) else None
+
+
+def ref_oplus_family(family, t, s):
+    for operand in (t, s):
+        if not ref_in_family(operand, family):
+            raise NotInFamily(f"{forms.describe(operand)} is not in {family}")
+    u = ref_oplus_bar(t, s) if families._lookup(family)[0].bar else ref_oplus(t, s)
+    if u is None or not ref_in_family(u, family):
+        return None
+    return u
+
+
+@contextlib.contextmanager
+def undecorated():
+    """Every classifier runs its body, so no table is read or written."""
+    with pytest.MonkeyPatch.context() as patch:
+        for fn in CLASSIFIERS:
+            patch.setattr(forms, fn.__name__, fn.__wrapped__)
+        patch.setattr(families, "in_family", ref_in_family)
+        yield
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except GealabError as exc:
+        return type(exc), str(exc)
+
+
+def _draws_and_pairs(family, seed):
+    """500 seeded draws of a family and 2000 ordered pairs of them."""
+    alg = gea_by_name(family)
+    rng = random.Random(seed)
+    draws = [alg.sample(rng) for _ in range(500)]
+    pairs = [(draws[i], draws[rng.randrange(500)]) for i in range(500) for _ in range(4)]
+    return alg, draws, pairs
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_support_tables_match_the_per_form_path(family):
+    alg, draws, pairs = _draws_and_pairs(family, 31)
+    family_sum = {"vf": "plain", "vf-bar": "bar"}.get(family, "family")
+    with undecorated():
+        want_sums = [
+            (ref_oplus(t, s), ref_oplus_bar(t, s), _outcome(ref_oplus_family, family, t, s)) for t, s in pairs
+        ]
+    # the planned sums, twice: the second pass reads the plans the first one made
+    for _ in range(2):
+        got_sums = [(oplus(t, s), oplus_bar(t, s), _outcome(oplus_family, family, t, s)) for t, s in pairs]
+        assert got_sums == want_sums
+        for (t, s), got in zip(pairs, got_sums):
+            want = {"plain": got[0], "bar": got[1], "family": got[2]}[family_sum]
+            assert alg.add(t, s) == want
+    forms_seen = draws + [u for sums in want_sums for u in sums[:2] if u is not None]
+    with undecorated():
+        want_facts = [
+            ([fn(t) for fn in CLASSIFIERS], [ref_in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen
+        ]
+    got_facts = [([fn(t) for fn in CLASSIFIERS], [in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen]
+    assert got_facts == want_facts
+    # a support id names exactly one (model, domain, atoms) support
+    supports = {}
+    for t in forms_seen:
+        supports.setdefault(t.support_id, set()).add((t.model, t.domain, tuple(a for a, _ in t.atoms)))
+    assert all(len(group) == 1 for group in supports.values())
+    assert len({next(iter(group)) for group in supports.values()}) == len(supports)
+
+
+def ref_make_form(model, atoms, domain=None):
+    """The validated constructor with every rule checked on every call."""
+    if model not in hilbert.MODELS:
+        raise ModelMismatch(f"unknown model {model!r}")
+    allowed = forms._SEQ_KINDS if model == SEQUENCE else forms._GRID_KINDS
+    items = {}
+    for atom, c in atoms.items():
+        c = Fraction(c)
+        if c < 0:
+            raise ValueError(f"coefficient of {atom} is negative")
+        if not c:
+            continue
+        if atom.kind not in allowed:
+            raise ModelMismatch(f"atom kind {atom.kind!r} not available on the {model} model")
+        items[atom] = c
+    if not items:
+        return forms.FormSpec(model, FULL_SPACE, ())
+    has_hamel = any(a.kind == "hamel" for a in items)
+    if has_hamel and any(not forms.atom_is_bounded(a) and a.kind != "hamel" for a in items):
+        raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
+    if domain is None:
+        dom = forms.natural_domain(model, items)
+    else:
+        dom = domain
+        for atom in items:
+            if not forms.tag_includes(dom, forms.atom_natural_domain(atom)):
+                raise OutsideCatalog(
+                    f"domain {forms.tag_to_str(dom)} is not contained in the natural "
+                    f"domain {forms.tag_to_str(forms.atom_natural_domain(atom))} of {atom}"
+                )
+    if any(not forms.atom_is_bounded(a) for a in items) and dom == FULL_SPACE and not has_hamel:
+        raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
+    return forms.FormSpec(model, dom, tuple(sorted(items.items(), key=lambda item: item[0].sort_key)))
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_make_form_matches_the_per_call_rules(family):
+    _, draws, _ = _draws_and_pairs(family, 37)
+    domains = (None, FULL_SPACE, H1_GRID, forms.FINITE_SUPPORT, forms.diag_domain("j"))
+    for t in draws[:100]:
+        for atoms in (dict(t.atoms), dict(reversed(t.atoms))):
+            for dom in domains:
+                for model in (SEQUENCE, GRID):
+                    got = _outcome(make_form, model, atoms, dom)
+                    assert got == _outcome(ref_make_form, model, atoms, dom), (model, atoms, dom)
+                    if isinstance(got, forms.FormSpec):
+                        assert forms.form_to_json(got) == forms.form_to_json(ref_make_form(model, atoms, dom))
+
+
+# --------------------------------------------------------------- no cached error
+
+
+def test_errors_are_raised_on_every_call():
+    j, bounded = diag_form("j"), diag_form("1/j")
+    assert oplus(j, bounded) is not None  # the pair's supports are planned
+    for _ in range(2):
+        with pytest.raises(NotInFamily):
+            oplus_family("bf", j, bounded)
+        with pytest.raises(NotInFamily):
+            oplus_family("bf", bounded, j)
+        assert oplus_family("bf", bounded, bounded) == diag_form("1/j", coeff=2)
+        with pytest.raises(ModelMismatch):
+            oplus(j, energy_form(1))
+        with pytest.raises(ModelMismatch):
+            oplus_bar(bounded, forms.bounded_matrix_form("id", model=GRID))
+        with pytest.raises(ModelMismatch):
+            oplus_family("vf", bounded, forms.bounded_matrix_form("id", model=GRID))
+
+
+def test_make_form_errors_are_raised_on_every_call():
+    j = diag_atom("j")
+    shapes = len(forms._SHAPES)
+    for _ in range(2):
+        assert make_form(SEQUENCE, {j: 1}) == diag_form("j")
+        with pytest.raises(ValueError, match="negative"):
+            make_form(SEQUENCE, {j: -1})
+        with pytest.raises(ValueError, match="negative"):
+            make_form(SEQUENCE, {j: 2, diag_atom("1/j"): Fraction(-1, 3)})
+        with pytest.raises(OutsideCatalog):
+            make_form(SEQUENCE, {j: 1}, FULL_SPACE)
+        with pytest.raises(OutsideCatalog):
+            make_form(SEQUENCE, {j: 1, forms.HAMEL: 1})
+        with pytest.raises(ModelMismatch):
+            make_form(GRID, {j: 1})
+        with pytest.raises(ModelMismatch):
+            make_form(SEQUENCE, {DIRICHLET: 1, BOUNDARY0: 1})
+        with pytest.raises(ModelMismatch):
+            make_form("torus", {j: 1})
+        assert make_form(GRID, {DIRICHLET: 1, BOUNDARY0: 1}) == forms.energy_with_endpoints(1, 1, 0)
+    assert len(forms._SHAPES) <= shapes + 2  # only the admissible calls were kept
+
+
+# ------------------------------------------------ the invariant the tables rest on
+
+
+@pytest.mark.parametrize("family", BENCH_FAMILIES)
+def test_every_draw_and_sum_has_positive_fraction_coefficients(family):
+    alg = gea_by_name(family)
+    seen = []
+    sample, add = alg.sample, alg.add
+
+    def recording_sample(rng):
+        seen.append(sample(rng))
+        return seen[-1]
+
+    def recording_add(a, b):
+        seen.append(add(a, b))
+        return seen[-1]
+
+    alg.sample, alg.add = recording_sample, recording_add
+    kernel.check_axioms(alg, mode="sampled", samples=300, seed=13)
+    coeffs = [c for t in seen if t is not None for _, c in t.atoms]
+    assert coeffs and all(type(c) is Fraction and c > 0 for c in coeffs)
+
+
+# at most four times the counts of one 2000-sample check in a fresh process:
+# 1524 supports and 4915 plans per sum at most, over the ten families
+MAX_NEW_SUPPORTS = 4 * 1524
+MAX_NEW_PLANS = 4 * 4915
+
+
+def _table_sizes():
+    sizes = {"supports": len(forms._SUPPORT_IDS), "shapes": len(forms._SHAPES)}
+    sizes.update({f"plans {op}": len(plans) for op, plans in families._PLANS.items()})
+    sizes.update({f"members {f}": len(table) for f, table in families._MEMBERS.items()})
+    sizes.update({fn.__name__: len(fn.table) for fn in CLASSIFIERS})
+    return sizes
+
+
+@pytest.mark.parametrize("family", BENCH_FAMILIES)
+def test_support_tables_stay_small(family):
+    before = _table_sizes()
+    kernel.check_axioms(gea_by_name(family), mode="sampled", samples=2000, seed=4242)
+    grown = {name: size - before.get(name, 0) for name, size in _table_sizes().items()}
+    assert grown["supports"] <= MAX_NEW_SUPPORTS, grown
+    assert all(n <= MAX_NEW_PLANS for name, n in grown.items() if name.startswith("plans")), grown
+    assert all(n <= MAX_NEW_SUPPORTS for name, n in grown.items() if not name.startswith("plans")), grown
