@@ -46,6 +46,9 @@ from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 ORDERS = {"oplus": "vf", "prec": None, "cf": "cf", "rf": "rf", "bar": "vf-bar"}
 
 DEFAULT_N_MAX = 32
+# the pointwise table keeps dense matrices of every level it is given: at
+# most this many coordinates over all of them (the default grid levels have 263)
+MAX_LEVEL_DIMS = 1024
 _RANDOM_SAMPLES = 20
 
 

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import chains, families, forms, instances, kernel
+from . import chains, families, forms, hilbert, instances, kernel
 from .errors import GealabError
 
 SCHEMA = "gealab/1"
@@ -224,6 +224,11 @@ def cmd_chain(args) -> int:
             got = ",".join(map(str, args.levels))
             raise ValueError(f"--levels needs positive integers, got {got!r}")
         chain = chains.chain_by_name(args.chain)
+        if args.levels is not None:
+            dims = sum(hilbert.dim_of(chain.model, level) for level in args.levels)
+            if dims > chains.MAX_LEVEL_DIMS:
+                got = ",".join(map(str, args.levels))
+                raise ValueError(f"--levels {got} spans {dims} coordinates, more than {chains.MAX_LEVEL_DIMS}")
         order = args.order or chain.order
         chains.order_predicate(order)
     except ValueError as exc:

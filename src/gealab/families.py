@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -54,7 +53,7 @@ from .forms import (
     tag_to_str,
     zero_form,
 )
-from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
+from .hilbert import DEFAULT_LEVELS, GRID, MODELS, SEQUENCE
 from .kernel import PartialAlgebra
 
 _GF_KINDS = {"diag", "bounded_mat"}
@@ -85,39 +84,32 @@ def in_vf(t: FormSpec) -> bool:
     return not forms.is_bounded(t) or t.domain is FULL_SPACE or t.domain == FULL_SPACE
 
 
-_MEMBERS: dict[str, dict[int, bool]] = {}  # family id -> support id -> membership
-
-
 def in_family(t: FormSpec, family: str) -> bool:
-    """Membership, decided once per family id and support id."""
-    table = _MEMBERS.get(family)
-    if table is None:
-        _lookup(family)  # an unknown id raises and gets no table
-        table = _MEMBERS[family] = {}
-    member = table.get(t.support_id)
+    """Membership, decided once per family id and support."""
+    members = t.support.members
+    member = members.get(family)
     if member is None:
-        entry, tag = _lookup(family)
-        member = table[t.support_id] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+        entry, tag = _lookup(family)  # an unknown id raises and is not kept
+        member = members[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
     return member
 
 
 # ------------------------------------------------------------ partial sums
 #
 # Whether a sum is defined, and how it is built, depends on the operands'
-# supports alone.  Each sum keeps a plan per pair of support ids: None for
-# undefined, else the ``forms.sum_shape`` of the pair.  A pair is planned
-# only once its operands pass the sum's checks, and a support id names its
-# model, so a planned pair needs no check and an unplanned one is checked
-# on every call.
+# supports alone.  The left operand's support keeps a plan per sum and
+# right operand's support: None for undefined, else the
+# ``forms.sum_shape`` of the pair.  A pair is planned only once its
+# operands pass the sum's checks, and a support names its model, so a
+# planned pair needs no check and an unplanned one is checked on every call.
 
-_PLANS: defaultdict[str, dict] = defaultdict(dict)  # "oplus", "oplus_bar" or a family id -> plans
 _UNPLANNED = object()
 
 
 def _plan(op: str, t: FormSpec, s: FormSpec) -> tuple | None:
     """The plan of ``op`` for the supports of ``t`` and ``s``, made once."""
-    plans = _PLANS[op]
-    key = (t.support_id, s.support_id)
+    plans = t.support.plans
+    key = (op, s.support)
     shape = plans.get(key, _UNPLANNED)
     if shape is not _UNPLANNED:
         return shape
@@ -140,23 +132,24 @@ def _plan(op: str, t: FormSpec, s: FormSpec) -> tuple | None:
     return shape
 
 
-def _checked_plan(op: str, t: FormSpec, s: FormSpec) -> tuple | None:
-    """The plan of an unplanned pair, once the operands pass the sum's checks."""
-    if op not in ("oplus", "oplus_bar"):
-        for operand in (t, s):
-            if not in_family(operand, op):
-                raise NotInFamily(f"{forms.describe(operand)} is not in {op}")
-    if t.model != s.model:
-        raise ModelMismatch("operands live on different models")
-    return _plan(op, t, s)
+def _sum(op: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
+    """``t`` plus ``s`` by the sum ``op``, "oplus", "oplus_bar" or a family
+    id: one lookup for a planned pair, the sum's checks for an unplanned one."""
+    shape = t.support.plans.get((op, s.support), _UNPLANNED)
+    if shape is _UNPLANNED:
+        if op not in ("oplus", "oplus_bar"):
+            for operand in (t, s):
+                if not in_family(operand, op):
+                    raise NotInFamily(f"{forms.describe(operand)} is not in {op}")
+        if t.model != s.model:
+            raise ModelMismatch("operands live on different models")
+        shape = _plan(op, t, s)
+    return None if shape is None else forms.add_shaped(t, s, shape)
 
 
 def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Partial sum: defined iff an operand is bounded or the tags agree."""
-    shape = _PLANS["oplus"].get((t.support_id, s.support_id), _UNPLANNED)
-    if shape is _UNPLANNED:
-        shape = _checked_plan("oplus", t, s)
-    return None if shape is None else forms.add_shaped(t, s, shape)
+    return _sum("oplus", t, s)
 
 
 def _reg_atoms(t: FormSpec) -> dict:
@@ -171,18 +164,12 @@ def oplus_bar(t: FormSpec, s: FormSpec) -> FormSpec | None:
     parts need no separate check because a regular part inherits its
     form's domain.
     """
-    shape = _PLANS["oplus_bar"].get((t.support_id, s.support_id), _UNPLANNED)
-    if shape is _UNPLANNED:
-        shape = _checked_plan("oplus_bar", t, s)
-    return None if shape is None else forms.add_shaped(t, s, shape)
+    return _sum("oplus_bar", t, s)
 
 
 def oplus_family(family: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Family-restricted sum: base sum defined and the result a member."""
-    shape = _PLANS[family].get((t.support_id, s.support_id), _UNPLANNED)
-    if shape is _UNPLANNED:
-        shape = _checked_plan(family, t, s)
-    return None if shape is None else forms.add_shaped(t, s, shape)
+    return _sum(family, t, s)
 
 
 def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | None:
@@ -302,6 +289,8 @@ class FormsGEA(PartialAlgebra):
 
 def gea_by_name(family: str, model: str | None = None) -> PartialAlgebra:
     entry, tag = _lookup(family)
+    if model is not None and model not in MODELS:
+        raise ModelMismatch(f"unknown model {model!r}")
     return FormsGEA(model or entry.model or _tag_model(tag), family)
 
 

@@ -135,7 +135,7 @@ def lam_value(lam: str, j: int) -> Fraction:
     if lam == "1/j":
         return Fraction(1, j)
     if lam.startswith("const:"):
-        return Fraction(lam[6:])
+        return lam_sup(lam)  # a constant map is its own supremum
     raise OutsideCatalog(f"unknown diagonal coefficient map {lam!r}")
 
 
@@ -146,7 +146,10 @@ def lam_sup(lam: str) -> Fraction | None:
     if lam == "1/j":
         return Fraction(1)
     if lam.startswith("const:"):
-        c = Fraction(lam[6:])
+        try:
+            c = Fraction(lam[6:])
+        except (ValueError, ZeroDivisionError):  # "const:x", "const:1/0"
+            raise OutsideCatalog(f"diagonal constant {lam!r} is not a rational number") from None
         if c < 0:
             raise OutsideCatalog("diagonal constants must be non-negative")
         return c
@@ -246,13 +249,13 @@ class FormSpec:
         return f"FormSpec({describe(self)})"
 
     @functools.cached_property
-    def support_id(self) -> int:
-        """Small int naming the support: model, domain and atoms without coefficients.
+    def support(self) -> Support:
+        """The interned support: model, domain and atoms without coefficients.
 
-        The builders set it; a form built from its fields interns it here.
+        The builders set it; a form built from its fields, or unpickled, interns it here.
         It lives in ``__dict__``, outside ``repr``, ``==``, the hash and the JSON.
         """
-        return _support_id(self.model, self.domain, tuple([a for a, _ in self.atoms]))
+        return _support(self.model, self.domain, tuple([a for a, _ in self.atoms]))
 
     @_once
     def _hash(self) -> int:  # the dataclass hash, computed once per form
@@ -282,47 +285,67 @@ def natural_domain(model: str, atoms) -> DomainTag:
 # A form's coefficients are positive rationals, so no rule of the catalog
 # reads their size: admissibility, boundedness, singular atoms, closedness,
 # family membership and whether a sum is defined are facts of the support.
-# Each is decided once per support id (per pair of ids for a sum) and kept
-# in a table that holds ids, tags and shared atoms, no form and no Fraction.
+# Each support is one interned object that holds those facts, decided once.
 
-_SUPPORT_IDS: dict[tuple, int] = {}  # (model, domain, atoms) -> support id
+
+class Support:
+    """A form's model, domain tag and atoms without coefficients, made once
+    by ``_support``.  ``bounded``, ``singular`` and ``closed`` are decided
+    here; ``families`` fills ``members`` (family id -> membership) and
+    ``plans`` ((sum, the other operand's support) -> plan)."""
+
+    __slots__ = ("model", "domain", "atoms", "bounded", "singular", "closed", "members", "plans")
+
+    def __init__(self, model: str, domain: DomainTag, atoms: tuple):
+        self.model, self.domain, self.atoms = model, domain, atoms
+        self.bounded = all(atom_is_bounded(a) for a in atoms)
+        # every coefficient is positive, so "the energy coefficient is > 0"
+        # is "the energy atom is present"
+        energy = model == GRID and DIRICHLET in atoms
+        if model == GRID:
+            kinds = () if energy else ("boundary0", "boundary1")
+        else:
+            kinds = ("hamel",)
+        self.singular = frozenset([a for a in atoms if a.kind in kinds])
+        if self.bounded:
+            self.closed = domain == FULL_SPACE
+        elif model == SEQUENCE:  # a sequence form's singular atoms are its hamel atoms
+            self.closed = domain.kind == "diag_max" and not self.singular
+        else:
+            self.closed = energy and domain == H1_GRID
+        self.members: dict[str, bool] = {}
+        self.plans: dict[tuple, tuple | None] = {}
+
+
+# every support ever made, so a support is a sound key for the life of the process
+_SUPPORTS: dict[tuple, Support] = {}  # (model, domain, atoms) -> its Support
 # make_form: (model, domain argument, nonzero atoms in call order) -> _shape
 _SHAPES: dict[tuple, tuple] = {}
 
 
-def _support_id(model: str, domain: DomainTag, atoms: tuple) -> int:
-    return _SUPPORT_IDS.setdefault((model, domain, atoms), len(_SUPPORT_IDS))
+def _support(model: str, domain: DomainTag, atoms: tuple) -> Support:
+    key = (model, domain, atoms)
+    sup = _SUPPORTS.get(key)
+    if sup is None:
+        sup = _SUPPORTS[key] = Support(model, domain, atoms)
+    return sup
 
 
-def _built(model: str, domain: DomainTag, atoms: tuple, sid: int) -> FormSpec:
-    """The form of checked parts and its support id: the fields go straight
+def _built(sup: Support, atoms: tuple) -> FormSpec:
+    """The form of a support and checked atoms: the fields go straight
     into ``__dict__``, past the frozen dataclass ``__init__``."""
     t = object.__new__(FormSpec)
     memo = t.__dict__
-    memo["model"], memo["domain"], memo["atoms"], memo["support_id"] = model, domain, atoms, sid
+    memo["model"], memo["domain"], memo["atoms"], memo["support"] = sup.model, sup.domain, atoms, sup
     return t
 
 
-def _per_support(fn):
-    """Decide ``fn(t)`` once per support id; the body stays ``__wrapped__``."""
-    table: dict[int, object] = {}
-
-    def cached(t):
-        value = table.get(t.support_id)
-        if value is None:
-            value = table[t.support_id] = cached.__wrapped__(t)
-        return value
-
-    cached.table = table
-    return functools.update_wrapper(cached, fn)
-
-
 def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
-    """Domain, support id and atom positions in sorted order (None when
-    they are in order) of an admissible form with these nonzero atoms;
-    raises for an inadmissible one."""
+    """Support and atom positions in sorted order (None when they are in
+    order) of an admissible form with these nonzero atoms; raises for an
+    inadmissible one."""
     if not atoms:
-        return FULL_SPACE, _support_id(model, FULL_SPACE, ()), None
+        return _support(model, FULL_SPACE, ()), None
     has_hamel = any(a.kind == "hamel" for a in atoms)
     if has_hamel and any(not atom_is_bounded(a) and a.kind != "hamel" for a in atoms):
         raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
@@ -344,8 +367,8 @@ def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
     if unbounded and dom == FULL_SPACE and not has_hamel:
         raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
     order = sorted(range(len(atoms)), key=lambda i: atoms[i].sort_key)
-    sid = _support_id(model, dom, tuple([atoms[i] for i in order]))
-    return dom, sid, None if order == list(range(len(atoms))) else tuple(order)
+    sup = _support(model, dom, tuple([atoms[i] for i in order]))
+    return sup, None if order == list(range(len(atoms))) else tuple(order)
 
 
 def make_form(model: str, atoms: dict, domain: DomainTag | None = None) -> FormSpec:
@@ -377,13 +400,13 @@ def make_form(model: str, atoms: dict, domain: DomainTag | None = None) -> FormS
     shape = _SHAPES.get(key)
     if shape is None:
         shape = _SHAPES[key] = _shape(model, domain, kept)
-    dom, sid, order = shape
+    sup, order = shape
     pairs = tuple(zip(kept, coeffs)) if order is None else tuple([(kept[i], coeffs[i]) for i in order])
-    return _built(model, dom, pairs, sid)
+    return _built(sup, pairs)
 
 
 def zero_form(model: str) -> FormSpec:
-    return _built(model, FULL_SPACE, (), _support_id(model, FULL_SPACE, ()))
+    return _built(_support(model, FULL_SPACE, ()), ())
 
 
 def add_coeff(atoms: dict, atom: FormAtom, c: Fraction) -> None:
@@ -393,10 +416,10 @@ def add_coeff(atoms: dict, atom: FormAtom, c: Fraction) -> None:
 
 
 def sum_shape(t: FormSpec, s: FormSpec) -> tuple | None:
-    """How ``t + s`` is built, from the supports alone: its domain, its
-    support id, the positions in ``t.atoms + s.atoms`` of its atoms in
-    order, and (position, i, j) for each atom whose coefficients at i and j
-    add; ``None`` when the domains have no meet."""
+    """How ``t + s`` is built, from the supports alone: its support, the
+    positions in ``t.atoms + s.atoms`` of its atoms in order, and
+    (position, i, j) for each atom whose coefficients at i and j add;
+    ``None`` when the domains have no meet."""
     dom = tag_meet(t.domain, s.domain)
     if dom is None:
         return None
@@ -412,8 +435,8 @@ def sum_shape(t: FormSpec, s: FormSpec) -> tuple | None:
             shared.append((len(picks) - 1, picks[-1], k))
         else:
             picks.append(k)
-    sid = _support_id(t.model, dom, tuple([both[k][0] for k in picks]))
-    return dom, sid, tuple(picks), tuple(shared)
+    sup = _support(t.model, dom, tuple([both[k][0] for k in picks]))
+    return sup, tuple(picks), tuple(shared)
 
 
 def add_shaped(t: FormSpec, s: FormSpec, shape: tuple) -> FormSpec:
@@ -422,12 +445,12 @@ def add_shaped(t: FormSpec, s: FormSpec, shape: tuple) -> FormSpec:
         return s
     if not s.atoms:
         return t
-    dom, sid, picks, shared = shape
+    sup, picks, shared = shape
     both = t.atoms + s.atoms
     atoms = [both[k] for k in picks]
     for p, i, j in shared:
         atoms[p] = (both[i][0], both[i][1] + both[j][1])
-    return _built(t.model, dom, tuple(atoms), sid)
+    return _built(sup, tuple(atoms))
 
 
 def form_add(t: FormSpec, s: FormSpec) -> FormSpec:
@@ -652,10 +675,9 @@ def numerical_range_bounds(t: FormSpec, level: int) -> tuple[float, float]:
     return lo, hi
 
 
-@_per_support
 def is_bounded(t: FormSpec) -> bool:
     """Catalog boundedness: every atom is bounded."""
-    return all(atom_is_bounded(a) for a, _ in t.atoms)
+    return t.support.bounded
 
 
 def classify_boundedness(t: FormSpec) -> bool:
@@ -679,7 +701,6 @@ def classify_boundedness(t: FormSpec) -> bool:
     return declared
 
 
-@_per_support
 def singular_atoms(t: FormSpec) -> frozenset:
     """The atoms of t's singular part, by the whole-form catalog rule.
 
@@ -687,11 +708,7 @@ def singular_atoms(t: FormSpec) -> frozenset:
     regular; with zero energy the boundary atoms are singular.  On the
     sequence model only the symbolic singular atom is.
     """
-    if t.model == GRID:
-        if t.coeff(DIRICHLET) > 0:
-            return frozenset()
-        return frozenset(a for a, _ in t.atoms if a.kind in ("boundary0", "boundary1"))
-    return frozenset(a for a, _ in t.atoms if a.kind == "hamel")
+    return t.support.singular
 
 
 def reg_sing_split(t: FormSpec) -> tuple[FormSpec, FormSpec]:
@@ -717,7 +734,6 @@ def is_singular(t: FormSpec) -> bool:
     return len(singular_atoms(t)) == len(t.atoms)
 
 
-@_per_support
 def is_closed(t: FormSpec) -> bool:
     """Closedness by the catalog rule.
 
@@ -727,13 +743,7 @@ def is_closed(t: FormSpec) -> bool:
     the derivative-energy coefficient is positive; boundary-only forms are
     not closable at all.
     """
-    if t.has_kind("hamel"):
-        return False
-    if is_bounded(t):
-        return t.domain == FULL_SPACE
-    if t.model == SEQUENCE:
-        return t.domain.kind == "diag_max"
-    return t.coeff(DIRICHLET) > 0 and t.domain == H1_GRID
+    return t.support.closed
 
 
 # ----------------------------------------------------- singularity probe

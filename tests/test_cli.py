@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gealab import chains, cli, families, instances
+from gealab import chains, cli, families, hilbert, instances
 from gealab.errors import GealabError
 
 
@@ -246,6 +246,19 @@ def test_fixed_domain_families_on_sequence_tags(capsys):
     assert code == 2 and not out and err.startswith("config error:")
 
 
+def test_unknown_model_is_named(capsys):
+    for family in ("vf", "vfd:full"):
+        code, out, err = run_cli(["axioms", "--family", family, "--model", "torus"], capsys)
+        assert (code, out, err) == (2, "", "config error: unknown model 'torus'\n")
+
+
+def test_zero_denominator_constant_is_a_config_error(capsys):
+    argv = ["axioms", "--family", "vfd:diag_max:const:1/0", "--samples", "5"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: diagonal constant 'const:1/0' is not a rational number\n"
+
+
 @pytest.mark.parametrize("seed", ["7", "101"])
 @pytest.mark.parametrize("family", ["vfd:full", "vfd:diag_max:1/j", "vfd:diag_max:const:2"])
 def test_fixed_domain_families_without_unbounded_forms(family, seed, capsys):
@@ -302,6 +315,29 @@ def test_chain_nonpositive_level_is_config_error(capsys):
         code, out, err = run_cli(["chain", "--chain", "kato", "--levels", levels], capsys)
         assert code == 2 and not out
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_chain_levels_past_the_bound_are_refused_before_the_table(capsys, monkeypatch):
+    # the refused levels never reach the pointwise table, so none is allocated
+    seen = []
+
+    def pointwise_limit(chain, levels, seed, n_max):
+        if sum(hilbert.dim_of(chain.model, level) for level in levels) > chains.MAX_LEVEL_DIMS:
+            raise AssertionError(f"levels {levels} reached the pointwise table")
+        seen.append(levels)
+        return {}
+
+    monkeypatch.setattr(chains, "pointwise_limit", pointwise_limit)
+    bound = chains.MAX_LEVEL_DIMS
+    refused = (("diag", "100000000"), ("diag", str(bound + 1)), ("kato", str(bound - 1)), ("diag", "600,600"))
+    for chain, levels in refused:
+        code, out, err = run_cli(["chain", "--chain", chain, "--levels", levels], capsys)
+        assert code == 2 and not out
+        assert err.startswith(f"config error: --levels {levels} spans") and err.count("\n") == 1
+    # a sequence level is its dimension, a grid level two less
+    for chain, levels in (("diag", str(bound)), ("kato", str(bound - 2)), ("diag", "512,512")):
+        assert run_cli(["chain", "--chain", chain, "--levels", levels], capsys)[0] == 0
+    assert seen == [(bound,), (bound - 2,), (512, 512)]
 
 
 def test_chain_unparsable_levels_is_usage_error(capsys):

@@ -531,7 +531,7 @@ def test_cached_classification_matches_a_fresh_copy(family):
     sums = [alg.add(x, y) for x, y in zip(draws, draws[1:])]
     for t in draws + [u for u in sums if u is not None]:
         fresh = _rebuilt(t)
-        assert fresh == t and hash(fresh) == hash(t) and "support_id" not in vars(fresh)
+        assert fresh == t and hash(fresh) == hash(t) and "support" not in vars(fresh)
         for predicate in (forms.is_bounded, forms.singular_atoms, forms.is_closed):
             assert predicate(t) == predicate(fresh), (predicate.__name__, t)
         # an atom's facts are computed once per atom object: recompute them from its fields
@@ -547,23 +547,21 @@ def test_cached_classification_matches_a_fresh_copy(family):
 
 
 def test_is_bounded_body_runs_once_per_form(monkeypatch):
-    seen = []  # keeps every classified form alive, so ids stay distinct
-    body = forms.is_bounded.__wrapped__
+    # boundedness and the other support facts are decided when a Support is
+    # made, so each (model, domain, atoms) key must be made at most once;
+    # _SUPPORTS is not cleared, since that could leave two Supports of one key in use
+    made = []
+    init = forms.Support.__init__
 
-    def counting(t):
-        seen.append(t)
-        return body(t)
+    def counting(self, model, domain, atoms):
+        made.append((model, domain, atoms))
+        init(self, model, domain, atoms)
 
-    monkeypatch.setattr(forms.is_bounded, "__wrapped__", counting)
-    table = forms.is_bounded.table
-    known = dict(table)
-    table.clear()  # every support of the run is classified afresh, and once
-    try:
-        kernel.check_axioms(gea_by_name("vf-bar"), mode="sampled", samples=500, seed=3)
-    finally:
-        table.update(known)
-    assert seen and len({id(t) for t in seen}) == len(seen)
-    assert len({t.support_id for t in seen}) == len(seen)
+    known = set(forms._SUPPORTS)
+    monkeypatch.setattr(forms.Support, "__init__", counting)
+    kernel.check_axioms(gea_by_name("vf-bar"), mode="sampled", samples=500, seed=3)
+    assert len(set(made)) == len(made)
+    assert not known.intersection(made)
 
 
 # the families of the sampled-axioms benchmark workload

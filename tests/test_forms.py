@@ -88,6 +88,14 @@ def test_lam_registry():
         forms.lam_sup("exp")
 
 
+@pytest.mark.parametrize("lam", ["const:1/0", "const:x", "const:"])
+def test_unparsable_constant_is_outside_the_catalog(lam):
+    with pytest.raises(OutsideCatalog, match="not a rational number"):
+        diag_atom(lam)
+    with pytest.raises(OutsideCatalog, match="not a rational number"):
+        forms.lam_value(lam, 1)
+
+
 # ----------------------------------------------------------- construction
 
 
@@ -284,11 +292,10 @@ def test_cached_classification_stays_out_of_repr_eq_and_json():
     hash(t)
     forms.is_bounded(t), forms.singular_atoms(t), forms.is_closed(t)
     families.in_family(t, "rf")
-    # the facts sit in tables keyed by the support id, which the form keeps beside its hash
-    assert set(vars(t)) == {"model", "domain", "atoms", "_hash", "support_id"}
-    assert t.support_id == fresh.support_id
-    assert all(t.support_id in f.table for f in (forms.is_bounded, forms.singular_atoms, forms.is_closed))
-    assert families._MEMBERS["rf"][t.support_id]
+    # the facts sit on the interned support, which the form keeps beside its hash
+    assert set(vars(t)) == {"model", "domain", "atoms", "_hash", "support"}
+    assert t.support is fresh.support
+    assert t.support.members["rf"]
     assert "atom_is_bounded" in vars(t.atoms[0][0])
     after = (repr(t), form_to_json(t), [repr(a) for a, _ in t.atoms])
     assert before == after == (repr(fresh), form_to_json(fresh), [repr(a) for a, _ in fresh.atoms])

@@ -1,13 +1,15 @@
-"""Support ids: every coefficient-free fact of a form is decided once per
-support (model, domain, atoms without coefficients) or pair of supports.
+"""Supports: every coefficient-free fact of a form is decided once per
+support (model, domain, atoms without coefficients) or pair of supports,
+and kept on the interned ``forms.Support``.
 
-The reference oracles below are the per-form path the tables replace: the
-undecorated classifier bodies (``__wrapped__``), membership by the family
-rules, and the sums as a merge of atom dictionaries.  Every planned sum,
+The reference oracles below are the per-form path the supports replace:
+classifiers that read the coefficients, membership by the family rules,
+and the sums as a merge of atom dictionaries.  Every planned sum,
 membership and classification must equal them, and no error is cached.
 """
 
 import contextlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -34,6 +36,34 @@ ORACLE_FAMILIES = (*BENCH_FAMILIES, "vfd:finite_support", "vfd:diag_max:j")
 CLASSIFIERS = (forms.is_bounded, forms.singular_atoms, forms.is_closed)
 
 # ------------------------------------------------------------ reference oracles
+
+
+def ref_is_bounded(t):
+    """Catalog boundedness: every atom is bounded."""
+    return all(forms.atom_is_bounded(a) for a, _ in t.atoms)
+
+
+def ref_singular_atoms(t):
+    """The singular atoms, read off the coefficients."""
+    if t.model == GRID:
+        if t.coeff(DIRICHLET) > 0:
+            return frozenset()
+        return frozenset(a for a, _ in t.atoms if a.kind in ("boundary0", "boundary1"))
+    return frozenset(a for a, _ in t.atoms if a.kind == "hamel")
+
+
+def ref_is_closed(t):
+    """Closedness by the catalog rule, read off the coefficients."""
+    if t.has_kind("hamel"):
+        return False
+    if ref_is_bounded(t):
+        return t.domain == FULL_SPACE
+    if t.model == SEQUENCE:
+        return t.domain.kind == "diag_max"
+    return t.coeff(DIRICHLET) > 0 and t.domain == H1_GRID
+
+
+REF_CLASSIFIERS = (ref_is_bounded, ref_singular_atoms, ref_is_closed)
 
 
 def ref_in_family(t, family):
@@ -94,10 +124,10 @@ def ref_oplus_family(family, t, s):
 
 @contextlib.contextmanager
 def undecorated():
-    """Every classifier runs its body, so no table is read or written."""
+    """Every classifier and membership reads the form, not its support."""
     with pytest.MonkeyPatch.context() as patch:
-        for fn in CLASSIFIERS:
-            patch.setattr(forms, fn.__name__, fn.__wrapped__)
+        for fn, ref in zip(CLASSIFIERS, REF_CLASSIFIERS):
+            patch.setattr(forms, fn.__name__, ref)
         patch.setattr(families, "in_family", ref_in_family)
         yield
 
@@ -137,16 +167,16 @@ def test_support_tables_match_the_per_form_path(family):
     forms_seen = draws + [u for sums in want_sums for u in sums[:2] if u is not None]
     with undecorated():
         want_facts = [
-            ([fn(t) for fn in CLASSIFIERS], [ref_in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen
+            ([fn(t) for fn in REF_CLASSIFIERS], [ref_in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen
         ]
     got_facts = [([fn(t) for fn in CLASSIFIERS], [in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen]
     assert got_facts == want_facts
-    # a support id names exactly one (model, domain, atoms) support
-    supports = {}
+    # a support names exactly one (model, domain, atoms) key, and a key one support
+    keys = {}
     for t in forms_seen:
-        supports.setdefault(t.support_id, set()).add((t.model, t.domain, tuple(a for a, _ in t.atoms)))
-    assert all(len(group) == 1 for group in supports.values())
-    assert len({next(iter(group)) for group in supports.values()}) == len(supports)
+        key = (t.model, t.domain, tuple(a for a, _ in t.atoms))
+        assert (t.support.model, t.support.domain, t.support.atoms) == key
+        assert keys.setdefault(key, t.support) is t.support is forms._SUPPORTS[key]
 
 
 def ref_make_form(model, atoms, domain=None):
@@ -271,10 +301,12 @@ MAX_NEW_PLANS = 4 * 4915
 
 
 def _table_sizes():
-    sizes = {"supports": len(forms._SUPPORT_IDS), "shapes": len(forms._SHAPES)}
-    sizes.update({f"plans {op}": len(plans) for op, plans in families._PLANS.items()})
-    sizes.update({f"members {f}": len(table) for f, table in families._MEMBERS.items()})
-    sizes.update({fn.__name__: len(fn.table) for fn in CLASSIFIERS})
+    sizes = {"supports": len(forms._SUPPORTS), "shapes": len(forms._SHAPES)}
+    for sup in forms._SUPPORTS.values():
+        for op, _ in sup.plans:
+            sizes[f"plans {op}"] = sizes.get(f"plans {op}", 0) + 1
+        for family in sup.members:
+            sizes[f"members {family}"] = sizes.get(f"members {family}", 0) + 1
     return sizes
 
 
@@ -286,3 +318,22 @@ def test_support_tables_stay_small(family):
     assert grown["supports"] <= MAX_NEW_SUPPORTS, grown
     assert all(n <= MAX_NEW_PLANS for name, n in grown.items() if name.startswith("plans")), grown
     assert all(n <= MAX_NEW_SUPPORTS for name, n in grown.items() if not name.startswith("plans")), grown
+
+
+# ------------------------------------------------------------ one support per key
+
+
+def test_rebuilt_and_unpickled_forms_share_the_support():
+    made = [
+        make_form(SEQUENCE, {diag_atom("j"): 2, forms.bounded_mat_atom("seeded:2"): Fraction(1, 3)}),
+        make_form(SEQUENCE, {diag_atom("j^2"): 1}, forms.FINITE_SUPPORT),
+        forms.energy_with_endpoints(1, 1, 0),
+        forms.zero_form(GRID),
+        forms.hamel_form(2),
+    ]
+    for t in made:
+        rebuilt = forms.FormSpec(t.model, t.domain, t.atoms)
+        unpickled = pickle.loads(pickle.dumps(t))
+        assert "support" not in vars(rebuilt) and "support" not in vars(unpickled)
+        assert rebuilt == t == unpickled
+        assert rebuilt.support is t.support is unpickled.support
