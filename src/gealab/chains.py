@@ -46,8 +46,9 @@ from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 ORDERS = {"oplus": "vf", "prec": None, "cf": "cf", "rf": "rf", "bar": "vf-bar"}
 
 DEFAULT_N_MAX = 32
-# the pointwise table keeps dense matrices of every level it is given: at
-# most this many coordinates over all of them (the default grid levels have 263)
+# the pointwise table builds dense matrices at every level it is given, and the
+# diag chain eigensolves at the last: at most this many coordinates over all of
+# them (the default grid levels have 263)
 MAX_LEVEL_DIMS = 1024
 _RANDOM_SAMPLES = 20
 
@@ -289,11 +290,12 @@ def pointwise_limit(chain: FormChain, levels=None, seed: int = 0, n_max: int = D
 def _diag_operator_gaps(chain: FormChain, level: int, steps: list[int]) -> list[dict]:
     dim = hilbert.dim_of(chain.model, level)
     x = (0.5 ** np.arange(dim)).astype(complex)
-    a_lim = forms.associated_operator(chain.limit, level)
+    # only the operators' images of x are kept: at a large level each operator is a large dense matrix
+    lim_x = forms.associated_operator(chain.limit, level) @ x
     gaps = []
     for n in steps:
-        a_n = forms.riesz_operator_of_bounded(chain.term(n), level)
-        gaps.append({"n": n, "gap": float(np.linalg.norm(a_n @ x - a_lim @ x))})
+        gap = np.linalg.norm(forms.riesz_operator_of_bounded(chain.term(n), level) @ x - lim_x)
+        gaps.append({"n": n, "gap": float(gap)})
     for prev, cur in zip(gaps, gaps[1:]):
         if cur["gap"] > prev["gap"] + 1e-12:
             raise VerificationFailed("operator gaps failed to decrease")

@@ -11,7 +11,8 @@ operator algebras vh and sa are gf and cf on the sequence model with the
 operator samplers.  The numeric order applies ``forms.psd_range``.
 
 Every family id (also the CLI string) is a key of ``FAMILIES``, which
-holds each family's default model, membership rule and sampler.
+holds each family's default model, membership rule and sampler.  Every
+coefficient is positive, so a rule reads a form's ``forms.Support``.
 """
 
 from __future__ import annotations
@@ -79,19 +80,24 @@ def _tag_model(tag: DomainTag) -> str:
     return GRID if tag == H1_GRID else SEQUENCE
 
 
+def _member(sup: forms.Support, family: str) -> bool:
+    """Membership of a support: the carrier rule, then the family's rule."""
+    member = sup.members.get(family)
+    if member is None:
+        entry, tag = _lookup(family)  # an unknown id raises and is not kept
+        carrier = not sup.bounded or sup.domain == FULL_SPACE
+        member = sup.members[family] = carrier and (entry.rule is None or entry.rule(sup, tag))
+    return member
+
+
 def in_vf(t: FormSpec) -> bool:
     """Carrier rule: a bounded form is admitted only on the full space."""
-    return not forms.is_bounded(t) or t.domain is FULL_SPACE or t.domain == FULL_SPACE
+    return _member(t.support, "vf")
 
 
 def in_family(t: FormSpec, family: str) -> bool:
     """Membership, decided once per family id and support."""
-    members = t.support.members
-    member = members.get(family)
-    if member is None:
-        entry, tag = _lookup(family)  # an unknown id raises and is not kept
-        member = members[family] = in_vf(t) and (entry.rule is None or entry.rule(t, tag))
-    return member
+    return _member(t.support, family)
 
 
 # ------------------------------------------------------------ partial sums
@@ -104,67 +110,61 @@ def in_family(t: FormSpec, family: str) -> bool:
 # planned pair needs no check and an unplanned one is checked on every call.
 
 _UNPLANNED = object()
+_PLAIN, _BAR = object(), object()  # the unrestricted sums' keys, which no family id equals
 
 
-def _plan(op: str, t: FormSpec, s: FormSpec) -> tuple | None:
-    """The plan of ``op`` for the supports of ``t`` and ``s``, made once."""
-    plans = t.support.plans
-    key = (op, s.support)
-    shape = plans.get(key, _UNPLANNED)
+def _plan(op, T: forms.Support, S: forms.Support) -> tuple | None:
+    """The plan of the sum ``op`` for the supports ``T`` and ``S``, made once."""
+    plans = T.plans
+    shape = plans.get((op, S), _UNPLANNED)
     if shape is not _UNPLANNED:
         return shape
-    if op == "oplus":
-        defined = forms.is_bounded(t) or forms.is_bounded(s) or t.domain == s.domain
-        shape = forms.sum_shape(t, s) if defined else None  # None when the domains have no meet
-    elif op == "oplus_bar":
-        shape = _plan("oplus", t, s)
+    if op is _PLAIN:
+        defined = T.bounded or S.bounded or T.domain == S.domain
+        shape = forms.sum_shape(T, S) if defined else None  # None when the domains have no meet
+    elif op is _BAR:
+        # coefficients are positive: the regular parts add iff no atom changes status in U
+        shape = _plan(_PLAIN, T, S)
         if shape is not None:
-            merged = _reg_atoms(t)
-            for atom, c in _reg_atoms(s).items():
-                add_coeff(merged, atom, c)
-            if merged != _reg_atoms(forms.add_shaped(t, s, shape)):
+            U = shape[0]
+            if any((a in U.singular) != (a in X.singular) for X in (T, S) for a in X.atoms):
                 shape = None
     else:
-        shape = _plan("oplus_bar" if _lookup(op)[0].bar else "oplus", t, s)
-        if shape is not None and not in_family(forms.add_shaped(t, s, shape), op):
+        shape = _plan(_BAR if _lookup(op)[0].bar else _PLAIN, T, S)
+        if shape is not None and not _member(shape[0], op):
             shape = None
-    plans[key] = shape
+    plans[(op, S)] = shape
     return shape
 
 
-def _sum(op: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
-    """``t`` plus ``s`` by the sum ``op``, "oplus", "oplus_bar" or a family
+def _sum(op, t: FormSpec, s: FormSpec) -> FormSpec | None:
+    """``t`` plus ``s`` by the sum ``op``, ``_PLAIN``, ``_BAR`` or a family
     id: one lookup for a planned pair, the sum's checks for an unplanned one."""
     shape = t.support.plans.get((op, s.support), _UNPLANNED)
     if shape is _UNPLANNED:
-        if op not in ("oplus", "oplus_bar"):
+        if op is not _PLAIN and op is not _BAR:
             for operand in (t, s):
                 if not in_family(operand, op):
                     raise NotInFamily(f"{forms.describe(operand)} is not in {op}")
         if t.model != s.model:
             raise ModelMismatch("operands live on different models")
-        shape = _plan(op, t, s)
+        shape = _plan(op, t.support, s.support)
     return None if shape is None else forms.add_shaped(t, s, shape)
 
 
 def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Partial sum: defined iff an operand is bounded or the tags agree."""
-    return _sum("oplus", t, s)
-
-
-def _reg_atoms(t: FormSpec) -> dict:
-    sing = forms.singular_atoms(t)
-    return {a: c for a, c in t.atoms if a not in sing}
+    return _sum(_PLAIN, t, s)
 
 
 def oplus_bar(t: FormSpec, s: FormSpec) -> FormSpec | None:
     """Restriction of the sum to pairs whose regular parts add.
 
-    The comparison is exact on atom multisets; domains of the regular
-    parts need no separate check because a regular part inherits its
-    form's domain.
+    That is, every atom is singular in the sum iff it is in the operands
+    that have it.  Domains of the regular parts need no separate check
+    because a regular part inherits its form's domain.
     """
-    return _sum("oplus_bar", t, s)
+    return _sum(_BAR, t, s)
 
 
 def oplus_family(family: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
@@ -428,12 +428,8 @@ def sample_form(model: str, family: str, rng: random.Random) -> FormSpec:
 # ---------------------------------------------------------------- registry
 
 
-def _generated(t: FormSpec, tag) -> bool:
-    return all(a.kind in _GF_KINDS for a, _ in t.atoms)
-
-
-def _closed(t: FormSpec, tag) -> bool:
-    return forms.is_closed(t)
+def _generated(sup: forms.Support, tag) -> bool:
+    return all(a.kind in _GF_KINDS for a in sup.atoms)
 
 
 @dataclass(frozen=True)
@@ -441,14 +437,14 @@ class Family:
     """One family: its default model, its membership rule and its sampler.
 
     ``model`` is None for a family fixed by a domain tag ("vfd:<tag>"),
-    whose default model is the tag's.  ``rule(t, tag)`` decides membership
-    beyond the carrier rule; None admits the whole carrier and keeps the
-    unrestricted sum, the bar sum when ``bar`` is set.  ``draw(model, tag,
-    rng)`` draws a sample after ``sample_form`` has drawn against the zero.
+    whose default model is the tag's.  ``rule(sup, tag)`` decides membership
+    of a ``forms.Support`` beyond the carrier rule; None admits the whole
+    carrier and keeps the unrestricted sum, the bar sum when ``bar`` is set.
+    ``draw(model, tag, rng)`` draws a sample after ``sample_form`` has drawn against the zero.
     """
 
     model: str | None
-    rule: Callable[[FormSpec, DomainTag | None], bool] | None
+    rule: Callable[[forms.Support, DomainTag | None], bool] | None
     draw: Callable[[str, DomainTag | None, random.Random], FormSpec]
     bar: bool = False
 
@@ -458,15 +454,15 @@ FAMILIES = {
     "vf-bar": Family(GRID, None, _draw_any, bar=True),
     "bf": Family(
         SEQUENCE,
-        lambda t, tag: forms.is_bounded(t),
+        lambda sup, tag: sup.bounded,
         lambda m, tag, rng: _bounded_form(m, rng),
     ),
     "rf": Family(
         GRID,
-        lambda t, tag: forms.is_regular(t),
+        lambda sup, tag: not sup.singular,
         lambda m, tag, rng: _grid_regular(rng) if m == GRID else _seq_regular(rng),
     ),
-    "sf": Family(GRID, lambda t, tag: forms.is_singular(t), _draw_singular),
+    "sf": Family(GRID, lambda sup, tag: len(sup.singular) == len(sup.atoms), _draw_singular),
     "gf": Family(
         SEQUENCE,
         _generated,
@@ -474,13 +470,13 @@ FAMILIES = {
     ),
     "cf": Family(
         GRID,
-        _closed,
+        lambda sup, tag: sup.closed,
         lambda m, tag, rng: _grid_regular(rng) if m == GRID else _seq_regular(rng, False),
     ),
-    "vfd": Family(None, lambda t, tag: forms.is_bounded(t) or t.domain == tag, _draw_fixed_domain),
+    "vfd": Family(None, lambda sup, tag: sup.bounded or sup.domain == tag, _draw_fixed_domain),
     # the operator algebras: gf and cf on the sequence model, drawn as operators
     "vh": Family(SEQUENCE, _generated, lambda m, tag, rng: _draw_operator(m, rng, False)),
-    "sa": Family(SEQUENCE, _closed, lambda m, tag, rng: _draw_operator(m, rng, True)),
+    "sa": Family(SEQUENCE, lambda sup, tag: sup.closed, lambda m, tag, rng: _draw_operator(m, rng, True)),
 }
 
 

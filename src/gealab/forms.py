@@ -89,13 +89,9 @@ def diag_domain(lam: str) -> DomainTag:
 
 def tag_includes(a: DomainTag, b: DomainTag) -> bool:
     """True when the domain tagged ``a`` is contained in the one tagged ``b``."""
-    if a is b or a == b:
+    if a is b or b is FULL_SPACE:
         return True
-    if b is FULL_SPACE or b == FULL_SPACE:
-        return True
-    if a.kind == "finite_support" and b.kind == "diag_max":
-        return True
-    return False
+    return a == b or b == FULL_SPACE or (a.kind == "finite_support" and b.kind == "diag_max")
 
 
 def tag_meet(a: DomainTag, b: DomainTag) -> DomainTag | None:
@@ -230,10 +226,7 @@ class FormSpec:
     atoms: tuple[tuple[FormAtom, Fraction], ...]
 
     def coeff(self, atom: FormAtom) -> Fraction:
-        for a, c in self.atoms:
-            if a == atom:
-                return c
-        return ZERO
+        return self.atoms_dict().get(atom, ZERO)
 
     def atoms_dict(self) -> dict[FormAtom, Fraction]:
         return dict(self.atoms)
@@ -244,6 +237,16 @@ class FormSpec:
 
     def has_kind(self, kind: str) -> bool:
         return any(a.kind == kind for a, _ in self.atoms)
+
+    def __eq__(self, other):  # the dataclass equality, by the interned supports where both have one
+        if self is other:
+            return True
+        if other.__class__ is not FormSpec:
+            return NotImplemented
+        mine, theirs = self.__dict__.get("support"), other.__dict__.get("support")
+        if mine is None or theirs is None:  # built from fields or unpickled: nothing is interned on ==
+            return (self.model, self.domain, self.atoms) == (other.model, other.domain, other.atoms)
+        return mine is theirs and self.atoms == other.atoms
 
     def __repr__(self):  # keep reprs short in reports and counterexamples
         return f"FormSpec({describe(self)})"
@@ -415,16 +418,16 @@ def add_coeff(atoms: dict, atom: FormAtom, c: Fraction) -> None:
     atoms[atom] = c if have is None else have + c
 
 
-def sum_shape(t: FormSpec, s: FormSpec) -> tuple | None:
-    """How ``t + s`` is built, from the supports alone: its support, the
-    positions in ``t.atoms + s.atoms`` of its atoms in order, and
-    (position, i, j) for each atom whose coefficients at i and j add;
-    ``None`` when the domains have no meet."""
+def sum_shape(t: Support, s: Support) -> tuple | None:
+    """How a form on ``t`` plus one on ``s`` is built, from the supports
+    alone: the sum's support, the positions in ``t.atoms + s.atoms`` of its
+    atoms in order, and (position, i, j) for each atom whose coefficients
+    at i and j add; ``None`` when the domains have no meet."""
     dom = tag_meet(t.domain, s.domain)
     if dom is None:
         return None
     both = t.atoms + s.atoms
-    keys = [a.sort_key for a, _ in both]
+    keys = [a.sort_key for a in both]
     picks: list[int] = []
     shared = []
     # a sort key names its atom, both atom tuples are sorted and the sort
@@ -435,7 +438,7 @@ def sum_shape(t: FormSpec, s: FormSpec) -> tuple | None:
             shared.append((len(picks) - 1, picks[-1], k))
         else:
             picks.append(k)
-    sup = _support(t.model, dom, tuple([both[k][0] for k in picks]))
+    sup = _support(t.model, dom, tuple([both[k] for k in picks]))
     return sup, tuple(picks), tuple(shared)
 
 
@@ -457,7 +460,7 @@ def form_add(t: FormSpec, s: FormSpec) -> FormSpec:
     """Plain sum on the intersection of the domains (no definedness rule)."""
     if t.model != s.model:
         raise ModelMismatch("cannot add forms on different models")
-    shape = sum_shape(t, s)  # a zero operand is on the full space, which meets every domain
+    shape = sum_shape(t.support, s.support)  # a zero operand is on the full space, which meets every domain
     if shape is None:
         raise OutsideCatalog("sum of forms on incomparable domains")
     # operands are valid forms, so the merged multiset needs no revalidation
@@ -573,8 +576,27 @@ def _seeded_unit_psd(dim: int, seed: int) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
+def _kept_at_default_levels(fn):
+    """``fn(..., level)`` in a bounded ``lru_cache`` (its ``cache_info`` and ``cache_clear``)
+    at a default level; past them only the last result, dropped before the next is built."""
+    cached = functools.lru_cache(maxsize=512)(fn)
+    defaults = {level for levels in DEFAULT_LEVELS.values() for level in levels}
+    last: dict = {}
+
+    def call(*args):
+        if args[-1] in defaults:
+            return cached(*args)
+        if args not in last:
+            last.clear()
+            last[args] = fn(*args)
+        return last[args]
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return functools.update_wrapper(call, fn)
+
+
 # sigma and chain --chain diag meet at most 128 distinct arguments: 512 keeps their hits
-@functools.lru_cache(maxsize=512)
+@_kept_at_default_levels
 def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
     dim = hilbert.dim_of(model, level)
     if atom.kind == "diag":
@@ -607,18 +629,15 @@ def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=512)
+@_kept_at_default_levels
 def matrix_at(t: FormSpec, level: int) -> np.ndarray:
-    """Coefficient matrix of the form at a level: t(x, y) = y* M x.
-
-    The returned array is cached and marked read-only.
-    """
+    """Coefficient matrix of the form at a level, t(x, y) = y* M x; read-only."""
     if t.has_kind("hamel"):
         raise SymbolicOnly("the symbolic singular form has no matrices")
     dim = hilbert.dim_of(t.model, level)
     m = np.zeros((dim, dim), dtype=complex)
     for atom, c in t.atoms:
-        m = m + float(c) * _atom_matrix(t.model, atom, level)
+        m += float(c) * _atom_matrix(t.model, atom, level)
     m.setflags(write=False)
     return m
 
@@ -636,9 +655,7 @@ def evaluate(t: FormSpec, x, y) -> complex:
 
 def quadratic(t: FormSpec, x) -> float:
     """t(x, x); must be real and non-negative up to roundoff."""
-    x = np.asarray(x, dtype=complex)
-    level = hilbert.level_of(t.model, x.shape[0])
-    value = complex(np.vdot(x, matrix_at(t, level) @ x))
+    value = evaluate(t, x, x)
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         raise VerificationFailed(f"quadratic value is not real: {value}")
     return value.real
@@ -859,15 +876,10 @@ def form_to_dict(t: FormSpec) -> dict:
     boundary = {}
     for atom, c in t.atoms:
         if atom.kind == "diag":
-            entry = {
-                "kind": "diag",
-                "lambda": atom.lam,
-                "sup": "inf" if not atom_is_bounded(atom) else str(_diag_sup(atom)),
-                "coeff": str(c),
-            }
+            sup = str(_diag_sup(atom)) if atom_is_bounded(atom) else "inf"
+            atoms.append({"kind": "diag", "lambda": atom.lam, "sup": sup, "coeff": str(c)})
             if atom.cut is not None:
-                entry["cut"] = atom.cut
-            atoms.append(entry)
+                atoms[-1]["cut"] = atom.cut
         elif atom.kind == "bounded_mat":
             atoms.append({"kind": "bounded_mat", "gen": atom.gen, "coeff": str(c)})
         elif atom.kind == "dirichlet":
@@ -877,26 +889,16 @@ def form_to_dict(t: FormSpec) -> dict:
         else:
             atoms.append({"kind": "hamel", "coeff": str(c)})
     if boundary:
-        atoms.append(
-            {
-                "kind": "boundary",
-                "alpha": str(boundary.get("boundary0", ZERO)),
-                "beta": str(boundary.get("boundary1", ZERO)),
-            }
-        )
+        alpha, beta = (str(boundary.get(kind, ZERO)) for kind in ("boundary0", "boundary1"))
+        atoms.append({"kind": "boundary", "alpha": alpha, "beta": beta})
     atoms.sort(key=lambda e: json.dumps(e, sort_keys=True))
     return {"model": t.model, "domain": tag_to_str(t.domain), "atoms": atoms}
 
 
-def _diag_sup(atom: FormAtom) -> Fraction:
-    if atom.cut is not None:
-        best = ZERO
-        for j in range(1, atom.cut + 1):
-            best = max(best, lam_value(atom.lam, j))
-        return best
-    sup = lam_sup(atom.lam)
-    assert sup is not None
-    return sup
+def _diag_sup(atom: FormAtom) -> Fraction:  # of a bounded diagonal atom
+    if atom.cut is None:
+        return lam_sup(atom.lam)
+    return max((lam_value(atom.lam, j) for j in range(1, atom.cut + 1)), default=ZERO)
 
 
 def form_from_dict(data: dict) -> FormSpec:

@@ -89,6 +89,15 @@ def test_family_membership():
         in_family(T_0, "vfd")  # fixed-domain family needs its tag
 
 
+@pytest.mark.parametrize("op", ["oplus", "oplus_bar"])
+def test_the_unrestricted_sums_are_not_family_ids(op):
+    t, s = diag_form("j"), diag_form("1/j")
+    assert oplus(t, s) is not None and oplus_bar(t, s) is not None  # the pair is planned
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown family"):
+            oplus_family(op, t, s)
+
+
 def test_zero_everywhere():
     for family in ("vf", "vf-bar", "bf", "rf", "sf", "gf", "cf", "vfd:h1_grid"):
         model = GRID if family.startswith("vfd") else SEQUENCE

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,19 @@ def test_matrix_caches_are_bounded_and_keep_every_hit(capsys):
     assert (m.hits, m.misses, a.hits, a.misses) == (874, 128, 33, 105)
 
 
+def test_matrices_past_the_default_levels_are_not_kept():
+    # a chain --levels run must not keep every large dense matrix it builds
+    t, s = diag_form("j"), diag_form("j", cut=4)
+    info = matrix_at.cache_info(), forms._atom_matrix.cache_info()
+    m = matrix_at(t, 100)
+    assert matrix_at(t, 100) is m and not m.flags.writeable  # the last one is kept
+    kept = weakref.ref(m), weakref.ref(forms._atom_matrix(SEQUENCE, t.atoms[0][0], 100))
+    del m
+    assert np.array_equal(matrix_at(s, 100), np.diag([1, 2, 3, 4] + [0] * 96))
+    assert all(ref() is None for ref in kept)
+    assert (matrix_at.cache_info(), forms._atom_matrix.cache_info()) == info  # the default levels' caches
+
+
 def test_cached_hash_is_the_dataclass_hash():
     rng = random.Random(3)
     sampled = [families.sample_form(GRID, "vf", rng) for _ in range(200)]
@@ -388,8 +402,8 @@ def test_singular_atoms_rule():
 
 
 def test_singular_atoms_agree_with_the_split():
-    # is_regular / is_singular / the bar sum's regular atoms read the atom
-    # rule directly; they must say what the two-form split says
+    # is_regular / is_singular / the bar sum's plan read the support's
+    # singular atoms; they must say what the two-form split says
     import random
 
     rng = random.Random(31)
@@ -401,7 +415,7 @@ def test_singular_atoms_agree_with_the_split():
         r, s = forms.reg_sing_split(t)
         assert forms.is_regular(t) == s.is_zero, t
         assert forms.is_singular(t) == r.is_zero, t
-        assert families._reg_atoms(t) == r.atoms_dict(), t
+        assert {a for a, _ in r.atoms} == set(t.support.atoms) - t.support.singular, t
         assert {a for a, _ in s.atoms} == forms.singular_atoms(t), t
 
 

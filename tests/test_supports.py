@@ -2,13 +2,12 @@
 support (model, domain, atoms without coefficients) or pair of supports,
 and kept on the interned ``forms.Support``.
 
-The reference oracles below are the per-form path the supports replace:
-classifiers that read the coefficients, membership by the family rules,
-and the sums as a merge of atom dictionaries.  Every planned sum,
+The reference oracles below are the per-form path the supports replace,
+written apart from the code under test: classifiers and family rules
+that read the coefficients, and the sums as a merge of atom dictionaries.  Every planned sum,
 membership and classification must equal them, and no error is cached.
 """
 
-import contextlib
 import pickle
 import random
 from fractions import Fraction
@@ -16,7 +15,7 @@ from fractions import Fraction
 import pytest
 from test_families import BENCH_FAMILIES
 
-from gealab import families, forms, hilbert, kernel
+from gealab import forms, hilbert, kernel
 from gealab.errors import GealabError, ModelMismatch, NotInFamily, OutsideCatalog
 from gealab.families import gea_by_name, in_family, oplus, oplus_bar, oplus_family
 from gealab.forms import (
@@ -65,10 +64,26 @@ def ref_is_closed(t):
 
 REF_CLASSIFIERS = (ref_is_bounded, ref_singular_atoms, ref_is_closed)
 
+# the membership rule of each family id's base beyond the carrier, read off
+# the form; vf and vf-bar admit the whole carrier
+REF_RULES = {
+    "bf": lambda t, tag: ref_is_bounded(t),
+    "rf": lambda t, tag: not ref_singular_atoms(t),
+    "sf": lambda t, tag: ref_singular_atoms(t) == {a for a, _ in t.atoms},
+    "gf": lambda t, tag: all(a.kind in ("diag", "bounded_mat") for a, _ in t.atoms),
+    "cf": lambda t, tag: ref_is_closed(t),
+    "vfd": lambda t, tag: ref_is_bounded(t) or t.domain == tag,
+}
+REF_RULES["vh"], REF_RULES["sa"] = REF_RULES["gf"], REF_RULES["cf"]
+BAR_FAMILIES = ("vf-bar",)
+
 
 def ref_in_family(t, family):
-    entry, tag = families._lookup(family)
-    return families.in_vf(t) and (entry.rule is None or entry.rule(t, tag))
+    """The carrier rule (a bounded form lives on the full space), then the family's rule."""
+    base, _, text = family.partition(":")
+    tag = forms.tag_from_str(text) if text else None
+    rule = REF_RULES.get(base)
+    return (not ref_is_bounded(t) or t.domain == FULL_SPACE) and (rule is None or rule(t, tag))
 
 
 def ref_form_add(t, s):
@@ -91,18 +106,19 @@ def ref_form_add(t, s):
 def ref_oplus(t, s):
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
-    if forms.is_bounded(t) or forms.is_bounded(s) or t.domain == s.domain:
+    if ref_is_bounded(t) or ref_is_bounded(s) or t.domain == s.domain:
         if forms.tag_meet(t.domain, s.domain) is not None:
             return ref_form_add(t, s)
     return None
 
 
 def _ref_reg_atoms(t):
-    sing = forms.singular_atoms(t)
+    sing = ref_singular_atoms(t)
     return {a: c for a, c in t.atoms if a not in sing}
 
 
 def ref_oplus_bar(t, s):
+    """Defined when the regular parts' coefficients add to the sum's regular part."""
     u = ref_oplus(t, s)
     if u is None:
         return None
@@ -116,20 +132,10 @@ def ref_oplus_family(family, t, s):
     for operand in (t, s):
         if not ref_in_family(operand, family):
             raise NotInFamily(f"{forms.describe(operand)} is not in {family}")
-    u = ref_oplus_bar(t, s) if families._lookup(family)[0].bar else ref_oplus(t, s)
+    u = ref_oplus_bar(t, s) if family in BAR_FAMILIES else ref_oplus(t, s)
     if u is None or not ref_in_family(u, family):
         return None
     return u
-
-
-@contextlib.contextmanager
-def undecorated():
-    """Every classifier and membership reads the form, not its support."""
-    with pytest.MonkeyPatch.context() as patch:
-        for fn, ref in zip(CLASSIFIERS, REF_CLASSIFIERS):
-            patch.setattr(forms, fn.__name__, ref)
-        patch.setattr(families, "in_family", ref_in_family)
-        yield
 
 
 def _outcome(fn, *args):
@@ -153,10 +159,7 @@ def _draws_and_pairs(family, seed):
 def test_support_tables_match_the_per_form_path(family):
     alg, draws, pairs = _draws_and_pairs(family, 31)
     family_sum = {"vf": "plain", "vf-bar": "bar"}.get(family, "family")
-    with undecorated():
-        want_sums = [
-            (ref_oplus(t, s), ref_oplus_bar(t, s), _outcome(ref_oplus_family, family, t, s)) for t, s in pairs
-        ]
+    want_sums = [(ref_oplus(t, s), ref_oplus_bar(t, s), _outcome(ref_oplus_family, family, t, s)) for t, s in pairs]
     # the planned sums, twice: the second pass reads the plans the first one made
     for _ in range(2):
         got_sums = [(oplus(t, s), oplus_bar(t, s), _outcome(oplus_family, family, t, s)) for t, s in pairs]
@@ -165,10 +168,9 @@ def test_support_tables_match_the_per_form_path(family):
             want = {"plain": got[0], "bar": got[1], "family": got[2]}[family_sum]
             assert alg.add(t, s) == want
     forms_seen = draws + [u for sums in want_sums for u in sums[:2] if u is not None]
-    with undecorated():
-        want_facts = [
-            ([fn(t) for fn in REF_CLASSIFIERS], [ref_in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen
-        ]
+    want_facts = [
+        ([fn(t) for fn in REF_CLASSIFIERS], [ref_in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen
+    ]
     got_facts = [([fn(t) for fn in CLASSIFIERS], [in_family(t, f) for f in ORACLE_FAMILIES]) for t in forms_seen]
     assert got_facts == want_facts
     # a support names exactly one (model, domain, atoms) key, and a key one support
@@ -269,6 +271,38 @@ def test_make_form_errors_are_raised_on_every_call():
             make_form("torus", {j: 1})
         assert make_form(GRID, {DIRICHLET: 1, BOUNDARY0: 1}) == forms.energy_with_endpoints(1, 1, 0)
     assert len(forms._SHAPES) <= shapes + 2  # only the admissible calls were kept
+
+
+# ------------------------------------------------------- each order planned alone
+
+
+@pytest.fixture
+def fresh_plans():
+    """Every support's plans emptied for the test and put back after it, so
+    that no plan made under a patch outlives the test."""
+    saved = {sup: dict(sup.plans) for sup in forms._SUPPORTS.values()}
+    for sup in saved:
+        sup.plans.clear()
+    yield
+    for sup in forms._SUPPORTS.values():
+        sup.plans.clear()
+        sup.plans.update(saved.get(sup, {}))
+
+
+def test_sampled_checks_plan_each_order_of_a_pair(monkeypatch, fresh_plans):
+    # sums undefined whenever the left support has more atoms: a plan of
+    # (t, s) taken from the one of (s, t) would hide the broken commutativity
+    shape = forms.sum_shape
+    monkeypatch.setattr(forms, "sum_shape", lambda t, s: None if len(t.atoms) > len(s.atoms) else shape(t, s))
+    t = make_form(SEQUENCE, {diag_atom("j"): 1, forms.bounded_mat_atom("id"): 2})
+    s = diag_form("j", coeff=3)
+    sums = (oplus, oplus_bar, lambda a, b: oplus_family("vf", a, b))
+    assert [add(s, t) for add in sums] == [forms.form_add(s, t)] * 3
+    assert s.support.plans and not t.support.plans  # planning (s, t) planned no (t, s)
+    assert [add(t, s) for add in sums] == [None] * 3
+    alg = gea_by_name("vf")
+    gei = kernel.check_axioms(alg, mode="sampled").verdict("GEi")
+    assert not gei.passed and kernel.replay(alg, gei)
 
 
 # ------------------------------------------------ the invariant the tables rest on
