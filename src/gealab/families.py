@@ -90,11 +90,6 @@ def _member(sup: forms.Support, family: str) -> bool:
     return member
 
 
-def in_vf(t: FormSpec) -> bool:
-    """Carrier rule: a bounded form is admitted only on the full space."""
-    return _member(t.support, "vf")
-
-
 def in_family(t: FormSpec, family: str) -> bool:
     """Membership, decided once per family id and support."""
     return _member(t.support, family)
@@ -191,7 +186,7 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
             diff.pop(atom, None)
         else:
             diff[atom] = r
-    unbounded = any(not forms.atom_is_bounded(a) for a in diff)
+    unbounded = any(not a.bounded for a in diff)
     out = make_form(t.model, diff, s.domain if unbounded else None)  # the zero form when diff is empty
     if oplus(t, out) != s:
         if strict:

@@ -52,19 +52,6 @@ GROWTH_FACTOR = 1.5
 ZERO = Fraction(0)  # the coefficient of an absent atom, shared rather than rebuilt
 
 
-def _once(fn):
-    """Keep ``fn(t)`` in the ``__dict__`` of an immutable atom or form ``t``: no field, freed with ``t``."""
-    key = fn.__name__
-
-    def cached(t):
-        memo = t.__dict__
-        if key not in memo:
-            memo[key] = cached.__wrapped__(t)
-        return memo[key]
-
-    return functools.update_wrapper(cached, fn)
-
-
 # ------------------------------------------------------------ domain tags
 
 
@@ -157,15 +144,34 @@ def lam_sup(lam: str) -> Fraction | None:
 
 @dataclass(frozen=True)
 class FormAtom:
+    """One catalog atom, checked when built.  Beside the fields it stores,
+    outside ``repr`` and ``==``: its hash, its ``sort_key`` (its place in a
+    form's atom tuple), whether it is ``bounded`` and its ``natural_domain``."""
+
     kind: str
     lam: str = ""
     cut: int | None = None
     gen: str = ""
 
     def __post_init__(self):
-        # the dataclass hash, and the atom's place in a form's atom tuple
-        self.__dict__["_hash"] = hash((self.kind, self.lam, self.cut, self.gen))
-        self.__dict__["sort_key"] = (self.kind, self.lam, -1 if self.cut is None else self.cut, self.gen)
+        kind, lam, cut = self.kind, self.lam, self.cut
+        bounded = kind == "bounded_mat"
+        natural = H1_GRID if kind in ("dirichlet", "boundary0", "boundary1") else FULL_SPACE
+        if kind == "diag":
+            sup = lam_sup(lam)  # validates lam against the registry
+            if cut is not None and type(cut) is not int:  # a JSON 4.0 or true is no cut
+                raise OutsideCatalog(f"truncation cut must be an integer, not {cut!r}")
+            if cut is not None and cut < 0:
+                raise OutsideCatalog("truncation cut must be non-negative")
+            bounded = cut is not None or sup is not None
+            if not bounded:
+                natural = diag_domain(lam)
+        elif bounded and self.gen != "id" and not self.gen.startswith("seeded:"):
+            raise OutsideCatalog(f"unknown bounded generator {self.gen!r}")
+        memo = self.__dict__
+        memo["_hash"] = hash((kind, lam, cut, self.gen))  # the dataclass hash
+        memo["sort_key"] = (kind, lam, -1 if cut is None else cut, self.gen)
+        memo["bounded"], memo["natural_domain"] = bounded, natural
 
     def __hash__(self) -> int:
         return self._hash
@@ -184,34 +190,11 @@ _GRID_KINDS = ("dirichlet", "boundary0", "boundary1", "bounded_mat")
 
 
 def diag_atom(lam: str, cut: int | None = None) -> FormAtom:
-    lam_sup(lam)  # validate against the registry
-    if cut is not None and type(cut) is not int:  # a JSON 4.0 or true is no cut
-        raise OutsideCatalog(f"truncation cut must be an integer, not {cut!r}")
-    if cut is not None and cut < 0:
-        raise OutsideCatalog("truncation cut must be non-negative")
     return FormAtom("diag", lam=lam, cut=cut)
 
 
 def bounded_mat_atom(gen: str = "id") -> FormAtom:
-    if gen != "id" and not gen.startswith("seeded:"):
-        raise OutsideCatalog(f"unknown bounded generator {gen!r}")
     return FormAtom("bounded_mat", gen=gen)
-
-
-@_once
-def atom_is_bounded(atom: FormAtom) -> bool:
-    if atom.kind == "diag":
-        return atom.cut is not None or lam_sup(atom.lam) is not None
-    return atom.kind == "bounded_mat"
-
-
-@_once
-def atom_natural_domain(atom: FormAtom) -> DomainTag:
-    if atom.kind == "diag" and not atom_is_bounded(atom):
-        return diag_domain(atom.lam)
-    if atom.kind in ("dirichlet", "boundary0", "boundary1"):
-        return H1_GRID
-    return FULL_SPACE
 
 
 # ------------------------------------------------------------- form spec
@@ -219,11 +202,24 @@ def atom_natural_domain(atom: FormAtom) -> DomainTag:
 
 @dataclass(frozen=True)
 class FormSpec:
-    """Immutable positive form: model + domain tag + atom multiset."""
+    """Immutable positive form: model + domain tag + atom multiset.
+
+    Every form is checked and classified when built: ``FormSpec(model,
+    domain, atoms)``, and with it pickling, copying and
+    ``dataclasses.replace``, builds what ``make_form(model, dict(atoms),
+    domain)`` builds.  ``support``, the interned ``Support``, sits in the
+    ``__dict__`` beside the fields, outside ``repr``, the hash and the JSON.
+    """
 
     model: str
     domain: DomainTag
     atoms: tuple[tuple[FormAtom, Fraction], ...]
+
+    def __init__(self, model: str, domain: DomainTag, atoms):
+        given = dict(atoms)
+        if len(given) != len(atoms):
+            raise ValueError("a form names each atom once")
+        self.__dict__.update(vars(make_form(model, given, domain)))
 
     def coeff(self, atom: FormAtom) -> Fraction:
         return self.atoms_dict().get(atom, ZERO)
@@ -238,43 +234,29 @@ class FormSpec:
     def has_kind(self, kind: str) -> bool:
         return any(a.kind == kind for a, _ in self.atoms)
 
-    def __eq__(self, other):  # the dataclass equality, by the interned supports where both have one
-        if self is other:
-            return True
+    def __eq__(self, other):  # the dataclass equality: equal fields are one support and equal atoms
         if other.__class__ is not FormSpec:
             return NotImplemented
-        mine, theirs = self.__dict__.get("support"), other.__dict__.get("support")
-        if mine is None or theirs is None:  # built from fields or unpickled: nothing is interned on ==
-            return (self.model, self.domain, self.atoms) == (other.model, other.domain, other.atoms)
-        return mine is theirs and self.atoms == other.atoms
+        return self.support is other.support and self.atoms == other.atoms
 
     def __repr__(self):  # keep reprs short in reports and counterexamples
         return f"FormSpec({describe(self)})"
 
-    @functools.cached_property
-    def support(self) -> Support:
-        """The interned support: model, domain and atoms without coefficients.
+    def __hash__(self) -> int:  # the dataclass hash, computed once per form
+        memo = self.__dict__
+        if "_hash" not in memo:
+            memo["_hash"] = hash((self.model, self.domain, self.atoms))
+        return memo["_hash"]
 
-        The builders set it; a form built from its fields, or unpickled, interns it here.
-        It lives in ``__dict__``, outside ``repr``, ``==``, the hash and the JSON.
-        """
-        return _support(self.model, self.domain, tuple([a for a, _ in self.atoms]))
-
-    @_once
-    def _hash(self) -> int:  # the dataclass hash, computed once per form
-        return hash((self.model, self.domain, self.atoms))
-
-    __hash__ = _hash
-
-    def __reduce__(self):  # rebuilt, not copied: no hash or cached fact from another process
+    def __reduce__(self):  # rebuilt, not copied: no hash of another process
         return FormSpec, (self.model, self.domain, self.atoms)
 
 
-def natural_domain(model: str, atoms) -> DomainTag:
+def natural_domain(atoms) -> DomainTag:
     """Meet of the atoms' natural domains under the declared inclusions."""
     dom = FULL_SPACE
     for atom in atoms:
-        met = tag_meet(dom, atom_natural_domain(atom))
+        met = tag_meet(dom, atom.natural_domain)
         if met is None:
             raise OutsideCatalog(
                 "atoms with incomparable natural domains; pass an explicit domain tag"
@@ -301,7 +283,7 @@ class Support:
 
     def __init__(self, model: str, domain: DomainTag, atoms: tuple):
         self.model, self.domain, self.atoms = model, domain, atoms
-        self.bounded = all(atom_is_bounded(a) for a in atoms)
+        self.bounded = all(a.bounded for a in atoms)
         # every coefficient is positive, so "the energy coefficient is > 0"
         # is "the energy atom is present"
         energy = model == GRID and DIRICHLET in atoms
@@ -336,7 +318,7 @@ def _support(model: str, domain: DomainTag, atoms: tuple) -> Support:
 
 def _built(sup: Support, atoms: tuple) -> FormSpec:
     """The form of a support and checked atoms: the fields go straight
-    into ``__dict__``, past the frozen dataclass ``__init__``."""
+    into ``__dict__``, past the checks of ``FormSpec.__init__``."""
     t = object.__new__(FormSpec)
     memo = t.__dict__
     memo["model"], memo["domain"], memo["atoms"], memo["support"] = sup.model, sup.domain, atoms, sup
@@ -350,23 +332,23 @@ def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
     if not atoms:
         return _support(model, FULL_SPACE, ()), None
     has_hamel = any(a.kind == "hamel" for a in atoms)
-    if has_hamel and any(not atom_is_bounded(a) and a.kind != "hamel" for a in atoms):
+    if has_hamel and any(not a.bounded and a.kind != "hamel" for a in atoms):
         raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
 
     if domain is None:
-        dom = natural_domain(model, atoms)
+        dom = natural_domain(atoms)
     else:
         # an explicit domain only needs to sit inside every atom's own
         # natural domain; the atoms' meet may not exist (two different
         # unbounded diagonals restricted to finite support)
         dom = domain
         for atom in atoms:
-            if not tag_includes(dom, atom_natural_domain(atom)):
+            if not tag_includes(dom, atom.natural_domain):
                 raise OutsideCatalog(
                     f"domain {tag_to_str(dom)} is not contained in the natural "
-                    f"domain {tag_to_str(atom_natural_domain(atom))} of {atom}"
+                    f"domain {tag_to_str(atom.natural_domain)} of {atom}"
                 )
-    unbounded = any(not atom_is_bounded(a) for a in atoms)
+    unbounded = any(not a.bounded for a in atoms)
     if unbounded and dom == FULL_SPACE and not has_hamel:
         raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
     order = sorted(range(len(atoms)), key=lambda i: atoms[i].sort_key)
@@ -737,7 +719,7 @@ def reg_sing_split(t: FormSpec) -> tuple[FormSpec, FormSpec]:
     sing_atoms = singular_atoms(t)
     sing = {a: c for a, c in t.atoms if a in sing_atoms}
     reg = {a: c for a, c in t.atoms if a not in sing_atoms}
-    reg_dom = None if not reg else (t.domain if any(not atom_is_bounded(a) for a in reg) else None)
+    reg_dom = None if not reg else (t.domain if any(not a.bounded for a in reg) else None)
     t_r = make_form(t.model, reg, reg_dom) if reg else zero_form(t.model)
     t_s = make_form(t.model, sing) if sing else zero_form(t.model)
     return t_r, t_s
@@ -876,7 +858,7 @@ def form_to_dict(t: FormSpec) -> dict:
     boundary = {}
     for atom, c in t.atoms:
         if atom.kind == "diag":
-            sup = str(_diag_sup(atom)) if atom_is_bounded(atom) else "inf"
+            sup = str(_diag_sup(atom)) if atom.bounded else "inf"
             atoms.append({"kind": "diag", "lambda": atom.lam, "sup": sup, "coeff": str(c)})
             if atom.cut is not None:
                 atoms[-1]["cut"] = atom.cut

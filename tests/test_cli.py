@@ -411,6 +411,20 @@ def test_json_bytes_match_golden_digest(command, code, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of the text these runs print at --seed 7: the text keeps the
+# report's key order, which JSON's sorted keys do not show
+GOLDEN_TEXT = [
+    ("counterexample remark-2-2", 0, "1dc31251b8dd8b469797fd78c6058feec9a55f5ffc583addb599cc53109938bc"),
+    ("counterexample regular-sum", 0, "a705e933ea2189240619e9bca6311b354d230594db665f79fbe42331dccd00d7"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN_TEXT, ids=[g[0] for g in GOLDEN_TEXT])
+def test_text_bytes_match_golden_digest(command, code, digest, capsys):
+    assert cli.main(command.split() + ["--seed", "7", "--format", "text"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_sigma_deterministic_bytes(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -23,7 +23,6 @@ from gealab.families import (
     FormsGEA,
     gea_by_name,
     in_family,
-    in_vf,
     le_bar,
     le_family,
     le_oplus,
@@ -62,11 +61,11 @@ T_1 = energy_with_endpoints(1, 1, 1)
 
 
 def test_carrier_rule():
-    assert in_vf(diag_form("1/j"))
-    assert not in_vf(diag_form("1/j", domain=FINITE_SUPPORT))  # bounded but restricted
-    assert in_vf(diag_form("j"))
-    assert in_vf(diag_form("j", domain=FINITE_SUPPORT))
-    assert in_vf(zero_form(SEQUENCE))
+    assert in_family(diag_form("1/j"), "vf")
+    assert not in_family(diag_form("1/j", domain=FINITE_SUPPORT), "vf")  # bounded but restricted
+    assert in_family(diag_form("j"), "vf")
+    assert in_family(diag_form("j", domain=FINITE_SUPPORT), "vf")
+    assert in_family(zero_form(SEQUENCE), "vf")
 
 
 def test_family_membership():
@@ -522,8 +521,24 @@ def test_full_tag_draws_bounded_forms_on_either_model():
 FAMILY_IDS = [*(f for f in FAMILIES if f != "vfd"), "vfd:h1_grid", "vfd:finite_support"]
 
 
+def ref_atom_bounded(a):
+    """Catalog boundedness of an atom, from its fields."""
+    if a.kind == "diag":
+        return a.cut is not None or forms.lam_sup(a.lam) is not None
+    return a.kind == "bounded_mat"
+
+
+def ref_atom_natural_domain(a):
+    """The natural domain of an atom, from its fields."""
+    if a.kind == "diag" and not ref_atom_bounded(a):
+        return forms.diag_domain(a.lam)
+    if a.kind in ("dirichlet", "boundary0", "boundary1"):
+        return forms.H1_GRID
+    return FULL_SPACE
+
+
 def _rebuilt(t):
-    """A structurally equal copy of t built from fresh objects, nothing cached."""
+    """A structurally equal copy of t built from fresh objects, no hash cached."""
     atoms = tuple(
         (forms.FormAtom(a.kind, a.lam, a.cut, a.gen), Fraction(c.numerator, c.denominator))
         for a, c in t.atoms
@@ -540,18 +555,16 @@ def test_cached_classification_matches_a_fresh_copy(family):
     sums = [alg.add(x, y) for x, y in zip(draws, draws[1:])]
     for t in draws + [u for u in sums if u is not None]:
         fresh = _rebuilt(t)
-        assert fresh == t and hash(fresh) == hash(t) and "support" not in vars(fresh)
+        assert fresh == t and hash(fresh) == hash(t) and fresh.support is t.support
         for predicate in (forms.is_bounded, forms.singular_atoms, forms.is_closed):
             assert predicate(t) == predicate(fresh), (predicate.__name__, t)
-        # an atom's facts are computed once per atom object: recompute them from its fields
+        # an atom's facts are stored once per atom object: recompute them from its fields
         for a, _ in t.atoms:
             assert hash(a) == hash((a.kind, a.lam, a.cut, a.gen))
             assert a.sort_key == (a.kind, a.lam, -1 if a.cut is None else a.cut, a.gen)
-            assert forms.atom_is_bounded(a) == forms.atom_is_bounded.__wrapped__(a), a
-            assert forms.atom_natural_domain(a) == forms.atom_natural_domain.__wrapped__(a), a
-        assert [forms.atom_is_bounded(a) for a, _ in t.atoms] == [
-            forms.atom_is_bounded(a) for a, _ in fresh.atoms
-        ]
+            assert a.bounded == ref_atom_bounded(a), a
+            assert a.natural_domain == ref_atom_natural_domain(a), a
+        assert [a.bounded for a, _ in t.atoms] == [a.bounded for a, _ in fresh.atoms]
         assert [in_family(t, f) for f in FAMILY_IDS] == [in_family(fresh, f) for f in FAMILY_IDS], t
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from gealab import cli, families, forms, hilbert
 from gealab.errors import (
     DimensionMismatch,
+    GealabError,
     ModelMismatch,
     NotClosed,
     OutsideCatalog,
@@ -240,11 +241,13 @@ def test_cached_hash_is_the_dataclass_hash():
 
 
 def test_a_pickled_form_is_found_in_another_process():
-    # a str hash differs between processes: a pickle carries no cached hash or fact
+    # a str hash differs between processes: a pickle carries no cached hash,
+    # and the form it rebuilds takes this process's interned support
     t = form_add(diag_form("j"), bounded_matrix_form("seeded:2"))
     assert hash(t) and forms.is_bounded(t) is False
     back = pickle.loads(pickle.dumps(t))
-    assert back == t and set(vars(back)) == {"model", "domain", "atoms"}
+    assert back == t and set(vars(back)) == {"model", "domain", "atoms", "support"}
+    assert back.support is t.support
     code = (
         "import pickle, sys; from gealab import forms; t = pickle.loads(sys.stdin.buffer.read()); "
         "print(t in {forms.form_add(forms.diag_form('j'), forms.bounded_matrix_form('seeded:2'))})"
@@ -270,12 +273,58 @@ def test_every_way_of_making_an_atom_gives_an_equal_atom():
     assert form_from_json(form_to_json(diag_form("j", cut=4))).atoms[0][0] == atom
     assert forms.FormAtom("dirichlet") == DIRICHLET and forms.FormAtom("hamel") == forms.HAMEL
     for a in _catalog_atoms():
-        forms.atom_is_bounded(a)
         for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a)), forms.FormAtom(a.kind, a.lam, a.cut, a.gen)):
             assert b == a and hash(b) == hash(a) and b.sort_key == a.sort_key
-            # rebuilt from the fields: the hash is this process's, no cached fact comes along
-            assert set(vars(b)) == {"kind", "lam", "cut", "gen", "_hash", "sort_key"}
+            assert b.bounded == a.bounded and b.natural_domain == a.natural_domain
+            # rebuilt from the fields: the hash and the facts are this process's
+            assert set(vars(b)) == {"kind", "lam", "cut", "gen", "_hash", "sort_key", "bounded", "natural_domain"}
     assert diag_atom("j") != atom and diag_atom("j").sort_key < atom.sort_key
+
+
+def test_an_atom_built_from_its_fields_is_checked():
+    for build in (
+        lambda: forms.FormAtom("diag", lam="nope"),
+        lambda: forms.FormAtom("diag", "j", 4.0),
+        lambda: forms.FormAtom("bounded_mat", gen="x"),
+        lambda: dataclasses.replace(diag_atom("j"), cut=-1),
+    ):
+        with pytest.raises(OutsideCatalog):
+            build()
+    assert diag_atom("j").natural_domain == diag_domain("j") and not diag_atom("j").bounded
+    assert diag_atom("j", cut=3).bounded and diag_atom("j", cut=3).natural_domain == FULL_SPACE
+
+
+def _outcome(build, *args):
+    """What a build returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (GealabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_a_form_built_from_its_fields_is_what_make_form_builds():
+    j, b0 = diag_atom("j"), forms.BOUNDARY0
+    cases = [
+        (GRID, H1_GRID, ((DIRICHLET, -1), (b0, 1))),  # a negative coefficient
+        (SEQUENCE, FULL_SPACE, ((j, 1),)),  # an unbounded atom on the full space
+        (SEQUENCE, FULL_SPACE, ((DIRICHLET, 1),)),  # an atom kind off its model
+        ("line", FULL_SPACE, ()),  # an unknown model
+        (GRID, H1_GRID, ((b0, 1), (DIRICHLET, 2))),  # atoms out of order
+        (GRID, H1_GRID, ((DIRICHLET, 1), (b0, 0))),  # a zero coefficient
+        (SEQUENCE, FINITE_SUPPORT, ((j, Fraction(1, 2)), (forms.bounded_mat_atom("seeded:1"), 3))),
+    ]
+    for model, domain, atoms in cases:
+        made = _outcome(make_form, model, dict(atoms), domain)
+        assert _outcome(forms.FormSpec, model, domain, atoms) == made
+        if isinstance(made, forms.FormSpec):
+            built = forms.FormSpec(model, domain, atoms)
+            assert built.support is made.support and form_to_json(built) == form_to_json(made)
+    assert forms.FormSpec(GRID, H1_GRID, ((DIRICHLET, 1), (b0, 0))) == energy_form(1)
+    assert forms.FormSpec(GRID, H1_GRID, ((DIRICHLET, 0),)) == zero_form(GRID)
+    with pytest.raises(ValueError, match="each atom once"):
+        forms.FormSpec(GRID, H1_GRID, ((DIRICHLET, 1), (DIRICHLET, 2)))
+    with pytest.raises(OutsideCatalog):
+        dataclasses.replace(diag_form("j"), domain=FULL_SPACE)
 
 
 def test_atoms_stay_immutable():
@@ -310,7 +359,7 @@ def test_cached_classification_stays_out_of_repr_eq_and_json():
     assert set(vars(t)) == {"model", "domain", "atoms", "_hash", "support"}
     assert t.support is fresh.support
     assert t.support.members["rf"]
-    assert "atom_is_bounded" in vars(t.atoms[0][0])
+    assert {"bounded", "natural_domain"} <= set(vars(t.atoms[0][0]))
     after = (repr(t), form_to_json(t), [repr(a) for a, _ in t.atoms])
     assert before == after == (repr(fresh), form_to_json(fresh), [repr(a) for a, _ in fresh.atoms])
     assert t == fresh and fresh == t

@@ -8,12 +8,14 @@ that read the coefficients, and the sums as a merge of atom dictionaries.  Every
 membership and classification must equal them, and no error is cached.
 """
 
+import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from test_families import BENCH_FAMILIES
+from test_families import BENCH_FAMILIES, ref_atom_bounded, ref_atom_natural_domain
 
 from gealab import forms, hilbert, kernel
 from gealab.errors import GealabError, ModelMismatch, NotInFamily, OutsideCatalog
@@ -39,7 +41,7 @@ CLASSIFIERS = (forms.is_bounded, forms.singular_atoms, forms.is_closed)
 
 def ref_is_bounded(t):
     """Catalog boundedness: every atom is bounded."""
-    return all(forms.atom_is_bounded(a) for a, _ in t.atoms)
+    return all(ref_atom_bounded(a) for a, _ in t.atoms)
 
 
 def ref_singular_atoms(t):
@@ -199,19 +201,19 @@ def ref_make_form(model, atoms, domain=None):
     if not items:
         return forms.FormSpec(model, FULL_SPACE, ())
     has_hamel = any(a.kind == "hamel" for a in items)
-    if has_hamel and any(not forms.atom_is_bounded(a) and a.kind != "hamel" for a in items):
+    if has_hamel and any(not ref_atom_bounded(a) and a.kind != "hamel" for a in items):
         raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
     if domain is None:
-        dom = forms.natural_domain(model, items)
+        dom = forms.natural_domain(items)
     else:
         dom = domain
         for atom in items:
-            if not forms.tag_includes(dom, forms.atom_natural_domain(atom)):
+            if not forms.tag_includes(dom, ref_atom_natural_domain(atom)):
                 raise OutsideCatalog(
                     f"domain {forms.tag_to_str(dom)} is not contained in the natural "
-                    f"domain {forms.tag_to_str(forms.atom_natural_domain(atom))} of {atom}"
+                    f"domain {forms.tag_to_str(ref_atom_natural_domain(atom))} of {atom}"
                 )
-    if any(not forms.atom_is_bounded(a) for a in items) and dom == FULL_SPACE and not has_hamel:
+    if any(not ref_atom_bounded(a) for a in items) and dom == FULL_SPACE and not has_hamel:
         raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
     return forms.FormSpec(model, dom, tuple(sorted(items.items(), key=lambda item: item[0].sort_key)))
 
@@ -368,6 +370,6 @@ def test_rebuilt_and_unpickled_forms_share_the_support():
     for t in made:
         rebuilt = forms.FormSpec(t.model, t.domain, t.atoms)
         unpickled = pickle.loads(pickle.dumps(t))
-        assert "support" not in vars(rebuilt) and "support" not in vars(unpickled)
-        assert rebuilt == t == unpickled
-        assert rebuilt.support is t.support is unpickled.support
+        for back in (rebuilt, unpickled, copy.copy(t), copy.deepcopy(t), dataclasses.replace(t)):
+            # the support is set when the form is built, not looked up on first use
+            assert back == t and vars(back)["support"] is t.support
