@@ -2,8 +2,10 @@
 
 The base algebra carries every catalog form whose declared data is
 admissible (a bounded form must live on the full space); its partial sum
-is defined when an operand is bounded or the domain tags coincide.  The
-bar variant additionally requires the regular parts to add.  Subfamilies
+is defined when an operand is bounded or the domain tags coincide, and
+the sum is a catalog form (the symbolic singular atom takes no unbounded
+numeric atom beside it).  The bar variant additionally requires the
+regular parts to add.  Subfamilies
 (bounded, regular, singular, operator-generated, closed, fixed-domain)
 restrict the sum to members.  A catalog operator is the form it
 generates, so ``in_family(t, "gf")`` is the operator guard, and the
@@ -116,7 +118,7 @@ def _plan(op, T: forms.Support, S: forms.Support) -> tuple | None:
         return shape
     if op is _PLAIN:
         defined = T.bounded or S.bounded or T.domain == S.domain
-        shape = forms.sum_shape(T, S) if defined else None  # None when the domains have no meet
+        shape = forms.sum_shape(T, S) if defined else None  # None when the sum leaves the catalog
     elif op is _BAR:
         # coefficients are positive: the regular parts add iff no atom changes status in U
         shape = _plan(_PLAIN, T, S)
@@ -148,7 +150,8 @@ def _sum(op, t: FormSpec, s: FormSpec) -> FormSpec | None:
 
 
 def oplus(t: FormSpec, s: FormSpec) -> FormSpec | None:
-    """Partial sum: defined iff an operand is bounded or the tags agree."""
+    """Partial sum: defined iff an operand is bounded or the tags agree,
+    and the sum is a catalog form."""
     return _sum(_PLAIN, t, s)
 
 

@@ -325,14 +325,19 @@ def _built(sup: Support, atoms: tuple) -> FormSpec:
     return t
 
 
+def _hamel_clash(atoms) -> bool:
+    """Whether the symbolic singular atom sits beside an unbounded numeric
+    one, which no catalog form holds."""
+    return any(a.kind == "hamel" for a in atoms) and not all(a.bounded or a.kind == "hamel" for a in atoms)
+
+
 def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
     """Support and atom positions in sorted order (None when they are in
     order) of an admissible form with these nonzero atoms; raises for an
     inadmissible one."""
     if not atoms:
         return _support(model, FULL_SPACE, ()), None
-    has_hamel = any(a.kind == "hamel" for a in atoms)
-    if has_hamel and any(not a.bounded and a.kind != "hamel" for a in atoms):
+    if _hamel_clash(atoms):
         raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
 
     if domain is None:
@@ -349,7 +354,7 @@ def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
                     f"domain {tag_to_str(atom.natural_domain)} of {atom}"
                 )
     unbounded = any(not a.bounded for a in atoms)
-    if unbounded and dom == FULL_SPACE and not has_hamel:
+    if unbounded and dom == FULL_SPACE and not any(a.kind == "hamel" for a in atoms):
         raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
     order = sorted(range(len(atoms)), key=lambda i: atoms[i].sort_key)
     sup = _support(model, dom, tuple([atoms[i] for i in order]))
@@ -404,7 +409,9 @@ def sum_shape(t: Support, s: Support) -> tuple | None:
     """How a form on ``t`` plus one on ``s`` is built, from the supports
     alone: the sum's support, the positions in ``t.atoms + s.atoms`` of its
     atoms in order, and (position, i, j) for each atom whose coefficients
-    at i and j add; ``None`` when the domains have no meet."""
+    at i and j add; ``None`` when the sum leaves the catalog: the domains
+    have no meet, or the symbolic singular atom of one operand meets an
+    unbounded numeric atom of the other."""
     dom = tag_meet(t.domain, s.domain)
     if dom is None:
         return None
@@ -420,8 +427,12 @@ def sum_shape(t: Support, s: Support) -> tuple | None:
             shared.append((len(picks) - 1, picks[-1], k))
         else:
             picks.append(k)
-    sup = _support(t.model, dom, tuple([both[k] for k in picks]))
-    return sup, tuple(picks), tuple(shared)
+    atoms = tuple([both[k] for k in picks])
+    # each operand is admissible on a domain that contains the meet, so the
+    # hamel rule is the only one the sum can break
+    if _hamel_clash(atoms):
+        return None
+    return _support(t.model, dom, atoms), tuple(picks), tuple(shared)
 
 
 def add_shaped(t: FormSpec, s: FormSpec, shape: tuple) -> FormSpec:
@@ -444,8 +455,9 @@ def form_add(t: FormSpec, s: FormSpec) -> FormSpec:
         raise ModelMismatch("cannot add forms on different models")
     shape = sum_shape(t.support, s.support)  # a zero operand is on the full space, which meets every domain
     if shape is None:
-        raise OutsideCatalog("sum of forms on incomparable domains")
-    # operands are valid forms, so the merged multiset needs no revalidation
+        if tag_meet(t.domain, s.domain) is None:
+            raise OutsideCatalog("sum of forms on incomparable domains")
+        raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
     return add_shaped(t, s, shape)
 
 

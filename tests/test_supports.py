@@ -88,6 +88,24 @@ def ref_in_family(t, family):
     return (not ref_is_bounded(t) or t.domain == FULL_SPACE) and (rule is None or rule(t, tag))
 
 
+def ref_form(model, domain, items):
+    """The form of these fields and ``{atom: coefficient}`` items, set
+    straight into a ``FormSpec`` past ``make_form``, so a false refusal
+    there cannot reach the oracle's answer."""
+    t = object.__new__(forms.FormSpec)
+    atoms = tuple(sorted(items.items(), key=lambda item: item[0].sort_key))
+    support = forms._support(model, domain, tuple(a for a, _ in atoms))
+    t.__dict__.update(model=model, domain=domain, atoms=atoms, support=support)
+    return t
+
+
+def ref_hamel_clash(atoms):
+    """The symbolic singular atom beside an unbounded numeric one."""
+    return any(a.kind == "hamel" for a in atoms) and any(
+        not ref_atom_bounded(a) and a.kind != "hamel" for a in atoms
+    )
+
+
 def ref_form_add(t, s):
     """The plain sum as a merge of atom dictionaries, sorted afterwards."""
     if t.model != s.model:
@@ -102,15 +120,20 @@ def ref_form_add(t, s):
     merged = t.atoms_dict()
     for atom, c in s.atoms:
         forms.add_coeff(merged, atom, c)
-    return forms.FormSpec(t.model, dom, tuple(sorted(merged.items(), key=lambda item: item[0].sort_key)))
+    if ref_hamel_clash(merged):
+        raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
+    return ref_form(t.model, dom, merged)
 
 
 def ref_oplus(t, s):
+    """Defined when an operand is bounded or the domains agree, and the sum is a catalog form."""
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
     if ref_is_bounded(t) or ref_is_bounded(s) or t.domain == s.domain:
-        if forms.tag_meet(t.domain, s.domain) is not None:
+        try:
             return ref_form_add(t, s)
+        except OutsideCatalog:
+            return None
     return None
 
 
@@ -199,9 +222,9 @@ def ref_make_form(model, atoms, domain=None):
             raise ModelMismatch(f"atom kind {atom.kind!r} not available on the {model} model")
         items[atom] = c
     if not items:
-        return forms.FormSpec(model, FULL_SPACE, ())
+        return ref_form(model, FULL_SPACE, {})
     has_hamel = any(a.kind == "hamel" for a in items)
-    if has_hamel and any(not ref_atom_bounded(a) and a.kind != "hamel" for a in items):
+    if ref_hamel_clash(items):
         raise OutsideCatalog("the symbolic singular atom only combines with bounded atoms")
     if domain is None:
         dom = forms.natural_domain(items)
@@ -215,7 +238,7 @@ def ref_make_form(model, atoms, domain=None):
                 )
     if any(not ref_atom_bounded(a) for a in items) and dom == FULL_SPACE and not has_hamel:
         raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
-    return forms.FormSpec(model, dom, tuple(sorted(items.items(), key=lambda item: item[0].sort_key)))
+    return ref_form(model, dom, items)
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES)
@@ -373,3 +396,30 @@ def test_rebuilt_and_unpickled_forms_share_the_support():
         for back in (rebuilt, unpickled, copy.copy(t), copy.deepcopy(t), dataclasses.replace(t)):
             # the support is set when the form is built, not looked up on first use
             assert back == t and vars(back)["support"] is t.support
+
+
+def test_a_sum_never_leaves_the_catalog():
+    # hamel restricted to diag_max:j is admissible, and so is diag(j) there;
+    # their sum would hold the symbolic singular atom beside an unbounded one
+    on_j = make_form(SEQUENCE, {forms.HAMEL: 1}, forms.diag_domain("j"))
+    j, bounded = diag_form("j"), diag_form("1/j")
+    with_bounded = oplus(on_j, bounded)
+    assert with_bounded is not None and with_bounded.domain == on_j.domain
+    three_j = make_form(SEQUENCE, {diag_atom("j"): 3}, on_j.domain)
+    made = [on_j, j, bounded, with_bounded, forms.hamel_form(), three_j]
+    for t in made:
+        for s in made:
+            plain = _outcome(forms.form_add, t, s)
+            assert plain == _outcome(ref_form_add, t, s), (t, s)
+            sums = (oplus(t, s), oplus_bar(t, s), _outcome(oplus_family, "vf", t, s))
+            assert sums == (ref_oplus(t, s), ref_oplus_bar(t, s), _outcome(ref_oplus_family, "vf", t, s)), (t, s)
+            for u in (plain, *sums):
+                if isinstance(u, forms.FormSpec):
+                    backs = (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u), dataclasses.replace(u))
+                    for back in backs:
+                        assert back == u and back.support is u.support
+    assert oplus(on_j, j) is None and oplus(with_bounded, j) is None and oplus(j, with_bounded) is None
+    with pytest.raises(OutsideCatalog, match="symbolic singular atom only combines with bounded atoms"):
+        forms.form_add(on_j, j)
+    with pytest.raises(OutsideCatalog, match="incomparable domains"):
+        forms.form_add(j, diag_form("j^2"))
