@@ -251,8 +251,10 @@ def pointwise_limit(chain: FormChain, levels=None, seed: int = 0, n_max: int = D
     steps = [2**k for k in range(n_max.bit_length())]
     rows = []
     identity_max = 0.0
+    drawn = 0
     for level in levels:
         samples = _limit_samples(chain.model, level, seed)
+        drawn = len(samples)
         lim_vals = {name: forms.quadratic(lim, u) for name, u in samples}
         for n in steps:
             t_n = chain.term(n)
@@ -276,7 +278,7 @@ def pointwise_limit(chain: FormChain, levels=None, seed: int = 0, n_max: int = D
         "levels": list(levels),
         "n_values": steps,
         "table": rows,
-        "samples_per_level": (5 if chain.model == GRID else 3) + _RANDOM_SAMPLES,
+        "samples_per_level": drawn,
         "seed": seed,
     }
     if chain.chain_id == "kato":

@@ -603,12 +603,10 @@ def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
             g = np.eye(dim, dtype=complex)
         else:
             g = _seeded_unit_psd(dim, int(atom.gen.split(":", 1)[1]))
-        if model == GRID:
-            # conjugate by the Gram square root so the numerical range of the
-            # atom relative to the model inner product is exactly [min, 1]
-            root = np.sqrt(hilbert.gram_weights(model, level))
-            g = (root[:, None] * g) * root[None, :]
-        m = g
+        # conjugate by the Gram square root so the numerical range of the
+        # atom relative to the model inner product is exactly [min, 1]
+        root = np.sqrt(hilbert.gram_weights(model, level))
+        m = (root[:, None] * g) * root[None, :]
     elif atom.kind == "dirichlet":
         m = hilbert.energy_stiffness(level).astype(complex)
     elif atom.kind == "boundary0":
@@ -626,8 +624,6 @@ def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
 @_kept_at_default_levels
 def matrix_at(t: FormSpec, level: int) -> np.ndarray:
     """Coefficient matrix of the form at a level, t(x, y) = y* M x; read-only."""
-    if t.has_kind("hamel"):
-        raise SymbolicOnly("the symbolic singular form has no matrices")
     dim = hilbert.dim_of(t.model, level)
     m = np.zeros((dim, dim), dtype=complex)
     for atom, c in t.atoms:
@@ -675,12 +671,9 @@ def numerical_range_bounds(t: FormSpec, level: int) -> tuple[float, float]:
     Solved as a Hermitian eigenproblem relative to the model Gram matrix;
     a form that fails ``psd_range``'s positivity rule raises.
     """
-    m = matrix_at(t, level)
-    if t.model == GRID:
-        # the pencil (M, W) with diagonal W > 0 has the spectrum of W^-1/2 M W^-1/2
-        r = 1.0 / np.sqrt(hilbert.gram_weights(t.model, level))
-        m = (r[:, None] * m) * r[None, :]
-    lo, hi, positive = psd_range(m)
+    # the pencil (M, W) with diagonal W > 0 has the spectrum of W^-1/2 M W^-1/2
+    r = 1.0 / np.sqrt(hilbert.gram_weights(t.model, level))
+    lo, hi, positive = psd_range((r[:, None] * matrix_at(t, level)) * r[None, :])
     if not positive:
         raise VerificationFailed(f"form is not positive: min range {lo}")
     return lo, hi
@@ -763,11 +756,10 @@ def is_closed(t: FormSpec) -> bool:
 def singularity_witness(t: FormSpec, x):
     """Search for y with t(y, y) < |(x, y)|^2 at the level of ``x``.
 
-    A singular form admits such a witness for every nonzero x.  For
-    boundary-only grid forms the witness is analytic: zero out the
-    endpoint nodes of x.  Otherwise the minimum of t(y, y) / |(x, y)|^2
-    is computed from the eigendecomposition of the form matrix; ``None``
-    is returned when that minimum is >= 1, i.e. no witness exists.
+    A singular form admits such a witness for every nonzero x.  The
+    minimum of t(y, y) / |(x, y)|^2 is computed from the
+    eigendecomposition of the form matrix; ``None`` is returned when that
+    minimum is >= 1, i.e. no witness exists.
     """
     x = np.asarray(x, dtype=complex)
     if not np.any(x):
@@ -784,19 +776,6 @@ def singularity_witness(t: FormSpec, x):
         if quadratic(t, y) < abs(hilbert.inner(t.model, x, y)) ** 2:
             return y
         return None
-
-    numeric_kinds = {a.kind for a, _ in t.atoms}
-    if t.model == GRID and numeric_kinds <= {"boundary0", "boundary1"}:
-        y = x.copy()
-        y[0] = 0.0
-        y[-1] = 0.0
-        got = accept(y)
-        if got is not None:
-            return got
-        # x is supported only at the endpoints: matching it there is optimal
-        got = accept(x)
-        if got is not None:
-            return got
 
     m = matrix_at(t, level)
     try:
@@ -829,7 +808,8 @@ def riesz_operator_of_bounded(t: FormSpec, level: int) -> np.ndarray:
         raise UnboundedForm(f"{describe(t)} is not bounded")
     a = _gram_solve(t, level)
     sampler = hilbert.VectorSampler(t.model, level, seed=13)
-    scale = max(1.0, numerical_range_bounds(t, level)[1])
+    # diag A = diag W^-1/2 M W^-1/2: the scale never exceeds the top of the numerical range
+    scale = max(1.0, float(a.diagonal().real.max()))
     for _ in range(4):
         x, y = sampler.draw(), sampler.draw()
         resid = abs(evaluate(t, x, y) - hilbert.inner(t.model, a @ x, y))
@@ -839,11 +819,7 @@ def riesz_operator_of_bounded(t: FormSpec, level: int) -> np.ndarray:
 
 
 def _gram_solve(t: FormSpec, level: int) -> np.ndarray:
-    m = matrix_at(t, level)
-    if t.model == GRID:
-        w = hilbert.gram_weights(t.model, level)
-        return m / w[:, None]
-    return m.copy()
+    return matrix_at(t, level) / hilbert.gram_weights(t.model, level)[:, None]
 
 
 def extend_bounded(t: FormSpec) -> FormSpec:

@@ -41,15 +41,15 @@ def _validate_bound(u):
 
 
 class _Lazy:
-    """An enumeration of known length whose elements are made as it is
-    read, so that the kernel can refuse a carrier by its size before it
-    builds it.  Each iteration starts afresh."""
+    """An enumeration whose length ``size()`` is known before its elements
+    are made as it is read, so that the kernel can refuse a carrier by its
+    size before it builds it.  Each iteration starts afresh."""
 
-    def __init__(self, n: int, make):
-        self._n, self._make = n, make
+    def __init__(self, size, make):
+        self._size, self._make = size, make
 
     def __len__(self):
-        return self._n
+        return self._size()
 
     def __iter__(self):
         return iter(self._make())
@@ -108,7 +108,8 @@ class EvenGapGEA(PartialAlgebra):
 
     def elements(self):
         evens = range(4, self.cap + 1, 2)
-        return _Lazy(1 + max(0, (self.cap - 2) // 2), lambda: itertools.chain([0], evens))
+        # a range past sys.maxsize has no len: the kernel reads that as too many elements
+        return _Lazy(lambda: 1 + len(evens), lambda: itertools.chain([0], evens))
 
 
 @dataclass(eq=False)
@@ -134,7 +135,7 @@ class ConeGEA(PartialAlgebra):
 
     def elements(self):
         side, dim = range(self.cap + 1), self.dim
-        return _Lazy((self.cap + 1) ** dim, lambda: itertools.product(side, repeat=dim))
+        return _Lazy(lambda: len(side) ** dim, lambda: itertools.product(side, repeat=dim))
 
 
 @dataclass(eq=False)
@@ -184,7 +185,7 @@ class HalfOpenIntervalGEA(PartialAlgebra):
             box = itertools.product(*(range(m + 1) for m in ut))
             return (_scalar(u, e) for e in itertools.islice(box, n))
 
-        return _Lazy(n, points)
+        return _Lazy(lambda: n, points)
 
 
 @dataclass(eq=False)

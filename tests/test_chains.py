@@ -171,6 +171,13 @@ def test_pointwise_limit_tabulates_powers_of_two_up_to_n_max():
     assert pointwise_limit(chain, levels=(8,))["n_values"] == [1, 2, 4, 8, 16, 32]
 
 
+def test_pointwise_limit_reports_the_samples_it_drew():
+    for chain, levels in ((truncated_diag_chain(), (8, 16)), (vanishing_energy_chain(), (9, 49))):
+        out = pointwise_limit(chain, levels=levels, seed=3, n_max=4)
+        for level in levels:
+            assert out["samples_per_level"] == len(chains._limit_samples(chain.model, level, 3))
+
+
 def test_pointwise_limit_requires_declared_limit():
     anon = FormChain(
         chain_id="anon",

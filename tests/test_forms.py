@@ -505,6 +505,23 @@ def test_singularity_witness_none_for_closed():
     assert forms.singularity_witness(diag_form("j"), e2) is None
 
 
+@pytest.mark.parametrize("mesh", [9, 49, 199])
+def test_singularity_witness_has_zero_energy_on_boundary_only_forms(mesh):
+    for t in (endpoint_form(1, 1), endpoint_form(1, 0), endpoint_form(0, 2), zero_form(GRID)):
+        for _, x in hilbert.smooth_grid_samples(mesh):
+            y = forms.singularity_witness(t, x)
+            assert y is not None
+            assert forms.quadratic(t, y) == 0.0
+            assert abs(hilbert.inner(GRID, x, y)) > 0.0
+    # x supported only at the endpoints: a witness exists exactly when the form vanishes at one of them
+    x = np.zeros(mesh + 2, dtype=complex)
+    x[0] = x[-1] = 1.0
+    assert forms.singularity_witness(endpoint_form(1, 1), x) is None
+    for t in (endpoint_form(1, 0), endpoint_form(0, 2), zero_form(GRID)):
+        y = forms.singularity_witness(t, x)
+        assert y is not None and forms.quadratic(t, y) == 0.0
+
+
 def test_singularity_witness_zero_reference():
     with pytest.raises(ValueError):
         forms.singularity_witness(endpoint_form(1, 1), np.zeros(11))
@@ -525,6 +542,47 @@ def test_riesz_operator_of_bounded():
             )
     with pytest.raises(UnboundedForm):
         forms.riesz_operator_of_bounded(diag_form("j"), 8)
+
+
+def test_riesz_operator_of_bounded_runs_no_eigensolve(monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+    monkeypatch.setattr(np.linalg, "eigh", no_eig)
+    # each call still verifies its four seeded pairs, and raises if one fails
+    forms.riesz_operator_of_bounded(bounded_matrix_form("seeded:4"), 16)
+    forms.riesz_operator_of_bounded(diag_form("1/j"), 16)
+    forms.riesz_operator_of_bounded(bounded_matrix_form("seeded:3", model=GRID), 49)
+
+
+def test_riesz_tolerance_scale_never_exceeds_the_numerical_range():
+    # the scale is the largest diagonal entry of A = W^-1 M, a diagonal entry of W^-1/2 M W^-1/2
+    for name, t in forms.catalog_forms():
+        if not forms.is_bounded(t):
+            continue
+        for level in hilbert.DEFAULT_LEVELS[t.model]:
+            a = forms.riesz_operator_of_bounded(t, level)
+            scale = max(1.0, float(a.diagonal().real.max()))
+            top = max(1.0, forms.numerical_range_bounds(t, level)[1])
+            assert scale <= top * (1 + 1e-12), (name, level)
+            m = matrix_at(t, level)
+            if np.array_equal(m, np.diag(m.diagonal())):
+                assert scale == pytest.approx(top, rel=1e-12), (name, level)
+
+
+def test_unit_sequence_weights_change_no_float():
+    # the Gram rule of the grid, applied with the sequence model's unit weights, is the identity
+    for gen in ("id", "seeded:3"):
+        for level in hilbert.DEFAULT_LEVELS[SEQUENCE]:
+            g = np.eye(level, dtype=complex) if gen == "id" else forms._seeded_unit_psd(level, 3)
+            assert np.array_equal(forms._atom_matrix(SEQUENCE, forms.bounded_mat_atom(gen), level), g)
+    for name, t in forms.catalog_forms(SEQUENCE):
+        for level in hilbert.DEFAULT_LEVELS[SEQUENCE]:
+            m = matrix_at(t, level)
+            assert forms.numerical_range_bounds(t, level) == forms.psd_range(m)[:2], name
+            if forms.is_bounded(t):
+                assert np.array_equal(forms.riesz_operator_of_bounded(t, level), m), name
 
 
 def test_extend_bounded():
