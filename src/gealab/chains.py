@@ -46,6 +46,9 @@ from .hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 ORDERS = {"oplus": "vf", "prec": None, "cf": "cf", "rf": "rf", "bar": "vf-bar"}
 
 DEFAULT_N_MAX = 32
+# the most terms a run checks: `sigma` at this bound takes about 14 s on a
+# shared 2-vCPU host, the slowest run it admits
+MAX_N_MAX = 8192
 # the pointwise table builds dense matrices at every level it is given, and the
 # diag chain eigensolves at the last: at most this many coordinates over all of
 # them (the default grid levels have 263)

@@ -208,6 +208,14 @@ def cmd_counterexample(args) -> int:
 # ------------------------------------------------------------------ chains
 
 
+def _check_n_max(n_max: int) -> None:
+    """Refuse an ``--n-max`` outside 2 .. ``chains.MAX_N_MAX``."""
+    if n_max < 2:
+        raise ValueError(f"--n-max must be at least 2, got {n_max}")
+    if n_max > chains.MAX_N_MAX:
+        raise ValueError(f"--n-max must be at most chains.MAX_N_MAX = {chains.MAX_N_MAX}, got {n_max}")
+
+
 def cmd_chain(args) -> int:
     config = {
         "chain": args.chain,
@@ -217,8 +225,7 @@ def cmd_chain(args) -> int:
         "seed": args.seed,
     }
     try:
-        if args.n_max < 2:
-            raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+        _check_n_max(args.n_max)
         if args.levels is not None and (not args.levels or min(args.levels) <= 0):
             got = ",".join(map(str, args.levels))
             raise ValueError(f"--levels needs positive integers, got {got!r}")
@@ -279,8 +286,10 @@ _EXPECTED_SIGMA = {
 
 def cmd_sigma(args) -> int:
     config = {"n_max": args.n_max, "seed": args.seed}
-    if args.n_max < 2:
-        print(f"config error: --n-max must be at least 2, got {args.n_max}", file=sys.stderr)
+    try:
+        _check_n_max(args.n_max)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         table = chains.sigma_report(n_max=args.n_max, seed=args.seed)
@@ -310,54 +319,70 @@ def _parse_levels(text: str):
         raise argparse.ArgumentTypeError(f"bad level list {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p):
+    p.add_argument("--seed", type=int, default=None, help="seed (default: $GEALAB_SEED or 0)")
+    p.add_argument("--out", default=None, help="write the report to this path")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _axioms_arguments(p):
+    p.add_argument("--instance", default=None, help="zplus | even-gap | cone:<d> | interval:<u> | half-open:<u> | broken-max")
+    family_ids = (b if f.model else f"{b}:<tag>" for b, f in families.FAMILIES.items())
+    p.add_argument("--family", default=None, help=" | ".join(family_ids))
+    p.add_argument("--model", default=None, help="override the family's default model")
+    p.add_argument("--cap", type=int, default=50, help="carrier cap for integer instances")
+    p.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
+    p.add_argument("--samples", type=int, default=2000)
+
+
+def _counterexample_arguments(p):
+    p.add_argument("name", choices=COUNTEREXAMPLES)
+
+
+def _chain_arguments(p):
+    p.add_argument("--chain", required=True, help=" | ".join(chains.CHAIN_IDS))
+    p.add_argument("--order", default=None, help=" | ".join(chains.ORDERS))
+    p.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
+    p.add_argument("--levels", type=_parse_levels, default=None, help="comma-separated levels")
+
+
+def _sigma_arguments(p):
+    p.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
+
+
+# name -> (help, arguments, handler), in the order the top-level help lists them
+_SUBCOMMANDS = {
+    "axioms": ("run the defining-axiom suite on an instance or family", _axioms_arguments, cmd_axioms),
+    "counterexample": ("replay a pinned counterexample", _counterexample_arguments, cmd_counterexample),
+    "chain": ("monotone chain experiment", _chain_arguments, cmd_chain),
+    "sigma": ("completeness verdict table", _sigma_arguments, cmd_sigma),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the ``gealab`` command.  Every subcommand is registered
+    with its help; given ``command``, only that subcommand gets its
+    arguments, since a parse reads no other subcommand's (the top-level help
+    and usage errors name the subcommands alone)."""
     parser = argparse.ArgumentParser(
         prog="gealab",
         description="Partial-sum algebras of positive forms: axiom suites, "
         "counterexamples and monotone-convergence experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="seed (default: $GEALAB_SEED or 0)")
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_ax = sub.add_parser("axioms", help="run the defining-axiom suite on an instance or family")
-    p_ax.add_argument("--instance", default=None, help="zplus | even-gap | cone:<d> | interval:<u> | half-open:<u> | broken-max")
-    family_ids = (b if f.model else f"{b}:<tag>" for b, f in families.FAMILIES.items())
-    p_ax.add_argument("--family", default=None, help=" | ".join(family_ids))
-    p_ax.add_argument("--model", default=None, help="override the family's default model")
-    p_ax.add_argument("--cap", type=int, default=50, help="carrier cap for integer instances")
-    p_ax.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
-    p_ax.add_argument("--samples", type=int, default=2000)
-    common(p_ax)
-    p_ax.set_defaults(func=cmd_axioms)
-
-    p_ce = sub.add_parser("counterexample", help="replay a pinned counterexample")
-    p_ce.add_argument("name", choices=COUNTEREXAMPLES)
-    common(p_ce)
-    p_ce.set_defaults(func=cmd_counterexample)
-
-    p_ch = sub.add_parser("chain", help="monotone chain experiment")
-    p_ch.add_argument("--chain", required=True, help=" | ".join(chains.CHAIN_IDS))
-    p_ch.add_argument("--order", default=None, help=" | ".join(chains.ORDERS))
-    p_ch.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
-    p_ch.add_argument("--levels", type=_parse_levels, default=None, help="comma-separated levels")
-    common(p_ch)
-    p_ch.set_defaults(func=cmd_chain)
-
-    p_sg = sub.add_parser("sigma", help="completeness verdict table")
-    p_sg.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
-    common(p_sg)
-    p_sg.set_defaults(func=cmd_sigma)
-
+    for name, (text, arguments, handler) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            arguments(p)
+            _common(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first subcommand name is the one argparse dispatches to: no token before it takes a value
+    args = build_parser(next((a for a in argv if a in _SUBCOMMANDS), None)).parse_args(argv)
     if getattr(args, "seed", None) is None:
         raw = os.environ.get("GEALAB_SEED", "0")
         try:

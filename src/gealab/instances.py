@@ -177,15 +177,12 @@ class HalfOpenIntervalGEA(PartialAlgebra):
         return s, (s <= _as_tuple(self.u)).all(axis=1) & self._inside(s)
 
     def elements(self):
-        u, ut = self.u, _as_tuple(self.u)
+        ut = _as_tuple(self.u)
         # u is the last point of the box in C order
         n = math.prod(m + 1 for m in ut) - (not self._inside(ut))
-
-        def points():
-            box = itertools.product(*(range(m + 1) for m in ut))
-            return (_scalar(u, e) for e in itertools.islice(box, n))
-
-        return _Lazy(lambda: n, points)
+        if isinstance(self.u, tuple):
+            return _Lazy(lambda: n, lambda: itertools.islice(itertools.product(*(range(m + 1) for m in ut)), n))
+        return _Lazy(lambda: n, lambda: range(n))
 
 
 @dataclass(eq=False)

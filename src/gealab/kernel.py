@@ -35,10 +35,15 @@ MAX_EXHAUSTIVE_TUPLES = 10**9
 _EXHAUSTIVE_ELEMENTS = max(
     n for n in range(round(MAX_EXHAUSTIVE_TUPLES ** (1 / 3)) + 1) if n + n * n + n**3 <= MAX_EXHAUSTIVE_TUPLES
 )
+# the most draws of a sampled check: about 11 s for the slowest form family on a
+# shared 2-vCPU host
+MAX_SAMPLES = 200_000
 # sampling and order queries enumerate at most this many elements
 MAX_ENUMERATED = 10**6
 # pairs per array sum, so that peak memory does not grow with the carrier
 _BLOCK = 1 << 16
+# tables with at most this many ids hold ``left`` and ``right`` in int16
+_NARROW_IDS = 1 << 15
 
 
 class PartialAlgebra:
@@ -89,12 +94,18 @@ class _SumTable:
     def __init__(self, alg: PartialAlgebra, elems: list):
         self.alg = alg
         self.elems = elems
-        self.ids: dict = {}
-        self.vals: list = []
-        self.win = np.array([self.intern(e) for e in self.elems], dtype=np.int32)
+        n = len(elems)
+        self.ids: dict = dict(zip(elems, range(n)))
+        if len(self.ids) == n:  # a distinct window: its ids are its positions
+            self.vals: list = list(elems)
+            self.win = np.arange(n, dtype=np.int32)
+            self.at = range(n)
+        else:  # a repeated value keeps the id it was first seen with
+            self.ids, self.vals = {}, []
+            self.win = np.array([self.intern(e) for e in elems], dtype=np.int32)
+            # first position of each window id
+            self.at = np.unique(self.win, return_index=True)[1].tolist()
         self.n_window = len(self.vals)
-        # first position of each window id
-        self.at = np.unique(self.win, return_index=True)[1].tolist()
         self._rows: dict[int, list] = {}
         self._arrays = _array_sums(alg, elems)
 
@@ -107,6 +118,14 @@ class _SumTable:
             self.vals.append(value)
         return i
 
+    def extend(self, values: list) -> int:
+        """Intern ``values``, none of them interned yet and no two equal;
+        returns the id of the first, the others following in order."""
+        start = len(self.vals)
+        self.vals.extend(values)
+        self.ids.update(zip(values, range(start, start + len(values))))
+        return start
+
     def position(self, value):
         """Index of ``value`` in the window, or ``None`` outside it."""
         i = self.ids.get(value)
@@ -116,24 +135,27 @@ class _SumTable:
         """``out[k, l]``: id of ``vals[xs[k]] + vals[ys[l]]``, or -1.
 
         New values are interned in C order, as nested loops over ``xs`` and
-        ``ys`` would meet them.  The pairs go in blocks of at most
-        ``_BLOCK``, through ``add_arrays`` where the algebra has one that
-        stands for its ``add`` (see :func:`_array_sums`), else one ``add``
-        call per pair.
+        ``ys`` would meet them.  The pairs go in blocks of whole rows, at
+        most ``_BLOCK`` pairs (a row longer than that is split), through
+        ``add_arrays`` where the algebra has one that stands for its ``add``
+        (see :func:`_array_sums`), else one ``add`` call per pair.
         """
         xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
         m = len(ys)
-        out = np.empty(len(xs) * m, dtype=np.int32)
-        for start in range(0, len(out), _BLOCK):
-            p = np.arange(start, min(start + _BLOCK, len(out)))
-            x, y = xs[p // m], ys[p % m]
-            got = None if self._arrays is None else self._arrays.ids(self, x, y)
-            if got is None:  # the scalar definition, for this block and every later one
-                self._arrays = None
-                add, intern, vals = self.alg.add, self.intern, self.vals
-                got = [intern(add(vals[i], vals[j])) for i, j in zip(x.tolist(), y.tolist())]
-            out[start : start + len(p)] = got
-        return out.reshape(len(xs), m)
+        out = np.empty((len(xs), m), dtype=np.int32)
+        rows = max(1, _BLOCK // max(m, 1))
+        for r in range(0, len(xs), rows):
+            xr = xs[r : r + rows]
+            for c in range(0, m, _BLOCK):  # one block unless a row is longer than a block
+                yc = ys[c : c + _BLOCK]
+                x, y = np.repeat(xr, len(yc)), np.tile(yc, len(xr))
+                got = None if self._arrays is None else self._arrays.ids(self, x, y)
+                if got is None:  # the scalar definition, for this block and every later one
+                    self._arrays = None
+                    add, intern, vals = self.alg.add, self.intern, self.vals
+                    got = [intern(add(vals[i], vals[j])) for i, j in zip(x.tolist(), y.tolist())]
+                out[r : r + rows, c : c + _BLOCK] = np.reshape(got, (len(xr), len(yc)))
+        return out
 
     def row(self, i: int) -> list:
         """``first[i]`` as a list, built on its own on first use, so that one
@@ -167,14 +189,19 @@ class _SumTable:
         undefined first sum as undefined."""
         left = np.full((self.n_first + 1, len(self.elems)), -1, dtype=np.int32)
         left[:-1] = self.sums(np.arange(self.n_first), self.win)
-        return left
+        return self._narrow(left)
 
     @cached_property
     def right(self) -> np.ndarray:
         """``right[i, v]``: id of ``elems[i] + vals[v]``, with a last column of -1."""
         right = np.full((len(self.elems), self.n_first + 1), -1, dtype=np.int32)
         right[:, :-1] = self.sums(self.win, np.arange(self.n_first))
-        return right
+        return self._narrow(right)
+
+    def _narrow(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` in int16 while every id so far fits, so that the n^3
+        compare of GEii moves half the bytes; else as they are."""
+        return ids.astype(np.int16) if len(self.vals) <= _NARROW_IDS else ids
 
     @cached_property
     def down(self) -> list[int]:
@@ -236,13 +263,14 @@ class _ArraySums:
     window values, the most a table holds; at most 62 bits in all keep a key
     and a sum of two coordinates in int64.  A value or sum outside its field
     sends the table to ``add``.  One ``searchsorted`` over the sorted keys
-    finds a block's ids, so ``intern`` runs once per new value.
+    finds a block's ids, and its new values are interned together
+    (:meth:`_SumTable.extend`), their keys merged into the sorted keys.
     """
 
     def __init__(self, add_arrays, scalar: bool, dim: int):
         self.add_arrays, self.scalar = add_arrays, scalar
         self.coords = np.empty((0, dim), dtype=np.int64)
-        self.width = self.scale = None  # each field's bits and unit, from the first sync
+        self.width = self.top = self.scale = None  # each field's bits, top and unit, from the first sync
         self.sorted = np.empty(0, dtype=np.int64)  # the keys of coords, ascending
         self.order = np.empty(0, dtype=np.int32)  # the id of each sorted key
 
@@ -251,24 +279,50 @@ class _ArraySums:
         interned in order; ``None`` when a value or sum has no place in the fields."""
         if not self._sync(table.vals):
             return None
-        s, defined = self.add_arrays(self.coords[x], self.coords[y])
-        s = s[defined]
-        if (s >> self.width).any():  # negative, or too wide for its field
+        s, defined = self.add_arrays(self.coords.take(x, axis=0), self.coords.take(y, axis=0))
+        every = defined.all()
+        if not every:
+            s = s.compress(defined, axis=0)
+        if self._outside(s):
             return None
-        keys = s @ self.scale
+        keys = self._keys(s)
         pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)
         known = self.sorted[pos] == keys
         got = self.order[pos]
         if not known.all():
             new, first_at, inverse = np.unique(keys[~known], return_index=True, return_inverse=True)
-            fresh = s[~known][first_at].tolist()
+            seen = np.argsort(first_at)  # the new keys in order of first appearance
+            fresh = s[~known][first_at[seen]]  # the new values, in that order
+            start = table.extend(fresh[:, 0].tolist() if self.scalar else list(map(tuple, fresh.tolist())))
             new_ids = np.empty(len(new), dtype=np.int32)
-            for k in np.argsort(first_at):  # in order of first appearance
-                new_ids[k] = table.intern(fresh[k][0] if self.scalar else tuple(fresh[k]))
+            new_ids[seen] = np.arange(start, start + len(new), dtype=np.int32)
             got[~known] = new_ids[inverse]
+            self._insert(new, new_ids, fresh)
+        if every:
+            return got
         out = np.full(len(x), -1, dtype=np.int32)
         out[defined] = got
         return out
+
+    def _outside(self, c: np.ndarray) -> bool:
+        """Whether a coordinate is negative or too wide for its field: read
+        as unsigned, a negative one lies past every field's top."""
+        return bool((c.view(np.uint64) > self.top).any())
+
+    def _keys(self, c: np.ndarray) -> np.ndarray:
+        """The key of each row of coordinates, a multiply-add per column."""
+        keys = c[:, -1].copy()  # the last field is the lowest, of unit 1
+        for d, unit in enumerate(self.scale[:-1]):
+            keys += c[:, d] * unit
+        return keys
+
+    def _insert(self, keys: np.ndarray, ids: np.ndarray, coords: np.ndarray) -> None:
+        """Add the values of ids ``len(coords)`` on: their keys, ascending,
+        with the id of each, and their coordinates in id order."""
+        pos = np.searchsorted(self.sorted, keys)
+        self.sorted = np.insert(self.sorted, pos, keys)
+        self.order = np.insert(self.order, pos, ids)
+        self.coords = np.concatenate([self.coords, coords])
 
     def _sync(self, vals: list) -> bool:
         """Key the values interned since the last call, sizing the fields on
@@ -291,15 +345,13 @@ class _ArraySums:
             return False
         if self.width is None:
             self.width = np.array([(3 * m).bit_length() for m in c.max(axis=0).tolist()], dtype=np.int64)
-            self.scale = 1 << (np.cumsum(self.width[::-1])[::-1] - self.width)
-        if self.width.sum() > 62 or (c >> self.width).any():
+            self.top = ((1 << self.width) - 1).astype(np.uint64)
+            self.scale = (1 << (np.cumsum(self.width[::-1])[::-1] - self.width)).tolist()
+        if self.width.sum() > 62 or self._outside(c):
             return False
-        keys = c @ self.scale
-        at = np.argsort(keys)
-        pos = np.searchsorted(self.sorted, keys[at])
-        self.sorted = np.insert(self.sorted, pos, keys[at])
-        self.order = np.insert(self.order, pos, len(self.coords) + at)  # the new ids, in key order
-        self.coords = np.concatenate([self.coords, c])
+        keys = self._keys(c)
+        at = np.argsort(keys, kind="stable")  # linear on a window already in key order
+        self._insert(keys[at], len(self.coords) + at.astype(np.int32), c)
         return True
 
 
@@ -521,8 +573,31 @@ def _first_true(mask: np.ndarray):
     """Index tuple of the first true entry in C order, or ``None``."""
     if not mask.size:
         return None
-    at = np.unravel_index(np.argmax(mask), mask.shape)  # the first true entry, or the first entry
+    at = np.unravel_index(mask.argmax(), mask.shape)  # the first true entry, or the first entry
     return at if mask[at] else None
+
+
+def _first_geiv(table: _SumTable) -> tuple | None:
+    """The first window triple (x, y, z) in C order with x + y = x + z
+    defined and y != z, or ``None``.
+
+    Row x of ``first`` then holds one sum id at two window ids.  Sorting
+    each row's (sum id, window id) pairs puts those side by side, so only
+    the first row that has them is searched pair by pair.
+    """
+    first, win, n_window = table.first, table.win, table.n_window
+    pairs = first.astype(np.int64)
+    pairs *= n_window
+    pairs += win
+    pairs.sort(axis=1)
+    ids = pairs // n_window  # -1 where undefined; an empty window has no pairs
+    clash = (ids[:, 1:] == ids[:, :-1]) & (ids[:, 1:] >= 0) & (pairs[:, 1:] != pairs[:, :-1])
+    x = _first_true(clash.any(axis=1))
+    if x is None:
+        return None
+    row = first[x[0]]
+    y, z = _first_true((row[:, None] == row[None, :]) & (row >= 0)[:, None] & (win[:, None] != win[None, :]))
+    return table.elems[x[0]], table.elems[y], table.elems[z]
 
 
 def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, tuple]:
@@ -530,7 +605,7 @@ def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, t
 
     "First" is the order of nested loops over the window (C order of the
     arrays), so every counterexample names the same tuple as a plain loop.
-    GEii and GEiv run one x at a time over n x n arrays.
+    GEii runs one x at a time over n x n arrays, GEiv in :func:`_first_geiv`.
     """
     elems, first, win = table.elems, table.first, table.win
     n = len(elems)
@@ -541,27 +616,25 @@ def _exhaustive_violations(alg: PartialAlgebra, table: _SumTable) -> dict[str, t
         "GEv": _first_true((first == zero) & ~((win == zero)[:, None] & (win == zero)[None, :])),
     }
     bad = {axiom: tuple(elems[i] for i in at) for axiom, at in found.items() if at is not None}
+    geiv = _first_geiv(table)
+    if geiv is not None:
+        bad["GEiv"] = geiv
     left, right = table.left, table.right
-    distinct = win[:, None] != win[None, :]
+    # the column of right[i] for each first sum, an undefined one at the spare last
+    # column; in the index type take reads, so that it casts nothing per pass
+    cols = np.where(first < 0, table.n_first, first).astype(np.intp)
     # one buffer each for every x, so that no n x n temporary is mapped and faulted in per pass
-    lhs, rhs = np.empty((n, n), dtype=np.int32), np.empty((n, n), dtype=np.int32)
-    same = np.empty((n, n), dtype=bool)
+    lhs, rhs = np.empty((n, n), dtype=left.dtype), np.empty((n, n), dtype=right.dtype)
+    differ = np.empty((n, n), dtype=bool)
     for i in range(n):
-        row = first[i]
-        if "GEii" not in bad:
-            # (x + y) + z against x + (y + z), undefined as -1 on both sides
-            at = _first_true(np.take(left, row, axis=0, out=lhs) != np.take(right[i], first, out=rhs))
-            if at is not None:
-                bad["GEii"] = (elems[i], elems[at[0]], elems[at[1]])
-        if "GEiv" not in bad:
-            # x + y = x + z defined, with y != z
-            np.equal(row[:, None], row[None, :], out=same)
-            same &= (row >= 0)[:, None]
-            same &= distinct
-            at = _first_true(same)
-            if at is not None:
-                bad["GEiv"] = (elems[i], elems[at[0]], elems[at[1]])
-        if "GEii" in bad and "GEiv" in bad:
+        # (x + y) + z against x + (y + z), undefined as -1 on both sides; a take
+        # into out= is buffered in the default mode, so wrap (a -1 row reads
+        # left's last row) and clip (every column is in range)
+        left.take(first[i], axis=0, out=lhs, mode="wrap")
+        right[i].take(cols, out=rhs, mode="clip")
+        at = _first_true(np.not_equal(lhs, rhs, out=differ))
+        if at is not None:
+            bad["GEii"] = (elems[i], elems[at[0]], elems[at[1]])
             break
     return bad
 
@@ -604,6 +677,8 @@ def check_axioms(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"sampled mode draws at most kernel.MAX_SAMPLES = {MAX_SAMPLES} samples, got {samples}")
         rng = random.Random(seed)
         for _ in range(samples):
             draw = (alg.sample(rng), alg.sample(rng), alg.sample(rng))

@@ -3,13 +3,14 @@
 import hashlib
 import importlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from gealab import chains, cli, families, hilbert, instances
+from gealab import chains, cli, families, hilbert, instances, kernel
 from gealab.errors import GealabError
 
 
@@ -235,6 +236,67 @@ def test_help_lists_the_registries(capsys):
             cli.main(argv)
         text = " ".join(capsys.readouterr().out.split())
         assert " | ".join(ids) in text
+
+
+def _exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help"],
+        *([name, "-h"] for name in ("axioms", "counterexample", "chain", "sigma")),
+        [],
+        ["bogus"],
+        ["--seed", "3", "axioms"],
+        ["chain"],
+        ["counterexample"],
+        ["counterexample", "russell"],
+        ["sigma", "--format", "xml"],
+        ["axioms", "--cap", "x"],
+        ["chain", "--chain", "kato", "--levels", "a,b"],
+        ["sigma", "--chain", "kato"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_parser_of_one_subcommand_answers_as_the_full_parser(argv, capsys):
+    # main gives arguments to the named subcommand alone
+    full = _exit(cli.build_parser().parse_args, argv, capsys)
+    assert _exit(cli.main, argv, capsys) == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    argv = ["axioms", "--instance", "broken-max", "--cap", "8", "--seed", "7", "--format", "json"]
+    monkeypatch.setattr(sys, "argv", ["gealab", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("gealab", run_name="__main__")
+    via_module = exc.value.code, capsys.readouterr()
+    assert via_module == (cli.main(argv), capsys.readouterr())
+    assert via_module[0] == 1 and json.loads(via_module[1].out)["command"] == "axioms"
+
+
+@pytest.mark.parametrize(
+    "argv, bound, name",
+    [
+        (["axioms", "--family", "bf", "--samples"], kernel.MAX_SAMPLES, "kernel.MAX_SAMPLES"),
+        (["axioms", "--instance", "zplus", "--mode", "sampled", "--samples"], kernel.MAX_SAMPLES, "kernel.MAX_SAMPLES"),
+        (["chain", "--chain", "kato", "--n-max"], chains.MAX_N_MAX, "chains.MAX_N_MAX"),
+        (["sigma", "--n-max"], chains.MAX_N_MAX, "chains.MAX_N_MAX"),
+    ],
+)
+def test_work_past_its_bound_is_config_error(argv, bound, name, capsys):
+    for n in (bound + 1, 10**8):
+        code, out, err = run_cli(argv + [str(n)], capsys)
+        assert code == 2 and not out
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{name} = {bound}" in err and err.rstrip().endswith(f"got {n}")
 
 
 def test_fixed_domain_families_on_sequence_tags(capsys):

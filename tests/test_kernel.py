@@ -486,6 +486,85 @@ def test_subclass_overriding_add_is_summed_through_its_own_add():
     assert rep.to_dict() == ref_check_axioms(alg).to_dict()
 
 
+@dataclasses.dataclass(eq=False)
+class ShiftedAdd(kernel.PartialAlgebra):
+    """{0..cap} where ``a + b`` shifts ``b`` right by one bit once ``a``
+    reaches ``start``: GEi, GEii and GEiv fail, none of them at x = 0."""
+
+    cap: int = 9
+    start: int = 5
+    zero = 0
+    enumerable = True
+
+    def add(self, a, b):
+        return a + (b >> (a >= self.start))
+
+    def add_arrays(self, a, b):
+        return a + (b >> (a >= self.start)), np.ones(len(a), dtype=bool)
+
+    def elements(self):
+        return range(self.cap + 1)
+
+
+@pytest.mark.parametrize("block", [1, 5, 16])
+@pytest.mark.parametrize("alg", ARRAY_INSTANCES[:9] + [ShiftedAdd()], ids=repr)
+def test_array_sums_match_scalar_sums_in_small_blocks(alg, block, monkeypatch):
+    # windows of 4 to 27 elements: a row longer than a block is split, and a
+    # block of 16 holds several rows of a window of at most 8
+    monkeypatch.setattr(kernel, "_BLOCK", block)
+    assert_array_sums_match_scalar_sums(alg)
+
+
+@pytest.mark.parametrize("narrow, dtype", [(kernel._NARROW_IDS, np.int16), (0, np.int32)])
+@pytest.mark.parametrize("alg", [instances.ConeGEA(2, 3), instances.BrokenMaxGEA(6), ShiftedAdd()], ids=repr)
+def test_geii_arrays_hold_int16_ids_while_every_id_fits(alg, narrow, dtype, monkeypatch):
+    monkeypatch.setattr(kernel, "_NARROW_IDS", narrow)
+    alg = dataclasses.replace(alg)  # with no table cached by another case
+    table = kernel._sum_table(alg)
+    assert table.left.dtype == table.right.dtype == dtype
+    assert kernel.check_axioms(alg).to_dict() == ref_check_axioms(alg).to_dict()
+
+
+def test_a_distinct_window_is_interned_by_position():
+    table = kernel._SumTable(instances.NatGEA(4), list(range(5)))
+    assert table.vals == [0, 1, 2, 3, 4] and table.ids == {v: v for v in range(5)}
+    assert table.win.tolist() == [0, 1, 2, 3, 4] and list(table.at) == [0, 1, 2, 3, 4]
+
+
+def test_a_repeated_window_value_keeps_its_first_seen_id():
+    # True equals 1, so it repeats 1 too
+    window = [2, 0, 1, 2, True, 0, 3]
+    table = kernel._SumTable(instances.NatGEA(4), window)
+    assert table.vals == [2, 0, 1, 3] and table.n_window == 4
+    assert table.win.tolist() == [0, 1, 2, 0, 2, 1, 3]
+    assert list(table.at) == [0, 1, 2, 6]
+    assert [table.position(v) for v in (2, 0, 1, 3, 4)] == [0, 1, 2, 6, None]
+
+
+def test_geiv_skips_repeated_window_values():
+    # x + y = x + z at two positions of one value is no violation
+    alg = TableAlgebra([0, 1, 1, 2, 0, 3], {(a, b): max(a, b) for a in range(4) for b in range(4)}, 0)
+    rep = kernel.check_axioms(alg)
+    assert [(v.axiom, v.counterexample) for v in rep.failures()] == [("GEiv", (1, 0, 1))]
+    assert rep.to_dict() == ref_check_axioms(alg).to_dict()
+
+
+@pytest.mark.parametrize(
+    "alg, failures",
+    [
+        (instances.BrokenMaxGEA(8), [("GEiv", (1, 0, 1))]),
+        (ShiftedAdd(9, 5), [("GEi", (1, 5)), ("GEii", (1, 4, 1)), ("GEiv", (5, 0, 1))]),
+        (ShiftedAdd(12, 7), [("GEi", (1, 7)), ("GEii", (1, 6, 1)), ("GEiv", (7, 0, 1))]),
+    ],
+    ids=repr,
+)
+def test_first_counterexamples_on_the_array_path(alg, failures):
+    rep = kernel.check_axioms(alg)
+    assert kernel._sum_table(alg)._arrays is not None
+    assert [(v.axiom, v.counterexample) for v in rep.failures()] == failures
+    assert rep.to_dict() == ref_check_axioms(alg).to_dict()
+
+
 @pytest.mark.parametrize("alg", SMALL_INSTANCES, ids=repr)
 def test_order_helpers_match_reference_on_instances(alg):
     elems = list(alg.elements())
