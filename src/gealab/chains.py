@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import families, forms, hilbert
 from .errors import (
+    GealabError,
     MonotonicityViolation,
     NoDeclaredLimit,
     NotClosedChain,
@@ -517,6 +518,42 @@ def cf_prec_sup(
 # ------------------------------------------------------------ sigma table
 
 
+def _prec_sup_report(n_max: int) -> dict:
+    """The pointwise supremum of the filling chain under its endpoint extension."""
+    chain = filling_energy_chain()
+    sup = cf_prec_sup(chain, dominator=energy_with_endpoints(1, 1, 1), n_max=n_max)
+    return {"chain": chain.chain_id, "sup": form_to_dict(sup), "verdict": "found"}
+
+
+class SigmaRow(NamedTuple):
+    """One row of the sigma table."""
+
+    family: str
+    direction: str
+    order: str | None  # None: the family's own order
+    search: str | Callable[[int], dict]  # a chain searched in the family order, or a search of n_max
+    expected: bool  # the verdict the row must reach
+    note: str = ""
+
+
+_UP_NOTE = "ascending differences of the descending chain; a join here would provide the missing meet"
+
+SIGMA_ROWS = (
+    SigmaRow("vfd:h1_grid", "down", None, "kato", True),
+    SigmaRow("vfd:h1_grid", "up", None, "complement", True),
+    SigmaRow("vf", "down", None, "shifted", True),
+    SigmaRow("vf", "up", None, lambda n_max: join_obstruction_vf(n_max).to_dict(), False),
+    SigmaRow("bf", "down", None, "bounded", True),
+    SigmaRow("rf", "down", None, "shifted", False),
+    SigmaRow("rf", "up", None, "complement", False, _UP_NOTE),
+    SigmaRow("cf", "down", None, "shifted", False),
+    SigmaRow("cf", "up", None, "complement", False, _UP_NOTE),
+    SigmaRow("vf-bar", "down", None, "shifted", False),
+    SigmaRow("vf-bar", "up", None, "complement", False, _UP_NOTE),
+    SigmaRow("cf", "up", "prec", _prec_sup_report, True),
+)
+
+
 def sigma_report(n_max: int = DEFAULT_N_MAX, seed: int = 0) -> dict:
     """Completeness verdicts for monotone chains across all form families.
 
@@ -524,57 +561,26 @@ def sigma_report(n_max: int = DEFAULT_N_MAX, seed: int = 0) -> dict:
     a verified meet/join.  The downward failures transfer to upward ones
     through the complement chain: the ascending differences of a
     descending chain would turn a join into a meet, and they meet the same
-    incomparable pair.
+    incomparable pair.  A row whose search raises has its error in place of a verdict.
     """
-    vfd = "vfd:h1_grid"
-    kato = vanishing_energy_chain()
-    shifted = surplus_energy_chain()
-    complement = filling_energy_chain()
-    bounded = shrinking_bounded_chain()
-
     rows = []
-
-    def add_row(family, direction, report: ChainReport, note=""):
-        row = {
-            "family": family,
-            "direction": direction,
-            "sigma_complete": report.ok,
-            "report": report.to_dict(),
-        }
-        if note:
-            row["note"] = note
+    for spec in SIGMA_ROWS:
+        row = {"family": spec.family, "direction": spec.direction}
+        if spec.order is not None:
+            row["order"] = spec.order
+        try:
+            if isinstance(spec.search, str):
+                search = meet_in_family if spec.direction == "down" else join_in_family
+                report = search(chain_by_name(spec.search), spec.family, n_max=n_max).to_dict()
+            else:
+                report = spec.search(n_max)
+        except GealabError as exc:
+            row.update(sigma_complete=None, error=str(exc))
+        else:
+            row.update(sigma_complete=report["verdict"] == "found", report=report)
+        if spec.note:
+            row["note"] = spec.note
         rows.append(row)
-
-    add_row(vfd, "down", meet_in_family(kato, vfd, n_max=n_max))
-    add_row(vfd, "up", join_in_family(complement, vfd, n_max=n_max))
-    add_row("vf", "down", meet_in_family(shifted, "vf", n_max=n_max))
-    add_row("vf", "up", join_obstruction_vf(n_max=n_max))
-    add_row("bf", "down", meet_in_family(bounded, "bf", n_max=n_max))
-    for family in ("rf", "cf", "vf-bar"):
-        add_row(family, "down", meet_in_family(shifted, family, n_max=n_max))
-        add_row(
-            family,
-            "up",
-            join_in_family(complement, family, n_max=n_max),
-            note="ascending differences of the descending chain; a join here "
-            "would provide the missing meet",
-        )
-
-    sup = cf_prec_sup(complement, dominator=energy_with_endpoints(1, 1, 1), n_max=n_max)
-    rows.append(
-        {
-            "family": "cf",
-            "direction": "up",
-            "order": "prec",
-            "sigma_complete": True,
-            "report": {
-                "chain": complement.chain_id,
-                "sup": form_to_dict(sup),
-                "verdict": "found",
-            },
-        }
-    )
-
     return {"n_max": n_max, "seed": seed, "rows": rows, "summary": _sigma_summary(rows)}
 
 

@@ -233,10 +233,13 @@ class _SumTable:
         return 0 if v is None or v >= len(down) else down[v]
 
     def above(self, a) -> int:
-        """The bitset of the window elements ``c`` with ``a <= c``; empty for
-        an ``a`` outside the window, whose sums the table does not hold."""
+        """The bitset of the window elements ``c`` with ``a <= c``; an ``a``
+        outside the window is read off a scan of its sums, as in :func:`derived_le`."""
         p = self.position(a)
-        return 0 if p is None else self.up[p]
+        if p is None:
+            sums = {self.alg.add(a, z) for z in self.elems}
+            return sum(1 << k for k, c in enumerate(self.elems) if c in sums)
+        return self.up[p]
 
 
 def _bitsets(rows: np.ndarray) -> list[int]:
@@ -779,13 +782,18 @@ def restrict(ambient: PartialAlgebra, subset) -> RestrictedAlgebra:
 # ------------------------------------------------------- meets and joins
 
 
+def _bounds(table: _SumTable, items, lower: bool) -> int:
+    """The bitset of the window elements below (``lower``) or above every item."""
+    bits = (1 << len(table.elems)) - 1
+    for e in items:
+        bits &= table.below(e) if lower else table.above(e)
+    return bits
+
+
 def _extremum(table: _SumTable, items, lower: bool):
     """Greatest lower (``lower``) or least upper bound of ``items`` by
     exhaustive scan of the window, or ``None``."""
-    bounds = (1 << len(table.elems)) - 1
-    for e in items:
-        bounds &= table.below(e) if lower else table.above(e)
-    cand = bounds
+    bounds = cand = _bounds(table, items, lower)
     while cand:
         m = _lowest(cand)
         # the bound m dominates every bound: each lies below m for a meet, above it for a join
@@ -806,6 +814,43 @@ def brute_join(alg: PartialAlgebra, items):
     return _extremum(_sum_table(alg), items, lower=False)
 
 
+def _via_complements(alg: PartialAlgebra, chain, bound, oracle, lower: bool):
+    """Meet (``lower``) or join of a chain below ``bound``, a meet's bound
+    being its head: ``bound - d`` for the dual bound ``d`` (from ``oracle``,
+    by default the exhaustive scan) of the complements ``bound - a``,
+    verified against every enumerated bound of the chain below ``bound``."""
+    chain = list(chain)
+    if not chain:
+        raise ValueError("empty chain")
+    table = _search_table(alg)
+    if lower:
+        bound = chain[0]
+    if oracle is None:
+        oracle = lambda seq: _extremum(table, seq, lower=not lower)  # noqa: E731
+    name, dual, side = ("meet", "join", "below") if lower else ("join", "meet", "above")
+    diffs = []
+    for a in chain:
+        d = _ominus(table, bound, a)
+        if d is None:
+            raise ValueError(f"chain element {a} is not below the bound {bound}")
+        diffs.append(d)
+    other = oracle(diffs)
+    if other is None:
+        raise (JoinUnavailable if lower else MeetUnavailable)(f"complement chain has no {dual}")
+    found = _ominus(table, bound, other)
+    if found is None:
+        raise VerificationFailed(f"{dual} of complements is not below the bound")
+    bounds = _bounds(table, chain, lower)
+    # found is a witness, so it lies in the window
+    if not bounds >> table.position(found) & 1:
+        raise VerificationFailed(f"computed {name} is not {side} every chain element")
+    stray = bounds & table.below(bound) & ~_bounds(table, [found], lower)
+    if stray:
+        c = table.elems[_lowest(stray)]
+        raise VerificationFailed(f"{c} lies {side} the chain but not {side} the computed {name} {found}")
+    return found
+
+
 def meet_via_complement_join(alg: PartialAlgebra, chain, join_oracle=None):
     """Meet of a descending chain computed through complements.
 
@@ -814,36 +859,7 @@ def meet_via_complement_join(alg: PartialAlgebra, chain, join_oracle=None):
     the original chain.  The result is verified to be a lower bound that
     dominates every enumerated lower bound.
     """
-    chain = list(chain)
-    if not chain:
-        raise ValueError("empty chain")
-    table = _search_table(alg)
-    if join_oracle is None:
-        join_oracle = lambda seq: _extremum(table, seq, lower=False)  # noqa: E731
-    head = chain[0]
-    diffs = []
-    for a in chain:
-        d = _ominus(table, head, a)
-        if d is None:
-            raise ValueError("chain is not descending from its first element")
-        diffs.append(d)
-    sup = join_oracle(diffs)
-    if sup is None:
-        raise JoinUnavailable("complement chain has no join")
-    meet = _ominus(table, head, sup)
-    if meet is None:
-        raise VerificationFailed("join of complements is not below the chain head")
-    lower = (1 << len(table.elems)) - 1
-    for a in chain:
-        lower &= table.below(a)
-    # meet is a witness, so it lies in the window
-    if not lower >> table.position(meet) & 1:
-        raise VerificationFailed("computed meet is not a lower bound")
-    stray = lower & ~table.below(meet)
-    if stray:
-        c = table.elems[_lowest(stray)]
-        raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
-    return meet
+    return _via_complements(alg, chain, None, join_oracle, lower=True)
 
 
 def join_via_complement_meet(alg: PartialAlgebra, chain, bound, meet_oracle=None):
@@ -854,39 +870,4 @@ def join_via_complement_meet(alg: PartialAlgebra, chain, bound, meet_oracle=None
     depend on which dominating b was used.  The result is verified to be
     the least upper bound below ``bound``.
     """
-    chain = list(chain)
-    if not chain:
-        raise ValueError("empty chain")
-    table = _search_table(alg)
-    if meet_oracle is None:
-        meet_oracle = lambda seq: _extremum(table, seq, lower=True)  # noqa: E731
-    diffs = []
-    for a in chain:
-        d = _ominus(table, bound, a)
-        if d is None:
-            raise ValueError(f"chain element {a} is not below the bound {bound}")
-        diffs.append(d)
-    inf = meet_oracle(diffs)
-    if inf is None:
-        raise MeetUnavailable("complement chain has no meet")
-    join = _ominus(table, bound, inf)
-    if join is None:
-        raise VerificationFailed("meet of complements is not below the bound")
-    above = []
-    for a in chain:
-        if table.position(a) is None:  # a lies outside the window: scan its sums
-            above.append(sum(1 << k for k, c in enumerate(table.elems) if _witnesses(table, a, c)))
-        else:
-            above.append(table.above(a))
-    # join is a witness, so it lies in the window
-    p = table.position(join)
-    if not all(m >> p & 1 for m in above):
-        raise VerificationFailed("computed join is not an upper bound")
-    upper = table.below(bound)
-    for m in above:
-        upper &= m
-    stray = upper & ~table.above(join)
-    if stray:
-        c = table.elems[_lowest(stray)]
-        raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
-    return join
+    return _via_complements(alg, chain, bound, meet_oracle, lower=False)

@@ -3,9 +3,11 @@
 import hashlib
 import importlib
 import json
+import random
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -430,8 +432,6 @@ def test_sigma_matches_expected_table(capsys):
 
 
 def test_sigma_expected_table_covers_every_row(monkeypatch, capsys):
-    rows = chains.sigma_report(n_max=8)["rows"]
-    assert {(r["family"], r["direction"], r.get("order")) for r in rows} == set(cli._EXPECTED_SIGMA)
     # a flipped pointwise row is a mismatch like any other
     real = chains.sigma_report
 
@@ -446,6 +446,27 @@ def test_sigma_expected_table_covers_every_row(monkeypatch, capsys):
     assert body["report"]["mismatches"] == [
         {"family": "cf", "direction": "up", "got": False, "expected": True}
     ]
+
+
+def test_sigma_row_that_raises_keeps_the_other_rows(capsys):
+    # at --n-max 2, 1/2*energy bounds the filling chain's two terms but not
+    # its limit, so the pointwise supremum raises; its row says so
+    code, body, _ = run_json(["sigma", "--n-max", "2"], capsys)
+    assert code == 1 and not body["ok"]
+    rows = body["report"]["rows"]
+    assert len(rows) == 12
+    failed = [row for row in rows if "error" in row]
+    assert failed == [
+        {
+            "family": "cf",
+            "direction": "up",
+            "order": "prec",
+            "sigma_complete": None,
+            "error": "1/2*energy on h1_grid [grid] is an upper bound not above the limit",
+        }
+    ]
+    assert all("report" in row for row in rows if "error" not in row)
+    assert {"family": "cf", "direction": "up", "got": None, "expected": True} in body["report"]["mismatches"]
 
 
 # sha256 of the JSON these runs print at --seed 7: a change that moves a
@@ -643,3 +664,76 @@ def test_console_script_targets_cli_main():
     module, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module), attr)
     assert entry is cli.main
+
+
+# ------------------------------------------------------------ argv fuzz
+
+_LAMS = ("j", "j^2", "1/j", "1/j^2", "const:2", "const:1/2", "const:0", "const:x", "k", "", "j^j")
+_TAGS = ("h1_grid", "finite_support", "full", "bogus", "", *(f"diag_max:{lam}" for lam in _LAMS))
+_FUZZ_CALLS = 120
+# no drawn call comes near this: a slow one has lost its bound
+_FUZZ_WALL_S = 20.0
+
+
+def _pick(rng, inside, refused):
+    """A value inside its bound, or now and then one the CLI refuses before any work."""
+    return rng.choice(refused) if rng.random() < 0.2 else rng.choice(inside)
+
+
+def _fuzz_argv(rng):
+    """One argv the parser accepts, drawn from the CLI grammar."""
+    command = rng.choice(("instance", "family", "counterexample", "chain", "sigma"))
+    if command == "instance":
+        small = rng.choice(
+            ["zplus", "even-gap", "broken-max", "zplus:3", "cone:x", "hilbert-hotel", "interval:x,1"]
+            + [f"cone:{d}" for d in range(4)]
+            + [f"{kind}:{u}" for kind in ("interval", "half-open") for u in ("3", "2,2", "1,2,2", "0", "-1")]
+        )
+        argv = ["axioms", "--instance", small, "--cap", str(_pick(rng, range(5), [-1]))]
+        if rng.random() < 0.1:  # far past the exhaustive bound, refused before a sum is taken
+            argv = ["axioms", "--instance", rng.choice(["cone:40", "interval:99,99,99", "cone:2"]), "--cap", "50"]
+        elif rng.random() < 0.5:
+            argv += ["--mode", "sampled", "--samples", str(_pick(rng, range(1, 40), [0, -2, kernel.MAX_SAMPLES + 1]))]
+    elif command == "family":
+        family = rng.choice([*families.FAMILIES, "vfd", "zz", "rf:h1_grid", *(f"vfd:{tag}" for tag in _TAGS)])
+        argv = ["axioms", "--family", family, "--samples", str(_pick(rng, range(1, 40), [0, -2, kernel.MAX_SAMPLES + 1]))]
+        model = rng.choice([None, None, None, None, "grid", "sequence", "bogus"])
+        if model:
+            argv += ["--model", model]
+        if rng.random() < 0.1:
+            argv += ["--mode", "exhaustive"]
+    elif command == "counterexample":
+        argv = ["counterexample", rng.choice(cli.COUNTEREXAMPLES)]
+    elif command == "chain":
+        chain = rng.choice([*chains.CHAIN_IDS, "bogus"])
+        argv = ["chain", "--chain", chain, "--n-max", str(_pick(rng, range(2, 7), [1, 0, -3, chains.MAX_N_MAX + 1]))]
+        order = rng.choice([None, *chains.ORDERS, "sf", "vfd:h1_grid"])
+        if order:
+            argv += ["--order", order]
+        if rng.random() < 0.4:
+            argv += ["--levels", _pick(rng, ["9", "3,5", "17,33", "60"], ["0", "-1", "", "2000", "600,600"])]
+    else:
+        argv = ["sigma", "--n-max", str(_pick(rng, range(2, 6), [1, 0, -3, chains.MAX_N_MAX + 1]))]
+    return argv + ["--seed", str(rng.randint(0, 999)), "--format", rng.choice(("text", "json"))]
+
+
+def test_fuzzed_argv_ends_in_a_verdict_or_one_config_line(monkeypatch, capsys):
+    # calls run one at a time in this process: the test starts no process
+    monkeypatch.delenv("GEALAB_SEED", raising=False)
+    rng = random.Random(7)
+    codes = set()
+    for _ in range(_FUZZ_CALLS):
+        argv = _fuzz_argv(rng)
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out.err, argv
+        if code == 2:
+            assert not out.out and out.err.startswith("config error:") and out.err.count("\n") == 1, argv
+        else:
+            assert out.out and not out.err, argv
+        assert elapsed < _FUZZ_WALL_S, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

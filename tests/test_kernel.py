@@ -116,8 +116,9 @@ def ref_brute_meet(alg, items):
 
 
 def ref_brute_join(alg, items):
+    # an item outside the window has no pairs in le: read it by its definition
     elems, le = _ref_le_pairs(alg)
-    upper = [c for c in elems if all((e, c) in le for e in items)]
+    upper = [c for c in elems if all(ref_derived_le(alg, e, c) for e in items)]
     for m in upper:
         if all((m, c) in le for c in upper):
             return m
@@ -151,61 +152,47 @@ def ref_unclosed_pair(ambient, members):
     return None
 
 
-def ref_meet_via_complement_join(alg, chain, join_oracle=None):
+def ref_via_complements(alg, chain, bound, oracle, lower):
+    """Both complement routes as one loop over the enumeration, with the
+    kernel's message templates: a meet below its head, a join below ``bound``."""
     chain = list(chain)
     if not chain:
         raise ValueError("empty chain")
-    if join_oracle is None:
-        join_oracle = lambda seq: ref_brute_join(alg, seq)  # noqa: E731
-    head = chain[0]
-    diffs = []
-    for a in chain:
-        d = ref_ominus(alg, head, a)
-        if d is None:
-            raise ValueError("chain is not descending from its first element")
-        diffs.append(d)
-    sup = join_oracle(diffs)
-    if sup is None:
-        raise JoinUnavailable("complement chain has no join")
-    meet = ref_ominus(alg, head, sup)
-    if meet is None:
-        raise VerificationFailed("join of complements is not below the chain head")
-    if not all(ref_derived_le(alg, meet, a) for a in chain):
-        raise VerificationFailed("computed meet is not a lower bound")
-    for c in alg.elements():
-        if all(ref_derived_le(alg, c, a) for a in chain) and not ref_derived_le(alg, c, meet):
-            raise VerificationFailed(f"lower bound {c} not dominated by computed meet {meet}")
-    return meet
+    if lower:
+        bound = chain[0]
+    if oracle is None:
+        oracle = lambda seq: (ref_brute_join if lower else ref_brute_meet)(alg, seq)  # noqa: E731
+    name, dual, side = ("meet", "join", "below") if lower else ("join", "meet", "above")
 
+    def beyond(x, y):  # x lies on the side of y that bounds it
+        return ref_derived_le(alg, x, y) if lower else ref_derived_le(alg, y, x)
 
-def ref_join_via_complement_meet(alg, chain, bound, meet_oracle=None):
-    chain = list(chain)
-    if not chain:
-        raise ValueError("empty chain")
-    if meet_oracle is None:
-        meet_oracle = lambda seq: ref_brute_meet(alg, seq)  # noqa: E731
     diffs = []
     for a in chain:
         d = ref_ominus(alg, bound, a)
         if d is None:
             raise ValueError(f"chain element {a} is not below the bound {bound}")
         diffs.append(d)
-    inf = meet_oracle(diffs)
-    if inf is None:
-        raise MeetUnavailable("complement chain has no meet")
-    join = ref_ominus(alg, bound, inf)
-    if join is None:
-        raise VerificationFailed("meet of complements is not below the bound")
-    if not all(ref_derived_le(alg, a, join) for a in chain):
-        raise VerificationFailed("computed join is not an upper bound")
+    other = oracle(diffs)
+    if other is None:
+        raise (JoinUnavailable if lower else MeetUnavailable)(f"complement chain has no {dual}")
+    found = ref_ominus(alg, bound, other)
+    if found is None:
+        raise VerificationFailed(f"{dual} of complements is not below the bound")
+    if not all(beyond(found, a) for a in chain):
+        raise VerificationFailed(f"computed {name} is not {side} every chain element")
     for c in alg.elements():
-        if (
-            all(ref_derived_le(alg, a, c) for a in chain)
-            and ref_derived_le(alg, c, bound)
-            and not ref_derived_le(alg, join, c)
-        ):
-            raise VerificationFailed(f"upper bound {c} below the bound beats computed join")
-    return join
+        if all(beyond(c, a) for a in chain) and ref_derived_le(alg, c, bound) and not beyond(c, found):
+            raise VerificationFailed(f"{c} lies {side} the chain but not {side} the computed {name} {found}")
+    return found
+
+
+def ref_meet_via_complement_join(alg, chain, join_oracle=None):
+    return ref_via_complements(alg, chain, None, join_oracle, lower=True)
+
+
+def ref_join_via_complement_meet(alg, chain, bound, meet_oracle=None):
+    return ref_via_complements(alg, chain, bound, meet_oracle, lower=False)
 
 
 class TableAlgebra(kernel.PartialAlgebra):
@@ -639,6 +626,16 @@ def test_order_helpers_outside_the_window():
     assert kernel.ominus(alg, 15, 12) == 3
     assert kernel.ominus(alg, 12, 5) == 7
     assert kernel.brute_meet(alg, [12]) == 10
+
+
+def test_brute_join_reads_an_item_outside_the_window():
+    # 1 lies outside the window, yet 1 + 5 = 6 inside it: derived_le says
+    # 1 <= 6, so 6 is an upper bound of [1], and the least one
+    alg = kernel.RestrictedAlgebra(instances.NatGEA(12), [0, 3, 5, 6, 9])
+    assert kernel.derived_le(alg, 1, 6)
+    assert kernel.brute_join(alg, [1]) == 6
+    assert kernel.brute_join(alg, [1, 3]) == 6
+    assert kernel.brute_join(alg, [1, 9]) is None
 
 
 def assert_order_matches_reference(alg, values, rng):

@@ -1,7 +1,9 @@
 """Source hygiene: every module constant of the package is read somewhere,
-and every default of a private function is overridden by some call."""
+every default of a private function is overridden by some call, and every
+function the benchmark tracer spans exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 from test_kernel import ARRAY_INSTANCES
@@ -100,3 +102,22 @@ def test_forms_are_built_only_in_the_forms_module():
         and "FormSpec" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert not outside
+
+
+def test_every_traced_span_names_a_package_function():
+    # the benchmark tracer keeps spans for these "module.name" keys, so a
+    # rename that left one behind would drop its span without a word; the
+    # tracer's source is read, not imported
+    tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
+    (keys,) = [
+        ast.literal_eval(node.value.args[0])
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPAN_KEYS"]
+    ]
+    assert keys
+    missing = []
+    for key in sorted(keys):
+        module, name = key.split(".")
+        if not callable(getattr(importlib.import_module(f"gealab.{module}"), name, None)):
+            missing.append(key)
+    assert not missing
