@@ -40,8 +40,13 @@ def _emit(report: dict, args) -> None:
     else:
         text = _render_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a refusal; a failed open names its path, a failed write leaves part of the report
+            if exc.filename is None and os.path.isfile(args.out):
+                os.remove(args.out)
+            raise ValueError(f"--out {args.out!r}: {exc.strerror or exc}") from None
     else:
         try:
             print(text, flush=True)
@@ -53,8 +58,7 @@ def _emit(report: dict, args) -> None:
 def _render_text(report: dict, indent: int = 0) -> str:
     pad = "  " * indent
     lines = []
-    for key in report:
-        val = report[key]
+    for key, val in report.items():
         if isinstance(val, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(val, indent + 1))
@@ -72,17 +76,13 @@ def _render_text(report: dict, indent: int = 0) -> str:
             if isinstance(val, float):
                 val = f"{val:.12g}"
             lines.append(f"{pad}{key}: {val}")
-    return "\n".join(line for line in lines if line is not None)
-
-
-def _envelope(command: str, config: dict, report: dict, ok: bool) -> dict:
-    return {"schema": SCHEMA, "command": command, "config": config, "ok": ok, "report": report}
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------- axioms
 
 
-def cmd_axioms(args) -> int:
+def cmd_axioms(args) -> tuple[dict, dict, bool]:
     config = {
         "instance": args.instance,
         "family": args.family,
@@ -93,23 +93,17 @@ def cmd_axioms(args) -> int:
         "mode": args.mode,
     }
     if (args.instance is None) == (args.family is None):
-        print("config error: exactly one of --instance / --family is required", file=sys.stderr)
-        return 2
-    try:
-        if args.instance is not None:
-            alg = instances.instance_by_name(args.instance, cap=args.cap)
-            mode = args.mode or "exhaustive"
-        else:
-            alg = families.gea_by_name(args.family, args.model)
-            mode = args.mode or "sampled"
-        report = kernel.check_axioms(alg, mode=mode, samples=args.samples, seed=args.seed)
-    except (ValueError, GealabError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("exactly one of --instance / --family is required")
+    if args.instance is not None:
+        alg = instances.instance_by_name(args.instance, cap=args.cap)
+        mode = args.mode or "exhaustive"
+    else:
+        alg = families.gea_by_name(args.family, args.model)
+        mode = args.mode or "sampled"
+    report = kernel.check_axioms(alg, mode=mode, samples=args.samples, seed=args.seed)
     body = report.to_dict()
     body["algebra"] = repr(alg)
-    _emit(_envelope("axioms", config, body, report.all_pass), args)
-    return 0 if report.all_pass else 1
+    return config, body, report.all_pass
 
 
 # --------------------------------------------------------- counterexamples
@@ -196,13 +190,12 @@ _CE_HANDLERS = {
 COUNTEREXAMPLES = tuple(_CE_HANDLERS)
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple[dict, dict, bool]:
     try:
         report, ok = _CE_HANDLERS[args.name]()
     except GealabError as exc:
         report, ok = {"error": str(exc)}, False
-    _emit(_envelope("counterexample", {"name": args.name}, report, ok), args)
-    return 0 if ok else 1
+    return {"name": args.name}, report, ok
 
 
 # ------------------------------------------------------------------ chains
@@ -216,7 +209,7 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"--n-max must be at most chains.MAX_N_MAX = {chains.MAX_N_MAX}, got {n_max}")
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args) -> tuple[dict, dict, bool]:
     config = {
         "chain": args.chain,
         "order": args.order,
@@ -224,23 +217,17 @@ def cmd_chain(args) -> int:
         "levels": args.levels,
         "seed": args.seed,
     }
-    try:
-        _check_n_max(args.n_max)
-        if args.levels is not None and (not args.levels or min(args.levels) <= 0):
-            got = ",".join(map(str, args.levels))
-            raise ValueError(f"--levels needs positive integers, got {got!r}")
-        chain = chains.chain_by_name(args.chain)
-        if args.levels is not None:
-            dims = sum(hilbert.dim_of(chain.model, level) for level in args.levels)
-            if dims > chains.MAX_LEVEL_DIMS:
-                got = ",".join(map(str, args.levels))
-                raise ValueError(f"--levels {got} spans {dims} coordinates, more than {chains.MAX_LEVEL_DIMS}")
-        order = args.order or chain.order
-        chains.order_predicate(order)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    ok = True
+    _check_n_max(args.n_max)
+    got = ",".join(map(str, args.levels or ()))
+    if args.levels is not None and (not args.levels or min(args.levels) <= 0):
+        raise ValueError(f"--levels needs positive integers, got {got!r}")
+    chain = chains.chain_by_name(args.chain)
+    if args.levels is not None:
+        dims = sum(hilbert.dim_of(chain.model, level) for level in args.levels)
+        if dims > chains.MAX_LEVEL_DIMS:
+            raise ValueError(f"--levels {got} spans {dims} coordinates, more than {chains.MAX_LEVEL_DIMS}")
+    order = args.order or chain.order
+    chains.order_predicate(order)
     body: dict = {"chain": args.chain, "order": order, "direction": chain.direction}
     family = chains.ORDERS[order]
     try:
@@ -262,33 +249,24 @@ def cmd_chain(args) -> int:
     except GealabError as exc:
         body["error"] = str(exc)
         body["witness"] = {"chain": args.chain, "order": order, "n_max": args.n_max}
-        ok = False
-    _emit(_envelope("chain", config, body, ok), args)
-    return 0 if ok else 1
+        return config, body, False
+    return config, body, True
 
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args) -> tuple[dict, dict, bool]:
     config = {"n_max": args.n_max, "seed": args.seed}
-    try:
-        _check_n_max(args.n_max)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    _check_n_max(args.n_max)
     try:
         table = chains.sigma_report(n_max=args.n_max, seed=args.seed)
     except GealabError as exc:
-        body = {"error": str(exc), "witness": {"n_max": args.n_max}}
-        _emit(_envelope("sigma", config, body, False), args)
-        return 1
+        return config, {"error": str(exc), "witness": {"n_max": args.n_max}}, False
     # the rows come in the order of chains.SIGMA_ROWS; a row that raised has no verdict
     table["mismatches"] = [
         {"family": spec.family, "direction": spec.direction, "got": row["sigma_complete"], "expected": spec.expected}
         for row, spec in zip(table["rows"], chains.SIGMA_ROWS)
         if row["sigma_complete"] != spec.expected
     ]
-    ok = not table["mismatches"]
-    _emit(_envelope("sigma", config, table, ok), args)
-    return 0 if ok else 1
+    return config, table, not table["mismatches"]
 
 
 # ------------------------------------------------------------------ parser
@@ -365,21 +343,28 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first subcommand name is the one argparse dispatches to: no token before it takes a value
     args = build_parser(next((a for a in argv if a in _SUBCOMMANDS), None)).parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        raw = os.environ.get("GEALAB_SEED", "0")
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            print(f"config error: GEALAB_SEED={raw!r} is not an integer", file=sys.stderr)
-            return 2
-    # refuse an unwritable --out before the run, not after it
-    if args.out and os.path.isdir(args.out):
-        print(f"config error: --out {args.out!r} is a directory", file=sys.stderr)
+    # every refusal, of main's checks and of the handler, ends here: one line, exit 2
+    try:
+        source = "--seed"
+        if args.seed is None:
+            source, raw = "GEALAB_SEED", os.environ.get("GEALAB_SEED", "0")
+            try:
+                args.seed = int(raw)
+            except ValueError:
+                raise ValueError(f"GEALAB_SEED={raw!r} is not an integer") from None
+        if args.seed < 0:
+            raise ValueError(f"{source}={args.seed} is negative; a seed is a non-negative integer")
+        # refuse an unwritable --out before the run, not after it
+        if args.out and os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out {args.out!r} is in a missing directory")
+        config, report, ok = args.func(args)
+        _emit({"schema": SCHEMA, "command": args.command, "config": config, "ok": ok, "report": report}, args)
+    except (ValueError, GealabError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        print(f"config error: --out {args.out!r} is in a missing directory", file=sys.stderr)
-        return 2
-    return args.func(args)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

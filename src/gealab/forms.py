@@ -353,9 +353,6 @@ def _shape(model: str, domain: DomainTag | None, atoms: list) -> tuple:
                     f"domain {tag_to_str(dom)} is not contained in the natural "
                     f"domain {tag_to_str(atom.natural_domain)} of {atom}"
                 )
-    unbounded = any(not a.bounded for a in atoms)
-    if unbounded and dom == FULL_SPACE and not any(a.kind == "hamel" for a in atoms):
-        raise OutsideCatalog("an unbounded numeric form cannot be declared on the full space")
     order = sorted(range(len(atoms)), key=lambda i: atoms[i].sort_key)
     sup = _support(model, dom, tuple([atoms[i] for i in order]))
     return sup, None if order == list(range(len(atoms))) else tuple(order)
@@ -896,8 +893,6 @@ def form_from_dict(data: dict) -> FormSpec:
             bump(BOUNDARY1, entry.get("beta", "0"))
         elif kind == "hamel":
             bump(HAMEL, entry.get("coeff", "1"))
-        elif kind == "zero":
-            continue
         else:
             raise OutsideCatalog(f"unknown atom kind {kind!r}")
     return make_form(model, atoms, domain)

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: exit codes, envelopes, determinism."""
 
+import errno
 import hashlib
 import importlib
 import json
+import os
 import random
 import runpy
 import subprocess
@@ -539,6 +541,64 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_the_os_refuses_is_one_config_line(tmp_path, capsys):
+    target = tmp_path / ("x" * 300)
+    code, out, err = run_cli(["sigma", "--n-max", "3", "--out", str(target)], capsys)
+    assert code == 2 and not out
+    assert err == f"config error: --out {str(target)!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+class _FullDisk:
+    """An --out file whose write stops part of the way, as on a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_out_whose_write_fails_is_one_config_line_and_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(["counterexample", "regular-sum", "--out", str(target)], capsys)
+    assert code == 2 and not out
+    assert err == f"config error: --out {str(target)!r}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["--seed", "GEALAB_SEED"])
+@pytest.mark.parametrize(
+    "argv",
+    [["chain", "--chain", "kato"], ["sigma"], ["axioms", "--family", "bf"], ["counterexample", "regular-sum"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_refused_before_any_work(argv, source, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("meet_in_family", "join_in_family", "sigma_report"):
+        monkeypatch.setattr(chains, name, no_work)
+    monkeypatch.setattr(kernel, "check_axioms", no_work)
+    monkeypatch.setitem(cli._CE_HANDLERS, "regular-sum", no_work)
+    if source == "--seed":
+        argv = argv + ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("GEALAB_SEED", "-1")
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and not out
+    assert err == f"config error: {source}=-1 is negative; a seed is a non-negative integer\n"
+
+
 def test_axioms_exhaustive_work_is_bounded(monkeypatch, capsys):
     add, add_arrays = instances.ConeGEA.add, instances.ConeGEA.add_arrays
 
@@ -626,6 +686,17 @@ def test_closed_stdout_keeps_the_verdict_code(instance, verdict):
     assert err == b""
 
 
+def test_closed_stdout_of_python_dash_m_gealab_sigma():
+    # the reader goes before the child writes: the rest of the report goes nowhere, quietly
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gealab", "sigma", "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_seed_env_fallback(monkeypatch, capsys):
     monkeypatch.setenv("GEALAB_SEED", "5")
     code, body, _ = run_json(["axioms", "--family", "bf", "--samples", "150"], capsys)
@@ -680,8 +751,9 @@ def _pick(rng, inside, refused):
     return rng.choice(refused) if rng.random() < 0.2 else rng.choice(inside)
 
 
-def _fuzz_argv(rng):
-    """One argv the parser accepts, drawn from the CLI grammar."""
+def _fuzz_argv(rng, tmp_path):
+    """One argv the parser accepts, drawn from the CLI grammar; an --out,
+    when drawn, is a name too long for the OS under ``tmp_path``."""
     command = rng.choice(("instance", "family", "counterexample", "chain", "sigma"))
     if command == "instance":
         small = rng.choice(
@@ -714,16 +786,18 @@ def _fuzz_argv(rng):
             argv += ["--levels", _pick(rng, ["9", "3,5", "17,33", "60"], ["0", "-1", "", "2000", "600,600"])]
     else:
         argv = ["sigma", "--n-max", str(_pick(rng, range(2, 6), [1, 0, -3, chains.MAX_N_MAX + 1]))]
-    return argv + ["--seed", str(rng.randint(0, 999)), "--format", rng.choice(("text", "json"))]
+    if rng.random() < 0.05:
+        argv += ["--out", str(tmp_path / ("o" * 300))]
+    return argv + ["--seed", str(_pick(rng, range(1000), [-1, -999])), "--format", rng.choice(("text", "json"))]
 
 
-def test_fuzzed_argv_ends_in_a_verdict_or_one_config_line(monkeypatch, capsys):
+def test_fuzzed_argv_ends_in_a_verdict_or_one_config_line(tmp_path, monkeypatch, capsys):
     # calls run one at a time in this process: the test starts no process
     monkeypatch.delenv("GEALAB_SEED", raising=False)
     rng = random.Random(7)
     codes = set()
     for _ in range(_FUZZ_CALLS):
-        argv = _fuzz_argv(rng)
+        argv = _fuzz_argv(rng, tmp_path)
         start = time.perf_counter()
         code = cli.main(argv)
         elapsed = time.perf_counter() - start

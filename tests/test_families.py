@@ -210,6 +210,22 @@ def test_family_sum_guard_and_filter():
     assert oplus_family("cf", diag_form("j"), diag_form("j^2")) is None
 
 
+def test_family_sum_that_leaves_the_family_is_undefined(monkeypatch):
+    # no shipped family has a base sum that leaves it; forms of at most one atom do
+    one_atom = families.Family(GRID, lambda sup, tag: len(sup.atoms) <= 1, families._draw_any)
+    monkeypatch.setitem(FAMILIES, "one-atom", one_atom)
+    families._lookup.cache_clear()
+    try:
+        t, s = T_PRIME, endpoint_form(1, 0)
+        assert in_family(t, "one-atom") and in_family(s, "one-atom")
+        assert oplus(t, s) is not None
+        assert oplus_family("one-atom", t, s) is None
+        assert not le_family("one-atom", t, oplus(t, s))
+        assert le_family("one-atom", t, t)
+    finally:
+        families._lookup.cache_clear()
+
+
 # ---------------------------------------------------------------- ominus
 
 

@@ -121,6 +121,42 @@ def test_make_form_validation():
         make_form(SEQUENCE, {diag_atom("j"): 1}, diag_domain("j^2"))
 
 
+# one atom of every kind, and of every diagonal kind of bound, on a model that has it
+_ATOMS_OF_EVERY_KIND = [
+    (GRID, DIRICHLET),
+    (GRID, forms.BOUNDARY0),
+    (GRID, forms.BOUNDARY1),
+    (GRID, forms.bounded_mat_atom()),
+    (SEQUENCE, forms.HAMEL),
+    (SEQUENCE, diag_atom("j")),
+    (SEQUENCE, diag_atom("j^2")),
+    (SEQUENCE, diag_atom("1/j")),
+    (SEQUENCE, diag_atom("const:2")),
+    (SEQUENCE, diag_atom("j", 3)),
+    (SEQUENCE, forms.bounded_mat_atom("seeded:1")),
+]
+
+
+@pytest.mark.parametrize("model, atom", _ATOMS_OF_EVERY_KIND, ids=repr)
+def test_no_unbounded_numeric_form_lives_on_the_full_space(model, atom):
+    # why make_form has no rule of its own against an unbounded numeric form
+    # on the full space: such an atom's natural domain is smaller, and a
+    # form's domain sits inside the natural domain of each of its atoms
+    if atom.bounded or atom.kind == "hamel":
+        assert atom.natural_domain == FULL_SPACE
+        assert make_form(model, {atom: 1}, FULL_SPACE).domain == FULL_SPACE
+        return
+    assert atom.natural_domain != FULL_SPACE
+    for atoms in ({atom: 1}, {atom: 1, forms.bounded_mat_atom(): 1}):
+        with pytest.raises(OutsideCatalog, match="is not contained in the natural domain"):
+            make_form(model, atoms, FULL_SPACE)
+
+
+def test_atoms_of_every_kind_are_listed():
+    kinds = {atom.kind for _, atom in _ATOMS_OF_EVERY_KIND}
+    assert kinds == set(forms._SEQ_KINDS) | set(forms._GRID_KINDS)
+
+
 def test_make_form_zero_coefficients_dropped():
     t = make_form(SEQUENCE, {diag_atom("1/j"): 0})
     assert t.is_zero and t == zero_form(SEQUENCE)
@@ -650,6 +686,15 @@ def test_json_malformed():
         forms.form_from_dict({"model": SEQUENCE, "domain": "full", "atoms": [{"kind": "mystery"}]})
     with pytest.raises(OutsideCatalog):
         form_from_json('{"model": "sequence", "domain": "full", "atoms": [{"kind": "diag", "lambda": "log"}]}')
+
+
+def test_json_zero_atom_kind_is_unknown():
+    # form_to_dict writes the zero form as no entries, never as a "zero" one
+    catalog = [t for _, t in forms.catalog_forms(include_symbolic=True)] + [zero_form(GRID)]
+    assert all(e["kind"] != "zero" for t in catalog for e in forms.form_to_dict(t)["atoms"])
+    assert forms.form_to_dict(zero_form(SEQUENCE))["atoms"] == []
+    with pytest.raises(OutsideCatalog, match="unknown atom kind 'zero'"):
+        forms.form_from_dict({"model": SEQUENCE, "domain": "full", "atoms": [{"kind": "zero"}]})
 
 
 def test_json_cut_that_is_not_an_integer_is_refused():

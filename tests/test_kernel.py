@@ -326,6 +326,16 @@ def test_add_arrays_matches_add(alg):
     assert got == [alg.add(x, y) for x, y in pairs]
 
 
+def test_an_add_set_on_the_instance_is_the_sum_the_table_takes():
+    # the class's add_arrays stands for the class's add, not for one set on the instance
+    alg = instances.NatGEA(6)
+    alg.add = lambda a, b: a + b + ((a, b) == (1, 2))
+    report = kernel.check_axioms(alg)
+    assert kernel._sum_table(alg)._arrays is None
+    gei = report.verdict("GEi")
+    assert not gei.passed and gei.counterexample == (1, 2)
+
+
 @dataclasses.dataclass(eq=False)
 class ShiftedSum(kernel.PartialAlgebra):
     """A test table on {0, 1, 2, top}: the sum a + b + shift, and a zero that

@@ -1,6 +1,7 @@
 """Source hygiene: every module constant of the package is read somewhere,
-every default of a private function is overridden by some call, and every
-function the benchmark tracer spans exists."""
+every default of a private function is overridden by some call, every
+function the benchmark tracer spans exists, and the CLI refuses and reports
+in one place."""
 
 import ast
 import importlib
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from test_kernel import ARRAY_INSTANCES
 
-from gealab import instances
+from gealab import cli, instances
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gealab").glob("*.py"))
@@ -121,3 +122,23 @@ def test_every_traced_span_names_a_package_function():
         if not callable(getattr(importlib.import_module(f"gealab.{module}"), name, None)):
             missing.append(key)
     assert not missing
+
+
+def test_only_cli_main_refuses_emits_and_picks_the_exit_code():
+    # a subcommand's handler returns (config, report, ok) and raises for a
+    # refusal; main alone writes the one config error line, emits the
+    # envelope and turns ok into the exit code
+    tree = ast.parse((ROOT / "src" / "gealab" / "cli.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def users(found):
+        return {fn.name for fn in functions for node in ast.walk(fn) if found(node)}
+
+    refusing = users(lambda n: isinstance(n, ast.Constant) and "config error:" in str(n.value))
+    emitting = users(lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_emit")
+    assert refusing == emitting == {"main"}
+    handlers = [fn for fn in functions if fn.name.startswith("cmd_")]
+    assert {fn.name for fn in handlers} == {handler.__name__ for _, _, handler in cli._SUBCOMMANDS.values()}
+    for fn in handlers:
+        returned = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert returned and all(isinstance(v, ast.Tuple) and len(v.elts) == 3 for v in returned), fn.name
