@@ -13,6 +13,7 @@ significant digits, no timestamps.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -339,6 +340,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _name_max(directory: str) -> float:
+    """The longest file name, in bytes, that ``directory`` takes; no bound
+    where the OS names none (the write then refuses a name it cannot take)."""
+    try:
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit here
+        return float("inf")
+    return limit if limit > 0 else float("inf")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the first subcommand name is the one argparse dispatches to: no token before it takes a value
@@ -355,10 +366,14 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ValueError(f"{source}={args.seed} is negative; a seed is a non-negative integer")
         # refuse an unwritable --out before the run, not after it
-        if args.out and os.path.isdir(args.out):
-            raise ValueError(f"--out {args.out!r} is a directory")
-        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise ValueError(f"--out {args.out!r} is in a missing directory")
+        if args.out:
+            where = os.path.dirname(os.path.abspath(args.out))
+            if os.path.isdir(args.out):
+                raise ValueError(f"--out {args.out!r} is a directory")
+            if not os.path.isdir(where):
+                raise ValueError(f"--out {args.out!r} is in a missing directory")
+            if len(os.fsencode(os.path.basename(args.out))) > _name_max(where):
+                raise ValueError(f"--out {args.out!r}: {os.strerror(errno.ENAMETOOLONG)}")
         config, report, ok = args.func(args)
         _emit({"schema": SCHEMA, "command": args.command, "config": config, "ok": ok, "report": report}, args)
     except (ValueError, GealabError) as exc:

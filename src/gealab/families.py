@@ -269,14 +269,18 @@ class FormsGEA(PartialAlgebra):
     """A family of forms as a partial algebra with its derived-order oracle."""
 
     def __init__(self, model: str, family: str = "vf"):
-        self._sum, self.le_oracle = family_ops(family)
+        entry, _ = _lookup(family)
+        self._ruled, self._bar = entry.rule is not None, entry.bar
+        self.le_oracle = family_ops(family)[1]
         self.model = model
         self.family = family
         self.zero = zero_form(model)
         self.enumerable = False
 
-    def add(self, a, b):
-        return self._sum(a, b)
+    def add(self, a, b):  # the sum of family_ops, called by its public name
+        if self._ruled:
+            return oplus_family(self.family, a, b)
+        return oplus_bar(a, b) if self._bar else oplus(a, b)
 
     def sample(self, rng: random.Random):
         return sample_form(self.model, self.family, rng)

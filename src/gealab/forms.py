@@ -235,6 +235,8 @@ class FormSpec:
         return any(a.kind == kind for a, _ in self.atoms)
 
     def __eq__(self, other):  # the dataclass equality: equal fields are one support and equal atoms
+        if self is other:
+            return True
         if other.__class__ is not FormSpec:
             return NotImplemented
         return self.support is other.support and self.atoms == other.atoms
@@ -275,14 +277,19 @@ def natural_domain(atoms) -> DomainTag:
 
 class Support:
     """A form's model, domain tag and atoms without coefficients, made once
-    by ``_support``.  ``bounded``, ``singular`` and ``closed`` are decided
+    by ``_support``.  ``keys`` (the atoms' sort keys), ``hamel`` (it holds
+    the symbolic singular atom), ``unbounded`` (it holds an unbounded
+    numeric atom), ``bounded``, ``singular`` and ``closed`` are decided
     here; ``families`` fills ``members`` (family id -> membership) and
     ``plans`` ((sum, the other operand's support) -> plan)."""
 
-    __slots__ = ("model", "domain", "atoms", "bounded", "singular", "closed", "members", "plans")
+    __slots__ = ("model", "domain", "atoms", "keys", "hamel", "unbounded", "bounded", "singular", "closed", "members", "plans")
 
     def __init__(self, model: str, domain: DomainTag, atoms: tuple):
         self.model, self.domain, self.atoms = model, domain, atoms
+        self.keys = tuple([a.sort_key for a in atoms])
+        self.hamel = any(a.kind == "hamel" for a in atoms)
+        self.unbounded = any(not a.bounded and a.kind != "hamel" for a in atoms)
         self.bounded = all(a.bounded for a in atoms)
         # every coefficient is positive, so "the energy coefficient is > 0"
         # is "the energy atom is present"
@@ -410,26 +417,31 @@ def sum_shape(t: Support, s: Support) -> tuple | None:
     have no meet, or the symbolic singular atom of one operand meets an
     unbounded numeric atom of the other."""
     dom = tag_meet(t.domain, s.domain)
-    if dom is None:
-        return None
-    both = t.atoms + s.atoms
-    keys = [a.sort_key for a in both]
-    picks: list[int] = []
-    shared = []
-    # a sort key names its atom, both atom tuples are sorted and the sort
-    # is stable: an atom of both operands comes out twice in a row, t's
-    # first, and t's object is kept
-    for k in sorted(range(len(both)), key=keys.__getitem__):
-        if picks and keys[picks[-1]] == keys[k]:
-            shared.append((len(picks) - 1, picks[-1], k))
-        else:
-            picks.append(k)
-    atoms = tuple([both[k] for k in picks])
     # each operand is admissible on a domain that contains the meet, so the
     # hamel rule is the only one the sum can break
-    if _hamel_clash(atoms):
+    if dom is None or ((t.hamel or s.hamel) and (t.unbounded or s.unbounded)):
         return None
-    return _support(t.model, dom, atoms), tuple(picks), tuple(shared)
+    # one merge of the two sorted key tuples; a sort key names its atom, so
+    # an atom of both operands has one key in each, and t's object is kept
+    tk, sk = t.keys, s.keys
+    n, m = len(tk), len(sk)
+    picks: list[int] = []
+    shared = []
+    i = j = 0
+    while i < n and j < m:
+        if tk[i] <= sk[j]:
+            if tk[i] == sk[j]:
+                shared.append((len(picks), i, n + j))
+                j += 1
+            picks.append(i)
+            i += 1
+        else:
+            picks.append(n + j)
+            j += 1
+    picks += range(i, n)
+    picks += range(n + j, n + m)
+    both = t.atoms + s.atoms
+    return _support(t.model, dom, tuple([both[k] for k in picks])), tuple(picks), tuple(shared)
 
 
 def add_shaped(t: FormSpec, s: FormSpec, shape: tuple) -> FormSpec:

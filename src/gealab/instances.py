@@ -161,9 +161,15 @@ class HalfOpenIntervalGEA(PartialAlgebra):
 
     def _inside(self, s):
         """Whether points of the box [0, u] belong to the carrier: all but u.
-        The points lie along the last axis of ``s``; a tuple is one point.
-        No point but u may be left out."""
-        return np.any(np.not_equal(s, _as_tuple(self.u)), axis=-1)
+        ``s`` is one point, a tuple, or an array of points, one per row,
+        compared one coordinate column at a time.  No point but u may be left out."""
+        ut = _as_tuple(self.u)
+        if isinstance(s, tuple):
+            return s != ut
+        inside = s[:, 0] != ut[0]
+        for d in range(1, len(ut)):
+            inside |= s[:, d] != ut[d]
+        return inside
 
     def add(self, a, b):
         ut = _as_tuple(self.u)
@@ -174,7 +180,10 @@ class HalfOpenIntervalGEA(PartialAlgebra):
 
     def add_arrays(self, a, b):
         s = a + b
-        return s, (s <= _as_tuple(self.u)).all(axis=1) & self._inside(s)
+        defined = self._inside(s)
+        for d, m in enumerate(_as_tuple(self.u)):  # one coordinate column at a time
+            defined &= s[:, d] <= m
+        return s, defined
 
     def elements(self):
         ut = _as_tuple(self.u)

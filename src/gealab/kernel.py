@@ -510,66 +510,49 @@ class AxiomReport:
         }
 
 
-def _violates_gei(alg, x, y) -> bool:
-    return alg.add(x, y) != alg.add(y, x)
+# the elements each axiom's counterexample names, in the order a draw decides them
+_ARITY = {"GEiii": 1, "GEi": 2, "GEv": 2, "GEii": 3, "GEiv": 3}
 
 
-def _violates_geii(alg, x, y, z) -> bool:
-    # if either association is defined, both must be and they must agree
-    xy = alg.add(x, y)
-    lhs = None if xy is None else alg.add(xy, z)
-    yz = alg.add(y, z)
-    rhs = None if yz is None else alg.add(x, yz)
-    if lhs is None and rhs is None:
-        return False
-    return lhs != rhs
+def _failures(alg: PartialAlgebra, todo, x, y=None, z=None) -> list[str]:
+    """The axioms of ``todo`` that (x, y, z) violates, in ``_ARITY`` order:
+    the one definition of each axiom, which the sampled pass, :func:`replay`
+    and the reference loops of the tests all read.
 
-
-def _violates_geiii(alg, x) -> bool:
-    return alg.add(x, alg.zero) != x
-
-
-def _violates_geiv(alg, x, y, z) -> bool:
-    s1 = alg.add(x, y)
-    if s1 is None:
-        return False
-    return s1 == alg.add(x, z) and y != z
-
-
-def _violates_gev(alg, x, y) -> bool:
-    return alg.add(x, y) == alg.zero and not (x == alg.zero and y == alg.zero)
-
-
-# in the order a sampled draw runs them
-_CHECKS = {
-    "GEiii": (1, _violates_geiii),
-    "GEi": (2, _violates_gei),
-    "GEv": (2, _violates_gev),
-    "GEii": (3, _violates_geii),
-    "GEiv": (3, _violates_geiv),
-}
-
-
-class _DrawSums:
-    """One draw's view of an algebra: its ``zero``, and an ``add`` that computes each
-    distinct sum once, keyed on operand identity (the draw and the sums stay referenced)."""
-
-    def __init__(self, alg: PartialAlgebra):
-        self.zero, self._add, self._sums = alg.zero, alg.add, {}
-
-    def add(self, a, b):
-        key = (id(a), id(b))
-        if key not in self._sums:
-            self._sums[key] = self._add(a, b)
-        return self._sums[key]
+    The seven distinct sums x+0, x+y, y+x, (x+y)+z, y+z, x+(y+z) and x+z
+    are each computed at most once, in the order the axioms first ask for
+    them, and only while an axiom of ``todo`` reads them: GEiii reads no
+    ``y`` or ``z``, GEi and GEv read no ``z``.
+    """
+    add, zero = alg.add, alg.zero
+    failed = []
+    if "GEiii" in todo and add(x, zero) != x:
+        failed.append("GEiii")
+    gei, gev, geii, geiv = "GEi" in todo, "GEv" in todo, "GEii" in todo, "GEiv" in todo
+    if gei or gev or geii or geiv:
+        xy = add(x, y)
+        if gei and xy != add(y, x):
+            failed.append("GEi")
+        # a sum can only vanish when both summands vanish
+        if gev and xy == zero and not (x == zero and y == zero):
+            failed.append("GEv")
+        if geii:
+            # if either association is defined, both must be and they must agree
+            lhs = None if xy is None else add(xy, z)
+            yz = add(y, z)
+            rhs = None if yz is None else add(x, yz)
+            if (lhs is not None or rhs is not None) and lhs != rhs:
+                failed.append("GEii")
+        if geiv and xy is not None and xy == add(x, z) and y != z:
+            failed.append("GEiv")
+    return failed
 
 
 def replay(alg: PartialAlgebra, verdict: AxiomVerdict) -> bool:
     """Re-run a failed verdict's counterexample; True when it still fails."""
     if verdict.counterexample is None:
         return False
-    arity, check = _CHECKS[verdict.axiom]
-    return check(alg, *verdict.counterexample[:arity])
+    return bool(_failures(alg, (verdict.axiom,), *verdict.counterexample[: _ARITY[verdict.axiom]]))
 
 
 def _first_true(mask: np.ndarray):
@@ -683,12 +666,12 @@ def check_axioms(
         if samples > MAX_SAMPLES:
             raise ValueError(f"sampled mode draws at most kernel.MAX_SAMPLES = {MAX_SAMPLES} samples, got {samples}")
         rng = random.Random(seed)
+        todo = set(_ARITY)  # the axioms not yet failed
         for _ in range(samples):
             draw = (alg.sample(rng), alg.sample(rng), alg.sample(rng))
-            sums = _DrawSums(alg)
-            for axiom, (arity, violates) in _CHECKS.items():
-                if axiom not in bad and violates(sums, *draw[:arity]):
-                    bad[axiom] = draw[:arity]
+            for axiom in _failures(alg, todo, *draw):
+                bad[axiom] = draw[: _ARITY[axiom]]
+                todo.discard(axiom)
         tested = samples
         used_seed = seed
     else:

@@ -487,6 +487,22 @@ GOLDEN_JSON = [
     ("axioms --instance interval:3,2 --cap 8", 0, "17b34de2a5ec4d37449539afadffe36f7cb421b082f7bfdb7dbc93200178bba7"),
     ("axioms --instance half-open:3,3 --cap 8", 0, "80685dbfb97764aa27e8c878572f16880255bc1271552143cd8c401c96f633cc"),
     ("axioms --instance broken-max --cap 8", 1, "791ace7c1f270b88aee28a2f88f1343be7c9273b3e074f071d17114458f091fa"),
+    # the sampled path: the benchmark's ten families, and a sampled counterexample
+    ("axioms --family sf --samples 500", 0, "f3a257038613b123add5822e2310030a98061f464b9cfdc0a9f37e1005e4d9e9"),
+    ("axioms --family vf-bar --samples 500", 0, "ade5fa6f1f47fa6b1929e2d8e087d440d93ddeeb4033496b388caf0906da3b66"),
+    ("axioms --family rf --samples 500", 0, "cd1c79b937ea3db57e5e4590e20b8bb144ef2fae9c9ca4afc03e1be5148ddd11"),
+    ("axioms --family bf --samples 500", 0, "9c7a6b2eb50f3dc604c5ad4aee3472282a77cd3e8fcf02fd1799e4e5d45db58b"),
+    ("axioms --family cf --samples 500", 0, "56ee170c740518884c3d07bab6de19116695f06aec686a747844dc998b389d7d"),
+    ("axioms --family sa --samples 500", 0, "b6609ac0bed1e291098fe48097fa8d830ca6abe50874c37cf32d1bfc40f9f169"),
+    ("axioms --family vfd:h1_grid --samples 500", 0, "b4c9f939a2e013f6a976ba4edfc240d82c72b4a20a38271edca3d1cb2c3d4365"),
+    ("axioms --family gf --samples 500", 0, "00110567fe064c2d2aef56060dbf50db84d902491db4d0174c05f6996dc2c788"),
+    ("axioms --family vh --samples 500", 0, "22717881b129ceffbd5f8446e709ea77c888f41c8b14eb4775b11e6d7f025795"),
+    ("axioms --family vf --samples 500", 0, "a3fc733cd430536bf69558b89f50e4f266cb64e7d56629455ee8e8fef02d43fe"),
+    (
+        "axioms --instance broken-max --cap 8 --mode sampled",
+        1,
+        "bf53bf4d07a6ebf15086c0a563c3149bdf34ee8b3802db53abe35ea837596c4d",
+    ),
 ]
 
 
@@ -543,6 +559,18 @@ def test_out_into_missing_directory_is_config_error(tmp_path, capsys):
 
 def test_out_the_os_refuses_is_one_config_line(tmp_path, capsys):
     target = tmp_path / ("x" * 300)
+    code, out, err = run_cli(["sigma", "--n-max", "3", "--out", str(target)], capsys)
+    assert code == 2 and not out
+    assert err == f"config error: --out {str(target)!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_name_longer_than_the_directory_takes_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(chains, "sigma_report", no_work)
+    target = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
     code, out, err = run_cli(["sigma", "--n-max", "3", "--out", str(target)], capsys)
     assert code == 2 and not out
     assert err == f"config error: --out {str(target)!r}: {os.strerror(errno.ENAMETOOLONG)}\n"

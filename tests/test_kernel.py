@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gealab import families, instances, kernel
+from gealab import families, forms, hilbert, instances, kernel
 from gealab.errors import (
     GealabError,
     JoinUnavailable,
@@ -17,6 +17,7 @@ from gealab.errors import (
     NonUniqueWitness,
     NoOrderOracle,
     NotEnumerable,
+    NotInFamily,
     NotSumClosed,
     TooManyElements,
     VerificationFailed,
@@ -29,25 +30,30 @@ from gealab.errors import (
 # what the answers must be, counterexamples and witnesses included.
 
 
+def violates(alg, axiom, *elements):
+    """The kernel's one definition of ``axiom``, on these elements alone."""
+    return bool(kernel._failures(alg, (axiom,), *elements))
+
+
 def ref_check_axioms(alg):
     elems = list(alg.elements())
     n = len(elems)
     bad = {}
     for x in elems:
-        if "GEiii" not in bad and kernel._violates_geiii(alg, x):
+        if "GEiii" not in bad and violates(alg, "GEiii", x):
             bad["GEiii"] = (x,)
     for x in elems:
         for y in elems:
-            if "GEi" not in bad and kernel._violates_gei(alg, x, y):
+            if "GEi" not in bad and violates(alg, "GEi", x, y):
                 bad["GEi"] = (x, y)
-            if "GEv" not in bad and kernel._violates_gev(alg, x, y):
+            if "GEv" not in bad and violates(alg, "GEv", x, y):
                 bad["GEv"] = (x, y)
     for x in elems:
         for y in elems:
             for z in elems:
-                if "GEii" not in bad and kernel._violates_geii(alg, x, y, z):
+                if "GEii" not in bad and violates(alg, "GEii", x, y, z):
                     bad["GEii"] = (x, y, z)
-                if "GEiv" not in bad and kernel._violates_geiv(alg, x, y, z):
+                if "GEiv" not in bad and violates(alg, "GEiv", x, y, z):
                     bad["GEiv"] = (x, y, z)
     verdicts = tuple(
         kernel.AxiomVerdict(axiom=a, passed=a not in bad, counterexample=bad.get(a))
@@ -64,15 +70,15 @@ def ref_check_axioms_sampled(alg, samples, seed):
         x = alg.sample(rng)
         y = alg.sample(rng)
         z = alg.sample(rng)
-        if "GEiii" not in bad and kernel._violates_geiii(alg, x):
+        if "GEiii" not in bad and violates(alg, "GEiii", x):
             bad["GEiii"] = (x,)
-        if "GEi" not in bad and kernel._violates_gei(alg, x, y):
+        if "GEi" not in bad and violates(alg, "GEi", x, y):
             bad["GEi"] = (x, y)
-        if "GEv" not in bad and kernel._violates_gev(alg, x, y):
+        if "GEv" not in bad and violates(alg, "GEv", x, y):
             bad["GEv"] = (x, y)
-        if "GEii" not in bad and kernel._violates_geii(alg, x, y, z):
+        if "GEii" not in bad and violates(alg, "GEii", x, y, z):
             bad["GEii"] = (x, y, z)
-        if "GEiv" not in bad and kernel._violates_geiv(alg, x, y, z):
+        if "GEiv" not in bad and violates(alg, "GEiv", x, y, z):
             bad["GEiv"] = (x, y, z)
     verdicts = tuple(
         kernel.AxiomVerdict(axiom=a, passed=a not in bad, counterexample=bad.get(a))
@@ -838,6 +844,135 @@ def test_sampled_check_adds_each_distinct_sum_once(monkeypatch):
     monkeypatch.setattr(families.FormsGEA, "add", counting)
     rep = kernel.check_axioms(families.gea_by_name("vf-bar"), mode="sampled", samples=2000)
     assert rep.all_pass and 0 < calls <= 7 * 2000
+
+
+class _Box:
+    """An int in a fresh object, so that operand identity names the sum asked for."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return isinstance(other, _Box) and self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return f"_Box({self.v})"
+
+
+class CountingSums(kernel.PartialAlgebra):
+    """Truncated addition on {0..cap} in fresh boxes.  Every ``add`` is logged
+    under the draw it belongs to (each third ``sample`` opens one), and the
+    log keeps its operands alive, so no id is reused."""
+
+    def __init__(self, cap=6):
+        self.cap, self.zero, self.drawn, self.draws = cap, _Box(0), 0, [[]]
+
+    def sample(self, rng):
+        self.drawn += 1
+        if self.drawn % 3 == 1:
+            self.draws.append([])
+        return _Box(rng.randint(0, self.cap))
+
+    def add(self, a, b):
+        self.draws[-1].append((a, b))
+        s = a.v + b.v
+        return _Box(s) if s <= self.cap else None
+
+
+def test_each_draw_asks_for_each_distinct_sum_at_most_once():
+    alg = CountingSums()
+    rep = kernel.check_axioms(alg, mode="sampled", samples=500, seed=3)
+    assert rep.all_pass and len(alg.draws) == 501
+    sizes = set()
+    for asked in alg.draws:
+        pairs = [(id(a), id(b)) for a, b in asked]
+        assert len(set(pairs)) == len(pairs) <= 7, asked
+        sizes.add(len(pairs))
+    assert 7 in sizes and 5 in sizes  # x+z is asked only where x+y is defined
+    assert rep.to_dict() == ref_check_axioms_sampled(CountingSums(), 500, 3).to_dict()
+
+
+# the sums (by value) each axiom reads of a draw: all defined, and x+y undefined at cap 6
+READS = {
+    (1, 2, 3): {
+        "GEiii": [(1, 0)],
+        "GEi": [(1, 2), (2, 1)],
+        "GEv": [(1, 2)],
+        "GEii": [(1, 2), (3, 3), (2, 3), (1, 5)],
+        "GEiv": [(1, 2), (1, 3)],
+    },
+    (4, 5, 1): {
+        "GEiii": [(4, 0)],
+        "GEi": [(4, 5), (5, 4)],
+        "GEv": [(4, 5)],
+        "GEii": [(4, 5), (5, 1), (4, 6)],
+        "GEiv": [(4, 5)],
+    },
+}
+
+
+@pytest.mark.parametrize("draw", READS, ids=str)
+def test_a_draw_asks_only_for_the_sums_its_open_axioms_read(draw):
+    alg = CountingSums()
+    for todo in [(), *((axiom,) for axiom in kernel.AXIOMS), kernel.AXIOMS]:
+        alg.draws = [[]]
+        assert kernel._failures(alg, todo, *map(_Box, draw)) == []
+        reads = READS[draw]
+        asked = list(dict.fromkeys(pair for axiom in kernel._ARITY if axiom in todo for pair in reads[axiom]))
+        assert [(a.v, b.v) for a, b in alg.draws[-1]] == asked, todo
+
+
+def test_sampled_check_matches_reference_on_broken_algebras():
+    broken = [
+        instances.BrokenMaxGEA(8),
+        ShiftedAdd(9, 5),
+        ShiftedAdd(12, 7),
+        OneBrokenSumCone(2, 3),
+        ShiftedSum(5, 1),
+        FarZeroSquare(),
+        TableAlgebra([0, 1, 2], {(a, b): max(a, b) for a in range(3) for b in range(3)}, 0),
+    ]
+    for alg in broken:
+        failed = set()
+        for seed in (0, 7, 101):
+            got = kernel.check_axioms(alg, mode="sampled", samples=300, seed=seed)
+            assert got.to_dict() == ref_check_axioms_sampled(alg, 300, seed).to_dict(), (alg, seed)
+            assert all(kernel.replay(alg, v) for v in got.failures())
+            failed |= {v.axiom for v in got.failures()}
+        assert failed, alg
+
+
+class StrayDraw(families.FormsGEA):
+    """The ``bf`` algebra whose ``at``-th sample is diag(j), an unbounded form."""
+
+    def __init__(self, at):
+        super().__init__(hilbert.SEQUENCE, "bf")
+        self.at, self.drawn = at, 0
+
+    def sample(self, rng):
+        self.drawn += 1
+        t = super().sample(rng)
+        return forms.diag_form("j") if self.drawn == self.at else t
+
+
+@pytest.mark.parametrize("at", [31, 32, 33], ids=["x", "y", "z"])
+def test_a_drawn_non_member_raises_as_in_the_reference_on_the_same_draw(at):
+    outcomes = []
+    for check in (
+        lambda alg: kernel.check_axioms(alg, mode="sampled", samples=50, seed=3),
+        lambda alg: ref_check_axioms_sampled(alg, 50, 3),
+    ):
+        alg = StrayDraw(at)
+        with pytest.raises(NotInFamily) as info:
+            check(alg)
+        outcomes.append((str(info.value), alg.drawn))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("1*diag(j) on diag_max:j [sequence] is not in bf", 33)  # the 11th draw
 
 
 def test_restricted_algebra_repr_names_ambient_and_members():

@@ -423,3 +423,74 @@ def test_a_sum_never_leaves_the_catalog():
         forms.form_add(on_j, j)
     with pytest.raises(OutsideCatalog, match="incomparable domains"):
         forms.form_add(j, diag_form("j^2"))
+
+
+# ------------------------------------------------------------ one merge per plan
+
+
+def ref_sum_shape(t, s):
+    """The plan of a sum by a stable sort of both operands' atoms: an atom of
+    both comes out twice in a row, t's first, and t's object is kept."""
+    dom = forms.tag_meet(t.domain, s.domain)
+    if dom is None:
+        return None
+    both = t.atoms + s.atoms
+    picks, shared = [], []
+    for k in sorted(range(len(both)), key=lambda k: both[k].sort_key):
+        if picks and both[picks[-1]] == both[k]:
+            shared.append((len(picks) - 1, picks[-1], k))
+        else:
+            picks.append(k)
+    atoms = tuple(both[k] for k in picks)
+    if ref_hamel_clash(atoms):
+        return None
+    return forms._support(t.model, dom, atoms), tuple(picks), tuple(shared)
+
+
+def _palette():
+    """Supports of each model: the zero support, shared atoms, hamel beside
+    and away from diag(j), and domains with and without a meet."""
+    mat, seeded = forms.bounded_mat_atom("id"), forms.bounded_mat_atom("seeded:2")
+    j, j2, inv = diag_atom("j"), diag_atom("j^2"), diag_atom("1/j")
+    seq = [
+        {},
+        {j: 1},
+        {j: 1, mat: 1},
+        {j: 1, inv: 1, seeded: 1},
+        {j2: 1, mat: 1},
+        {inv: 1},
+        {inv: 1, mat: 1},
+        {diag_atom("j", 4): 1, diag_atom("const:1/2"): 1},
+        {forms.HAMEL: 1},
+        {forms.HAMEL: 1, mat: 1},
+    ]
+    grid = [{}, {DIRICHLET: 1}, {DIRICHLET: 1, BOUNDARY0: 1}, {BOUNDARY0: 1, forms.BOUNDARY1: 1}, {mat: 1}]
+    supports = [make_form(SEQUENCE, atoms).support for atoms in seq]
+    supports += [make_form(GRID, atoms).support for atoms in grid]
+    supports += [
+        make_form(SEQUENCE, {j: 1, mat: 1}, forms.FINITE_SUPPORT).support,
+        make_form(SEQUENCE, {j2: 1}, forms.FINITE_SUPPORT).support,
+        make_form(SEQUENCE, {forms.HAMEL: 1}, forms.diag_domain("j")).support,
+        make_form(SEQUENCE, {forms.HAMEL: 1, inv: 1}, forms.diag_domain("j")).support,
+    ]
+    return supports
+
+
+def test_sum_shape_is_one_merge_of_the_sorted_keys():
+    supports = _palette()
+    outcomes = {"no meet": 0, "hamel": 0, "shared": 0, "zero": 0}
+    for t in supports:
+        assert t.keys == tuple(a.sort_key for a in t.atoms) and list(t.keys) == sorted(t.keys)
+        assert t.hamel == any(a.kind == "hamel" for a in t.atoms)
+        assert t.unbounded == any(not ref_atom_bounded(a) and a.kind != "hamel" for a in t.atoms)
+        for s in supports:
+            if s.model != t.model:
+                continue
+            want = ref_sum_shape(t, s)
+            assert forms.sum_shape(t, s) == want, (t.atoms, t.domain, s.atoms, s.domain)
+            if want is None:
+                outcomes["no meet" if forms.tag_meet(t.domain, s.domain) is None else "hamel"] += 1
+            else:
+                outcomes["shared"] += bool(want[2])
+                outcomes["zero"] += not (t.atoms and s.atoms)
+    assert all(outcomes.values()), outcomes

@@ -70,3 +70,26 @@ def test_output_is_the_same_under_the_tracer(runs, index):
     plain, traced = runs["plain"][index], runs["traced"][index]
     assert plain[1]
     assert traced == plain
+
+
+TRACED_SUMS = """
+import contextlib, io, json, sys
+sys.path.insert(0, {perfbench!r})
+from layertrace import Tracer
+from gealab import cli
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["axioms", "--family", "rf", "--samples", "50", "--seed", "0", "--format", "json"])
+stats = tracer.report()["stats"]
+print(json.dumps([code, stats.get("families.oplus_family", [0])[0], stats.get("families.FormsGEA.add", [0])[0]]))
+""".format(perfbench=str(ROOT / "perfbench"))
+
+
+def test_traced_family_check_counts_its_sums_under_the_public_sum():
+    # a family algebra's add calls its public sum by name, so the tracer's
+    # wrapper of oplus_family sees every sum the check asks for
+    proc = subprocess.run([sys.executable, "-c", TRACED_SUMS], capture_output=True, timeout=300)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr.decode()[-2000:]
+    code, sums, adds = json.loads(proc.stdout)
+    assert code == 0 and sums == adds > 0
