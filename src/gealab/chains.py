@@ -62,7 +62,7 @@ def order_predicate(order: str) -> Callable[[FormSpec, FormSpec], bool]:
     if order not in ORDERS:
         raise ValueError(f"unknown order id {order!r}")
     family = ORDERS[order]
-    return preceq if family is None else families.family_ops(family)[1]
+    return preceq if family is None else families.family_order(family)
 
 
 # ------------------------------------------------------------------ chains
@@ -400,7 +400,7 @@ def _bound_in_family(
     beyond both.
     """
     name, bound_key, count_key, both_key, blocked_key = _BOUND_KEYS[direction]
-    pred = order or families.family_ops(family)[1]
+    pred = order or families.family_order(family)
     below = pred if direction == "down" else lambda x, y: pred(y, x)
     terms = chain.terms(n_max)
     for t in terms:

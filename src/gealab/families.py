@@ -252,14 +252,14 @@ def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
     return oplus_family(family, t, r) == s
 
 
-def family_ops(family: str) -> tuple[Callable, Callable]:
-    """The partial sum and derived order of a family, by its kind: the
-    plain sum for vf, the bar sum for vf-bar, the family-restricted sum
-    for every family with a membership rule."""
+def family_order(family: str) -> Callable[[FormSpec, FormSpec], bool]:
+    """The derived order of a family, by its kind: that of the plain sum
+    for vf, of the bar sum for vf-bar, of the family-restricted sum for
+    every family with a membership rule."""
     entry, _ = _lookup(family)
     if entry.rule is not None:
-        return functools.partial(oplus_family, family), functools.partial(le_family, family)
-    return (oplus_bar, le_bar) if entry.bar else (oplus, le_oplus)
+        return functools.partial(le_family, family)
+    return le_bar if entry.bar else le_oplus
 
 
 # ------------------------------------------------------------- the algebras
@@ -271,13 +271,13 @@ class FormsGEA(PartialAlgebra):
     def __init__(self, model: str, family: str = "vf"):
         entry, _ = _lookup(family)
         self._ruled, self._bar = entry.rule is not None, entry.bar
-        self.le_oracle = family_ops(family)[1]
+        self.le_oracle = family_order(family)
         self.model = model
         self.family = family
         self.zero = zero_form(model)
         self.enumerable = False
 
-    def add(self, a, b):  # the sum of family_ops, called by its public name
+    def add(self, a, b):  # the family's sum, by kind, called by its public name
         if self._ruled:
             return oplus_family(self.family, a, b)
         return oplus_bar(a, b) if self._bar else oplus(a, b)

@@ -159,16 +159,14 @@ class HalfOpenIntervalGEA(PartialAlgebra):
     def zero(self):
         return _scalar(self.u, (0,) * len(_as_tuple(self.u)))
 
-    def _inside(self, s):
+    def _inside(self, cols):
         """Whether points of the box [0, u] belong to the carrier: all but u.
-        ``s`` is one point, a tuple, or an array of points, one per row,
-        compared one coordinate column at a time.  No point but u may be left out."""
-        ut = _as_tuple(self.u)
-        if isinstance(s, tuple):
-            return s != ut
-        inside = s[:, 0] != ut[0]
-        for d in range(1, len(ut)):
-            inside |= s[:, d] != ut[d]
+        ``cols`` are one point's coordinates, or the coordinate columns of
+        an array of points, compared one column at a time.  No point but u
+        may be left out."""
+        inside = False
+        for c, m in zip(cols, _as_tuple(self.u)):
+            inside = inside | (c != m)
         return inside
 
     def add(self, a, b):
@@ -180,9 +178,9 @@ class HalfOpenIntervalGEA(PartialAlgebra):
 
     def add_arrays(self, a, b):
         s = a + b
-        defined = self._inside(s)
-        for d, m in enumerate(_as_tuple(self.u)):  # one coordinate column at a time
-            defined &= s[:, d] <= m
+        defined = self._inside(s.T)
+        for c, m in zip(s.T, _as_tuple(self.u)):  # one coordinate column at a time
+            defined &= c <= m
         return s, defined
 
     def elements(self):
@@ -205,8 +203,8 @@ class IntervalEA(HalfOpenIntervalGEA):
     def top(self):
         return self.u
 
-    def _inside(self, s):
-        return np.ones(np.shape(s)[:-1], dtype=bool)
+    def _inside(self, cols):
+        return True
 
 
 @dataclass(eq=False)

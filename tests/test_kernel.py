@@ -821,14 +821,27 @@ def test_sampled_check_matches_reference_on_instances(name, seed):
 
 
 def test_sampled_check_matches_reference_on_random_tables():
-    failing = {a: 0 for a in kernel.AXIOMS}
-    for seed in range(300):
-        alg, _ = random_table_algebra(seed)
-        got = kernel.check_axioms(alg, mode="sampled", samples=40, seed=seed).to_dict()
-        assert got == ref_check_axioms_sampled(alg, 40, seed).to_dict(), seed
-        for v in got["verdicts"]:
-            failing[v["axiom"]] += not v["passed"]
-    assert all(failing.values()), failing
+    # random tables, whose failures cover every axiom, then algebras built
+    # to break an axiom, each of which fails one; every failure replays
+    def failed(alg, samples, seed):
+        got = kernel.check_axioms(alg, mode="sampled", samples=samples, seed=seed)
+        assert got.to_dict() == ref_check_axioms_sampled(alg, samples, seed).to_dict(), (alg, seed)
+        assert all(kernel.replay(alg, v) for v in got.failures())
+        return {v.axiom for v in got.failures()}
+
+    tables = (random_table_algebra(seed)[0] for seed in range(300))
+    assert set().union(*(failed(alg, 40, seed) for seed, alg in enumerate(tables))) == set(kernel.AXIOMS)
+    broken = [
+        instances.BrokenMaxGEA(8),
+        ShiftedAdd(9, 5),
+        ShiftedAdd(12, 7),
+        OneBrokenSumCone(2, 3),
+        ShiftedSum(5, 1),
+        FarZeroSquare(),
+        TableAlgebra([0, 1, 2], {(a, b): max(a, b) for a in range(3) for b in range(3)}, 0),
+    ]
+    for alg in broken:
+        assert set().union(*(failed(alg, 300, seed) for seed in (0, 7, 101))), alg
 
 
 def test_sampled_check_adds_each_distinct_sum_once(monkeypatch):
@@ -925,26 +938,6 @@ def test_a_draw_asks_only_for_the_sums_its_open_axioms_read(draw):
         reads = READS[draw]
         asked = list(dict.fromkeys(pair for axiom in kernel._ARITY if axiom in todo for pair in reads[axiom]))
         assert [(a.v, b.v) for a, b in alg.draws[-1]] == asked, todo
-
-
-def test_sampled_check_matches_reference_on_broken_algebras():
-    broken = [
-        instances.BrokenMaxGEA(8),
-        ShiftedAdd(9, 5),
-        ShiftedAdd(12, 7),
-        OneBrokenSumCone(2, 3),
-        ShiftedSum(5, 1),
-        FarZeroSquare(),
-        TableAlgebra([0, 1, 2], {(a, b): max(a, b) for a in range(3) for b in range(3)}, 0),
-    ]
-    for alg in broken:
-        failed = set()
-        for seed in (0, 7, 101):
-            got = kernel.check_axioms(alg, mode="sampled", samples=300, seed=seed)
-            assert got.to_dict() == ref_check_axioms_sampled(alg, 300, seed).to_dict(), (alg, seed)
-            assert all(kernel.replay(alg, v) for v in got.failures())
-            failed |= {v.axiom for v in got.failures()}
-        assert failed, alg
 
 
 class StrayDraw(families.FormsGEA):
