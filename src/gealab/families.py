@@ -10,7 +10,8 @@ regular parts to add.  Subfamilies
 restrict the sum to members.  A catalog operator is the form it
 generates, so ``in_family(t, "gf")`` is the operator guard, and the
 operator algebras vh and sa are gf and cf on the sequence model with the
-operator samplers.  The numeric order applies ``forms.psd_range``.
+operator samplers.  The pointwise order decides diagonal pairs exactly by
+``forms.diagonal_order_witness`` and applies ``forms.psd_range`` to the rest.
 
 Every family id (also the CLI string) is a key of ``FAMILIES``, which
 holds each family's default model, membership rule and sampler.  Every
@@ -209,11 +210,16 @@ def _preceq_numeric(t: FormSpec, s: FormSpec) -> bool:
 def preceq(t: FormSpec, s: FormSpec) -> bool:
     """Pointwise order: D(t) contains D(s) and t <= s on it.
 
-    Decided exactly when no atom coefficient of t exceeds its coefficient
-    in s: every catalog atom is PSD at every level, so s - t is then a
-    non-negative combination of PSD atoms and the atom-wise difference is
-    the certificate.  Any other pair gets a PSD eigensolve at each of the
-    model's default levels, at tolerance ``forms.PSD_TOL``.
+    After the domain check, the first of three routes that applies decides:
+    - atom-wise: no atom coefficient of t exceeds its coefficient in s.
+      Every catalog atom is PSD, so s - t is then a non-negative
+      combination of PSD atoms, and the order holds on the whole space.
+    - diagonal: every atom of both forms is a sequence-model ``diag``
+      atom.  ``forms.diagonal_order_witness`` decides s - t >= 0 exactly,
+      on all of l^2, with no tolerance.
+    - numeric: every other pair gets a PSD eigensolve at each of the
+      model's default levels, at tolerance ``forms.PSD_TOL``; the verdict
+      holds at those levels.
     """
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
@@ -224,6 +230,8 @@ def preceq(t: FormSpec, s: FormSpec) -> bool:
     bound = s.atoms_dict()
     if all(c <= bound.get(atom, forms.ZERO) for atom, c in t.atoms):
         return True
+    if all(a.kind == "diag" for a in t.support.atoms + s.support.atoms):  # diag atoms live on the sequence model alone
+        return forms.diagonal_order_witness(t, s) is None
     return _preceq_numeric(t, s)
 
 

@@ -7,7 +7,8 @@ coefficients so that cancellation holds on the nose.  Range and
 positivity questions are answered numerically from the per-level matrices,
 by the one positivity rule of ``psd_range``; the pointwise order
 (``families.preceq``) is decided exactly from the atom coefficients where
-it can be, and by that rule otherwise.
+it can be, exactly on all of l^2 by ``diagonal_order_witness`` for
+diagonal forms, and by that rule otherwise.
 
 Atom catalog
     diag         sequence model, lambda_j from a small registry, optional
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,6 +139,83 @@ def lam_sup(lam: str) -> Fraction | None:
             raise OutsideCatalog("diagonal constants must be non-negative")
         return c
     raise OutsideCatalog(f"unknown diagonal coefficient map {lam!r}")
+
+
+@functools.lru_cache(maxsize=256)
+def lam_poly(lam: str) -> tuple[int, Fraction]:
+    """``(p, q)`` with ``j * lam_value(lam, j) == q * j**p`` for every j >= 1."""
+    if lam == "j":
+        return 2, Fraction(1)
+    if lam == "j^2":
+        return 3, Fraction(1)
+    if lam == "1/j":
+        return 0, Fraction(1)
+    if lam.startswith("const:"):
+        return 1, lam_sup(lam)
+    raise OutsideCatalog(f"unknown diagonal coefficient map {lam!r}")
+
+
+def _cubic(g: list, j: int) -> int:
+    return ((g[3] * j + g[2]) * j + g[1]) * j + g[0]
+
+
+def _cubic_negative_at(g: list, lo: int, hi: int | None) -> int | None:
+    """An integer j in ``[lo, hi]`` (``hi=None``: no upper end) with
+    ``g(j) < 0`` for the integer cubic ``g = g[0] + g[1] j + g[2] j^2 + g[3] j^3``,
+    or None when g is non-negative on all of them.
+
+    Between its real critical points ``g`` is strictly monotone, so its
+    least value over these integers is at an end or at a floor or ceiling
+    of a critical point; ``isqrt`` finds each such point to within one.
+    """
+    d3, d2, d1 = 3 * g[3], 2 * g[2], g[1]  # g'(x) = d3 x^2 + d2 x + d1
+    nears = []
+    if d3:
+        disc = d2 * d2 - 4 * d3 * d1
+        if disc >= 0:
+            root = math.isqrt(disc)
+            nears = [(-d2 + root) // (2 * d3), (-d2 - root) // (2 * d3)]
+    elif d2:
+        nears = [-d1 // d2]
+    candidates = {lo} if hi is None else {lo, hi}
+    for m in nears:
+        candidates.update(range(m - 1, m + 3))
+    if hi is None:
+        lead = next((c for c in reversed(g) if c), 0)
+        if lead < 0:  # past the Cauchy bound of its roots g has the sign of its leading coefficient
+            candidates.add(2 + max(abs(c) for c in g) // -lead)
+    return next((j for j in sorted(candidates) if lo <= j and (hi is None or j <= hi) and _cubic(g, j) < 0), None)
+
+
+def diagonal_order_witness(t: FormSpec, s: FormSpec) -> tuple[int, Fraction] | None:
+    """For sequence forms whose atoms are all diagonal: ``None`` when
+    ``s - t`` is positive semidefinite on all of l^2, else a witness
+    ``(j, f(j))``: an index j >= 1 with ``f(j) < 0``, where
+    ``f(j) = sum_a c_a lam_a(j) [j <= cut_a]`` over the atoms of ``s``
+    with a plus sign and those of ``t`` with a minus sign.
+
+    ``j * f(j)`` is one cubic on each interval between consecutive cuts,
+    made integer by one common denominator and decided exactly by
+    ``_cubic_negative_at``: no float and no tolerance.
+    """
+    terms = []  # (cut, power, signed weight as numerator and denominator) of each atom not identically 0
+    for sign, form in ((1, s), (-1, t)):
+        for atom, c in form.atoms:
+            if atom.cut != 0:
+                power, q = lam_poly(atom.lam)
+                terms.append((atom.cut, power, sign * c.numerator * q.numerator, c.denominator * q.denominator))
+    scale = math.lcm(*[den for *_, den in terms])
+    terms = [(cut, power, num * (scale // den)) for cut, power, num, den in terms]
+    ends = sorted({cut for cut, _, _ in terms if cut is not None})
+    for lo, hi in zip([1] + [cut + 1 for cut in ends], ends + [None]):
+        g = [0, 0, 0, 0]
+        for cut, power, w in terms:
+            if cut is None or (hi is not None and hi <= cut):  # the atom is live on all of [lo, hi]
+                g[power] += w
+        j = _cubic_negative_at(g, lo, hi)
+        if j is not None:
+            return j, Fraction(_cubic(g, j), scale * j)
+    return None
 
 
 # ----------------------------------------------------------------- atoms
@@ -303,8 +382,8 @@ class Support:
             self.closed = domain == FULL_SPACE
         elif model == SEQUENCE:  # a sequence form's singular atoms are its hamel atoms
             self.closed = domain.kind == "diag_max" and not self.singular
-        else:
-            self.closed = energy and domain == H1_GRID
+        else:  # an energy atom admits the h1_grid domain alone
+            self.closed = energy
         self.members: dict[str, bool] = {}
         self.plans: dict[tuple, tuple | None] = {}
 
@@ -598,7 +677,7 @@ def _kept_at_default_levels(fn):
     return functools.update_wrapper(call, fn)
 
 
-# sigma and chain --chain diag meet at most 128 distinct arguments: 512 keeps their hits
+# sigma and chain --chain diag together meet 31 distinct forms and 24 atoms at the default levels: 512 keeps every hit
 @_kept_at_default_levels
 def _atom_matrix(model: str, atom: FormAtom, level: int) -> np.ndarray:
     dim = hilbert.dim_of(model, level)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gealab import chains, cli, families, hilbert, instances, kernel
+from gealab import chains, cli, families, forms, hilbert, instances, kernel
 from gealab.errors import GealabError
 
 
@@ -207,12 +207,21 @@ def test_chain_run_checks_its_steps_once(chain, order, monkeypatch, capsys):
 
 
 def test_example_5_4_reads_its_dominators_off_the_search(monkeypatch, capsys):
-    calls = []
-    numeric = families._preceq_numeric
-    monkeypatch.setattr(families, "_preceq_numeric", lambda t, s: calls.append(1) or numeric(t, s))
+    calls = {"diagonal": 0, "numeric": 0}
+
+    def counted(route, fn):
+        def call(t, s):
+            calls[route] += 1
+            return fn(t, s)
+
+        return call
+
+    monkeypatch.setattr(families, "_preceq_numeric", counted("numeric", families._preceq_numeric))
+    monkeypatch.setattr(forms, "diagonal_order_witness", counted("diagonal", forms.diagonal_order_witness))
     code, body, _ = run_json(["counterexample", "example-5-4"], capsys)
     assert code == 0 and body["report"]["evidence"]["each_dominator_bounds_chain"]
-    assert len(calls) == 171
+    # every pair the search sends past the atom-wise certificate is diagonal
+    assert calls == {"diagonal": 171, "numeric": 0}
 
 
 def test_chain_unknown_ids(capsys):
@@ -475,6 +484,8 @@ def test_sigma_row_that_raises_keeps_the_other_rows(capsys):
 # byte of these float-free reports has to say so here
 GOLDEN_JSON = [
     ("sigma", 0, "a3e5b852d9154384bdf81eef54c48015e9382b766e5f3c4c2113bec19a9f74d1"),
+    # chain terms with cuts up to 64, past the largest default level 32
+    ("sigma --n-max 64", 0, "75e1ef864a6e3b50bc59a4aa80899dd0182450235cd047b4cfe8cf580a427e61"),
     ("counterexample remark-2-2", 0, "e8f1509b4d217a8bdfca2c3bcc1b769e2dd7b0df8de33965fd820aa2bad4f334"),
     ("counterexample example-5-4", 0, "651538658f6f9fb1268078dc708c28654bf883d33c22aa2d9023fafa08883c37"),
     ("counterexample regular-sum", 0, "8d5211d650a3d00fbd4b3efb6dc09099bb5d96728e96315a4a2ee5487c0a96ce"),

@@ -334,9 +334,9 @@ def test_numeric_order_reports_a_failed_eigensolve_as_eigen_failure(monkeypatch)
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
-    # 2*diag(1/j) exceeds 1/j atom-wise, so only the eigensolve decides the pair
+    # mat(seeded:1) is no atom of 2*mat(id) and neither form is diagonal, so only the eigensolve decides the pair
     with pytest.raises(EigenFailure):
-        preceq(diag_form("1/j", coeff=2), diag_form("const:2"))
+        preceq(bounded_matrix_form("seeded:1"), bounded_matrix_form("id", coeff=2))
     with pytest.raises(EigenFailure):
         forms.numerical_range_bounds(diag_form("1/j"), 8)
 

@@ -244,12 +244,15 @@ def test_matrix_caches_are_bounded_and_keep_every_hit(capsys):
     for cache in (matrix_at, forms._atom_matrix):
         assert cache.cache_info().maxsize is not None
         cache.cache_clear()
+    # sigma's diagonal order pairs build no matrix; its grid pairs and the
+    # chain's float tables do
     assert cli.main(["sigma", "--seed", "0", "--format", "json"]) == 0
+    assert cli.main(["chain", "--chain", "diag", "--seed", "0", "--format", "json"]) == 0
     capsys.readouterr()
     m, a = matrix_at.cache_info(), forms._atom_matrix.cache_info()
     # nothing was evicted, so the hits are those of an unbounded cache
     assert m.currsize == m.misses and a.currsize == a.misses
-    assert (m.hits, m.misses, a.hits, a.misses) == (874, 128, 33, 105)
+    assert (m.hits, m.misses, a.hits, a.misses) == (499, 31, 18, 24)
 
 
 def test_matrices_past_the_default_levels_are_not_kept():
@@ -517,6 +520,21 @@ def test_is_closed_rules():
     assert not forms.is_closed(endpoint_form(1, 1))
     assert not forms.is_closed(hamel_form())
     assert forms.is_closed(zero_form(SEQUENCE))
+
+
+def test_a_restricted_hamel_form_is_not_closed():
+    # a diag_max domain does not make the symbolic singular form closed
+    t = make_form(SEQUENCE, {forms.HAMEL: 1}, diag_domain("j"))
+    assert not forms.is_closed(t)
+    assert not families.in_family(t, "cf") and not families.in_family(t, "sa")
+
+
+@pytest.mark.parametrize("domain", [FULL_SPACE, FINITE_SUPPORT, diag_domain("j")])
+def test_an_energy_form_lives_on_h1_grid_alone(domain):
+    # so a grid form with the energy atom is closed whatever its domain tag reads
+    for atoms in ({DIRICHLET: 1}, {DIRICHLET: 1, forms.BOUNDARY0: 2}):
+        with pytest.raises(OutsideCatalog):
+            make_form(GRID, atoms, domain)
 
 
 # ----------------------------------------------------- singularity probe
