@@ -10,7 +10,8 @@ regular parts to add.  Subfamilies
 restrict the sum to members.  A catalog operator is the form it
 generates, so ``in_family(t, "gf")`` is the operator guard, and the
 operator algebras vh and sa are gf and cf on the sequence model with the
-operator samplers.  The pointwise order decides diagonal pairs exactly by
+operator samplers.  Every order reads one ``forms.atom_difference``; the
+pointwise order decides a diagonal one exactly by
 ``forms.diagonal_order_witness`` and applies ``forms.psd_range`` to the rest.
 
 Every family id (also the CLI string) is a key of ``FAMILIES``, which
@@ -179,17 +180,12 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
     """
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
-    diff = s.atoms_dict()
-    for atom, c in t.atoms:
-        r = diff.get(atom, forms.ZERO) - c
-        if r < 0:
-            if strict:
-                raise NegativeCoefficient(f"{atom} exceeds its coefficient in the minuend")
-            return None
-        if r == 0:
-            diff.pop(atom, None)
-        else:
-            diff[atom] = r
+    diff = forms.atom_difference(s, t)
+    negative = next((atom for atom, c in diff.items() if c < 0), None)
+    if negative is not None:
+        if strict:
+            raise NegativeCoefficient(f"{negative} exceeds its coefficient in the minuend")
+        return None
     unbounded = any(not a.bounded for a in diff)
     out = make_form(t.model, diff, s.domain if unbounded else None)  # the zero form when diff is empty
     if oplus(t, out) != s:
@@ -210,13 +206,13 @@ def _preceq_numeric(t: FormSpec, s: FormSpec) -> bool:
 def preceq(t: FormSpec, s: FormSpec) -> bool:
     """Pointwise order: D(t) contains D(s) and t <= s on it.
 
-    After the domain check, the first of three routes that applies decides:
-    - atom-wise: no atom coefficient of t exceeds its coefficient in s.
-      Every catalog atom is PSD, so s - t is then a non-negative
-      combination of PSD atoms, and the order holds on the whole space.
-    - diagonal: every atom of both forms is a sequence-model ``diag``
-      atom.  ``forms.diagonal_order_witness`` decides s - t >= 0 exactly,
-      on all of l^2, with no tolerance.
+    After the domain check, the first of three routes that applies to
+    ``forms.atom_difference(s, t)`` decides:
+    - atom-wise: no coefficient is negative.  Every catalog atom is PSD,
+      so the order holds on the whole space.
+    - diagonal: every atom is a sequence-model ``diag`` atom (an atom
+      shared with one coefficient cancels); ``forms.diagonal_order_witness``
+      decides s - t >= 0 exactly, on all of l^2, with no tolerance.
     - numeric: every other pair gets a PSD eigensolve at each of the
       model's default levels, at tolerance ``forms.PSD_TOL``; the verdict
       holds at those levels.
@@ -227,11 +223,11 @@ def preceq(t: FormSpec, s: FormSpec) -> bool:
         raise SymbolicOnly("the symbolic singular form has no numerical order")
     if not tag_includes(s.domain, t.domain):
         return False
-    bound = s.atoms_dict()
-    if all(c <= bound.get(atom, forms.ZERO) for atom, c in t.atoms):
+    diff = forms.atom_difference(s, t)
+    if not any(c < 0 for c in diff.values()):
         return True
-    if all(a.kind == "diag" for a in t.support.atoms + s.support.atoms):  # diag atoms live on the sequence model alone
-        return forms.diagonal_order_witness(t, s) is None
+    if all(a.kind == "diag" for a in diff):  # diag atoms live on the sequence model alone
+        return forms.diagonal_order_witness(diff) is None
     return _preceq_numeric(t, s)
 
 
@@ -244,20 +240,19 @@ def le_oplus(t: FormSpec, s: FormSpec) -> bool:
 
 
 def le_bar(t: FormSpec, s: FormSpec) -> bool:
-    """Derived order of the bar sum via the unique atom-wise witness."""
+    """Derived order of the bar sum: the atom-wise witness r exists and its
+    bar sum with t, which ``ominus_forms`` checked is s, is defined."""
     r = ominus_forms(s, t)
-    return r is not None and oplus_bar(t, r) == s
+    return r is not None and _plan(_BAR, t.support, r.support) is not None
 
 
 def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
     """Derived order inside a family: the unique difference witness must
-    exist, belong to the family, and add back under the family sum."""
+    exist, belong to the family, and have a family sum with t (then s)."""
     if not (in_family(t, family) and in_family(s, family)):
         return False
     r = ominus_forms(s, t)
-    if r is None or not in_family(r, family):
-        return False
-    return oplus_family(family, t, r) == s
+    return r is not None and in_family(r, family) and _plan(family, t.support, r.support) is not None
 
 
 def family_order(family: str) -> Callable[[FormSpec, FormSpec], bool]:

@@ -5,14 +5,15 @@ A form is a multiset of atoms with positive rational coefficients, a model
 (sums, differences, regular/singular splits) is exact on the rational
 coefficients so that cancellation holds on the nose.  Range and
 positivity questions are answered numerically from the per-level matrices,
-by the one positivity rule of ``psd_range``; the pointwise order
-(``families.preceq``) is decided exactly from the atom coefficients where
-it can be, exactly on all of l^2 by ``diagonal_order_witness`` for
-diagonal forms, and by that rule otherwise.
+by the one positivity rule of ``psd_range``.  The pointwise order
+(``families.preceq``) reads one ``atom_difference`` per pair: it holds
+outright when no coefficient of the difference is negative, is decided
+exactly on all of l^2 by ``diagonal_order_witness`` when every atom of the
+difference is diagonal, and by that rule otherwise.
 
 Atom catalog
-    diag         sequence model, lambda_j from a small registry, optional
-                 truncation cut (lambda_j = 0 for j > cut)
+    diag         sequence model, lambda_j from the registry ``lam_poly``,
+                 optional truncation cut (lambda_j = 0 for j > cut)
     bounded_mat  Hermitian PSD generator with unit spectral norm relative
                  to the model inner product ("id" or "seeded:<k>")
     dirichlet    grid model, first-difference derivative energy
@@ -111,39 +112,10 @@ def tag_from_str(text: str) -> DomainTag:
 # ------------------------------------------------- diagonal coefficients
 
 
-def lam_value(lam: str, j: int) -> Fraction:
-    """Value of a registered diagonal coefficient map at index j >= 1."""
-    if lam == "j":
-        return Fraction(j)
-    if lam == "j^2":
-        return Fraction(j * j)
-    if lam == "1/j":
-        return Fraction(1, j)
-    if lam.startswith("const:"):
-        return lam_sup(lam)  # a constant map is its own supremum
-    raise OutsideCatalog(f"unknown diagonal coefficient map {lam!r}")
-
-
-def lam_sup(lam: str) -> Fraction | None:
-    """Supremum of the coefficient map; ``None`` means unbounded."""
-    if lam in ("j", "j^2"):
-        return None
-    if lam == "1/j":
-        return Fraction(1)
-    if lam.startswith("const:"):
-        try:
-            c = Fraction(lam[6:])
-        except (ValueError, ZeroDivisionError):  # "const:x", "const:1/0"
-            raise OutsideCatalog(f"diagonal constant {lam!r} is not a rational number") from None
-        if c < 0:
-            raise OutsideCatalog("diagonal constants must be non-negative")
-        return c
-    raise OutsideCatalog(f"unknown diagonal coefficient map {lam!r}")
-
-
 @functools.lru_cache(maxsize=256)
 def lam_poly(lam: str) -> tuple[int, Fraction]:
-    """``(p, q)`` with ``j * lam_value(lam, j) == q * j**p`` for every j >= 1."""
+    """The registry of diagonal coefficient maps: ``(p, q)`` with
+    ``j * lambda(j) == q * j**p`` for every j >= 1."""
     if lam == "j":
         return 2, Fraction(1)
     if lam == "j^2":
@@ -151,8 +123,26 @@ def lam_poly(lam: str) -> tuple[int, Fraction]:
     if lam == "1/j":
         return 0, Fraction(1)
     if lam.startswith("const:"):
-        return 1, lam_sup(lam)
+        try:
+            c = Fraction(lam[6:])
+        except (ValueError, ZeroDivisionError):  # "const:x", "const:1/0"
+            raise OutsideCatalog(f"diagonal constant {lam!r} is not a rational number") from None
+        if c < 0:
+            raise OutsideCatalog("diagonal constants must be non-negative")
+        return 1, c
     raise OutsideCatalog(f"unknown diagonal coefficient map {lam!r}")
+
+
+def lam_value(lam: str, j: int) -> Fraction:
+    """Value of a registered diagonal coefficient map at index j >= 1."""
+    p, q = lam_poly(lam)
+    return Fraction(q.numerator * j**p, q.denominator * j)
+
+
+def lam_sup(lam: str) -> Fraction | None:
+    """Supremum of the coefficient map; ``None`` means unbounded."""
+    p, q = lam_poly(lam)
+    return None if p > 1 else q  # q / j and the constant q are largest at j = 1
 
 
 def _cubic(g: list, j: int) -> int:
@@ -187,23 +177,21 @@ def _cubic_negative_at(g: list, lo: int, hi: int | None) -> int | None:
     return next((j for j in sorted(candidates) if lo <= j and (hi is None or j <= hi) and _cubic(g, j) < 0), None)
 
 
-def diagonal_order_witness(t: FormSpec, s: FormSpec) -> tuple[int, Fraction] | None:
-    """For sequence forms whose atoms are all diagonal: ``None`` when
-    ``s - t`` is positive semidefinite on all of l^2, else a witness
+def diagonal_order_witness(diff: dict) -> tuple[int, Fraction] | None:
+    """For an ``atom_difference`` ``s - t`` whose atoms are all diagonal:
+    ``None`` when it is positive semidefinite on all of l^2, else a witness
     ``(j, f(j))``: an index j >= 1 with ``f(j) < 0``, where
-    ``f(j) = sum_a c_a lam_a(j) [j <= cut_a]`` over the atoms of ``s``
-    with a plus sign and those of ``t`` with a minus sign.
+    ``f(j) = sum_a c_a lam_a(j) [j <= cut_a]`` over its signed coefficients.
 
     ``j * f(j)`` is one cubic on each interval between consecutive cuts,
     made integer by one common denominator and decided exactly by
     ``_cubic_negative_at``: no float and no tolerance.
     """
     terms = []  # (cut, power, signed weight as numerator and denominator) of each atom not identically 0
-    for sign, form in ((1, s), (-1, t)):
-        for atom, c in form.atoms:
-            if atom.cut != 0:
-                power, q = lam_poly(atom.lam)
-                terms.append((atom.cut, power, sign * c.numerator * q.numerator, c.denominator * q.denominator))
+    for atom, c in diff.items():
+        if atom.cut != 0:
+            power, q = lam_poly(atom.lam)
+            terms.append((atom.cut, power, c.numerator * q.numerator, c.denominator * q.denominator))
     scale = math.lcm(*[den for *_, den in terms])
     terms = [(cut, power, num * (scale // den)) for cut, power, num, den in terms]
     ends = sorted({cut for cut, _, _ in terms if cut is not None})
@@ -535,6 +523,19 @@ def add_shaped(t: FormSpec, s: FormSpec, shape: tuple) -> FormSpec:
     for p, i, j in shared:
         atoms[p] = (both[i][0], both[i][1] + both[j][1])
     return _built(sup, tuple(atoms))
+
+
+def atom_difference(s: FormSpec, t: FormSpec) -> dict[FormAtom, Fraction]:
+    """The signed coefficient of each atom of ``s - t``, s's atoms first;
+    an atom whose coefficients cancel is left out."""
+    diff = dict(s.atoms)
+    for atom, c in t.atoms:
+        r = diff.get(atom, ZERO) - c
+        if r:
+            diff[atom] = r
+        else:
+            del diff[atom]
+    return diff
 
 
 def form_add(t: FormSpec, s: FormSpec) -> FormSpec:

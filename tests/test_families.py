@@ -327,6 +327,11 @@ def test_one_positivity_rule():
     assert forms.psd_range(np.diag([-3 * PSD_TOL, 4.0]))[2]
     assert not forms.psd_range(np.diag([-2 * PSD_TOL, 1.0]))[2]
     assert forms.psd_range(np.diag([-1.0, 3.0])) == (-1.0, 3.0, False)
+    # mat(seeded:1) has norm 1, so it sits below mat(id) and 1e-6 above (1 - 1e-6) mat(id)
+    for model in (SEQUENCE, GRID):
+        seeded = bounded_matrix_form("seeded:1", model=model)
+        assert preceq(seeded, bounded_matrix_form("id", model=model))
+        assert not preceq(seeded, bounded_matrix_form("id", coeff=1 - Fraction(1, 10**6), model=model))
 
 
 def test_numeric_order_reports_a_failed_eigensolve_as_eigen_failure(monkeypatch):
@@ -389,6 +394,7 @@ def test_le_family_membership_gate():
     assert not le_family("cf", T_PRIME, T_1)
     assert not le_family("cf", T_0, T_1)  # t_0 is not a member at all
     assert not le_family("rf", T_PRIME, T_1)  # witness t_0 is not regular
+    assert not le_family("vf-bar", T_PRIME, T_1)  # every form is a member, but the bar sum of t' and t_0 is undefined
     assert le_family("bf", diag_form("1/j"), form_add(diag_form("1/j"), bounded_matrix_form()))
     assert not le_family("bf", diag_form("1/j"), form_add(diag_form("1/j"), diag_form("j")))
 

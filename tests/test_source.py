@@ -1,7 +1,8 @@
 """Source hygiene: every module constant of the package is read somewhere,
 every default of a private function is overridden by some call, every
-function the benchmark tracer spans exists, and the CLI refuses and reports
-in one place."""
+function the benchmark tracer spans exists, every mutant of the mutation
+probe still applies and names a test, and the CLI refuses and reports in
+one place."""
 
 import ast
 import importlib
@@ -122,6 +123,30 @@ def test_every_traced_span_names_a_package_function():
         if not callable(getattr(importlib.import_module(f"gealab.{module}"), name, None)):
             missing.append(key)
     assert not missing
+
+
+def test_every_mutant_applies_and_names_a_test():
+    # a refactor that moved a mutant's line or renamed its killer would
+    # leave tools/mutants.py broken until someone ran it; the probe's
+    # source is read, not imported
+    tree = ast.parse((ROOT / "tools" / "mutants.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["MUTANTS"]
+    ]
+    mutants = [[ast.literal_eval(arg) for arg in call.args] for call in table.elts]
+    assert mutants and all(len(m) == 5 for m in mutants)
+    assert len({m[0] for m in mutants}) == len(mutants)
+    bad = []
+    for name, path, old, _, killer in mutants:
+        if (ROOT / path).read_text().count(old) != 1:
+            bad.append(f"{name}: text")
+        test_file, _, test_name = killer.split("[")[0].partition("::")
+        defined = {node.name for node in ast.parse((ROOT / test_file).read_text()).body if isinstance(node, ast.FunctionDef)}
+        if test_name not in defined:
+            bad.append(f"{name}: killer")
+    assert not bad
 
 
 def test_only_cli_main_refuses_emits_and_picks_the_exit_code():
