@@ -29,7 +29,6 @@ from .families import (
     closure_violations,
     gea_by_name,
     in_family,
-    le_bar,
     le_family,
     le_oplus,
     ominus_forms,

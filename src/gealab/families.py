@@ -188,7 +188,9 @@ def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | N
         return None
     unbounded = any(not a.bounded for a in diff)
     out = make_form(t.model, diff, s.domain if unbounded else None)  # the zero form when diff is empty
-    if oplus(t, out) != s:
+    # t + out has the atoms and coefficients of s, so it is s iff it lands on s's support
+    shape = _plan(_PLAIN, t.support, out.support)
+    if shape is None or shape[0] is not s.support:
         if strict:
             raise VerificationFailed("difference does not add back to the minuend")
         return None
@@ -210,9 +212,10 @@ def preceq(t: FormSpec, s: FormSpec) -> bool:
     ``forms.atom_difference(s, t)`` decides:
     - atom-wise: no coefficient is negative.  Every catalog atom is PSD,
       so the order holds on the whole space.
-    - diagonal: every atom is a sequence-model ``diag`` atom (an atom
-      shared with one coefficient cancels); ``forms.diagonal_order_witness``
-      decides s - t >= 0 exactly, on all of l^2, with no tolerance.
+    - diagonal: the pair is on the sequence model and every atom is
+      ``diag`` or ``mat(id)``, the identity there (an atom shared with one
+      coefficient cancels); ``forms.diagonal_order_witness`` decides
+      s - t >= 0 exactly, on all of l^2, with no tolerance.
     - numeric: every other pair gets a PSD eigensolve at each of the
       model's default levels, at tolerance ``forms.PSD_TOL``; the verdict
       holds at those levels.
@@ -226,7 +229,7 @@ def preceq(t: FormSpec, s: FormSpec) -> bool:
     diff = forms.atom_difference(s, t)
     if not any(c < 0 for c in diff.values()):
         return True
-    if all(a.kind == "diag" for a in diff):  # diag atoms live on the sequence model alone
+    if t.model == SEQUENCE and all(a.kind == "diag" or a.gen == "id" for a in diff):
         return forms.diagonal_order_witness(diff) is None
     return _preceq_numeric(t, s)
 
@@ -239,16 +242,10 @@ def le_oplus(t: FormSpec, s: FormSpec) -> bool:
     return preceq(t, s)
 
 
-def le_bar(t: FormSpec, s: FormSpec) -> bool:
-    """Derived order of the bar sum: the atom-wise witness r exists and its
-    bar sum with t, which ``ominus_forms`` checked is s, is defined."""
-    r = ominus_forms(s, t)
-    return r is not None and _plan(_BAR, t.support, r.support) is not None
-
-
 def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
     """Derived order inside a family: the unique difference witness must
-    exist, belong to the family, and have a family sum with t (then s)."""
+    exist, belong to the family, and have a family sum with t (then s).
+    Reads support plans alone and builds no sum."""
     if not (in_family(t, family) and in_family(s, family)):
         return False
     r = ominus_forms(s, t)
@@ -256,13 +253,10 @@ def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
 
 
 def family_order(family: str) -> Callable[[FormSpec, FormSpec], bool]:
-    """The derived order of a family, by its kind: that of the plain sum
-    for vf, of the bar sum for vf-bar, of the family-restricted sum for
-    every family with a membership rule."""
-    entry, _ = _lookup(family)
-    if entry.rule is not None:
-        return functools.partial(le_family, family)
-    return le_bar if entry.bar else le_oplus
+    """The derived order of a family: the characterization ``le_oplus`` for
+    vf, and ``le_family`` of the family's own sum for every other family."""
+    _lookup(family)  # an unknown id raises here, not at the first query
+    return le_oplus if family == "vf" else functools.partial(le_family, family)
 
 
 # ------------------------------------------------------------- the algebras

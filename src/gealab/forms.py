@@ -9,7 +9,8 @@ by the one positivity rule of ``psd_range``.  The pointwise order
 (``families.preceq``) reads one ``atom_difference`` per pair: it holds
 outright when no coefficient of the difference is negative, is decided
 exactly on all of l^2 by ``diagonal_order_witness`` when every atom of the
-difference is diagonal, and by that rule otherwise.
+difference is diagonal (``diag``, or ``mat(id)`` on the sequence model),
+and by that rule otherwise.
 
 Atom catalog
     diag         sequence model, lambda_j from the registry ``lam_poly``,
@@ -178,9 +179,10 @@ def _cubic_negative_at(g: list, lo: int, hi: int | None) -> int | None:
 
 
 def diagonal_order_witness(diff: dict) -> tuple[int, Fraction] | None:
-    """For an ``atom_difference`` ``s - t`` whose atoms are all diagonal:
-    ``None`` when it is positive semidefinite on all of l^2, else a witness
-    ``(j, f(j))``: an index j >= 1 with ``f(j) < 0``, where
+    """For an ``atom_difference`` ``s - t`` of sequence forms whose atoms
+    are all ``diag`` or ``mat(id)`` (the identity, read as diag(const:1)):
+    ``None`` when it is positive semidefinite on all of l^2, else a
+    witness ``(j, f(j))``: an index j >= 1 with ``f(j) < 0``, where
     ``f(j) = sum_a c_a lam_a(j) [j <= cut_a]`` over its signed coefficients.
 
     ``j * f(j)`` is one cubic on each interval between consecutive cuts,
@@ -190,7 +192,7 @@ def diagonal_order_witness(diff: dict) -> tuple[int, Fraction] | None:
     terms = []  # (cut, power, signed weight as numerator and denominator) of each atom not identically 0
     for atom, c in diff.items():
         if atom.cut != 0:
-            power, q = lam_poly(atom.lam)
+            power, q = lam_poly(atom.lam if atom.kind == "diag" else "const:1")
             terms.append((atom.cut, power, c.numerator * q.numerator, c.denominator * q.denominator))
     scale = math.lcm(*[den for *_, den in terms])
     terms = [(cut, power, num * (scale // den)) for cut, power, num, den in terms]
@@ -935,7 +937,10 @@ def form_to_dict(t: FormSpec) -> dict:
     boundary = {}
     for atom, c in t.atoms:
         if atom.kind == "diag":
-            sup = str(_diag_sup(atom)) if atom.bounded else "inf"
+            sup = "inf"
+            if atom.bounded:  # lam is largest at j = 1 when p <= 1, and at the cut otherwise
+                p, q = lam_poly(atom.lam)
+                sup = str(ZERO if atom.cut == 0 else q if p <= 1 else lam_value(atom.lam, atom.cut))
             atoms.append({"kind": "diag", "lambda": atom.lam, "sup": sup, "coeff": str(c)})
             if atom.cut is not None:
                 atoms[-1]["cut"] = atom.cut
@@ -954,39 +959,34 @@ def form_to_dict(t: FormSpec) -> dict:
     return {"model": t.model, "domain": tag_to_str(t.domain), "atoms": atoms}
 
 
-def _diag_sup(atom: FormAtom) -> Fraction:  # of a bounded diagonal atom
-    if atom.cut is None:
-        return lam_sup(atom.lam)
-    return max((lam_value(atom.lam, j) for j in range(1, atom.cut + 1)), default=ZERO)
-
-
 def form_from_dict(data: dict) -> FormSpec:
-    try:
-        model = data["model"]
-        domain = tag_from_str(data["domain"])
-        entries = data["atoms"]
-    except (KeyError, TypeError) as exc:
-        raise OutsideCatalog(f"malformed form description: {exc}") from exc
+    """The form ``form_to_dict`` describes; any description that is not one
+    (a missing key, a value of the wrong type) raises ``OutsideCatalog``."""
     atoms: dict[FormAtom, Fraction] = {}
 
     def bump(atom, c):
         add_coeff(atoms, atom, Fraction(c))
 
-    for entry in entries:
-        kind = entry.get("kind")
-        if kind == "diag":
-            bump(diag_atom(entry["lambda"], entry.get("cut")), entry.get("coeff", "1"))
-        elif kind == "bounded_mat":
-            bump(bounded_mat_atom(entry["gen"]), entry.get("coeff", "1"))
-        elif kind == "dirichlet":
-            bump(DIRICHLET, entry["c"])
-        elif kind == "boundary":
-            bump(BOUNDARY0, entry.get("alpha", "0"))
-            bump(BOUNDARY1, entry.get("beta", "0"))
-        elif kind == "hamel":
-            bump(HAMEL, entry.get("coeff", "1"))
-        else:
-            raise OutsideCatalog(f"unknown atom kind {kind!r}")
+    try:
+        model = data["model"]
+        domain = tag_from_str(data["domain"])
+        for entry in data["atoms"]:
+            kind = entry.get("kind")
+            if kind == "diag":
+                bump(diag_atom(entry["lambda"], entry.get("cut")), entry.get("coeff", "1"))
+            elif kind == "bounded_mat":
+                bump(bounded_mat_atom(entry["gen"]), entry.get("coeff", "1"))
+            elif kind == "dirichlet":
+                bump(DIRICHLET, entry["c"])
+            elif kind == "boundary":
+                bump(BOUNDARY0, entry.get("alpha", "0"))
+                bump(BOUNDARY1, entry.get("beta", "0"))
+            elif kind == "hamel":
+                bump(HAMEL, entry.get("coeff", "1"))
+            else:
+                raise OutsideCatalog(f"unknown atom kind {kind!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # say, "lambda": 5 or "coeff": "abc"
+        raise OutsideCatalog(f"malformed form description: {exc}") from exc
     return make_form(model, atoms, domain)
 
 

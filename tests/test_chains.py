@@ -61,7 +61,8 @@ def test_chain_registry():
 def test_order_table():
     assert order_predicate("prec") is families.preceq
     assert order_predicate("oplus") is families.le_oplus
-    assert order_predicate("bar") is families.le_bar
+    bar = order_predicate("bar")
+    assert bar.func is families.le_family and bar.args == ("vf-bar",)
     pairs = [(T_PRIME, T_1), (T_PRIME, energy_form(2)), (T_0, T_1)]
     for order, family in chains.ORDERS.items():
         if family is not None:

@@ -37,14 +37,23 @@ CUTS = (None, *range(0, 41))
 COEFFS = tuple(Fraction(p, q) for p, q in ((1, 4), (1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1)))
 
 
+def ref_lam(atom) -> str | None:
+    """The ``LAM`` key of a diagonal atom: mat(id) is the identity on the
+    sequence model; a seeded matrix atom of the pair has one coefficient in
+    both forms and cancels."""
+    if atom.kind == "bounded_mat":
+        return "const:1" if atom.gen == "id" else None
+    return atom.lam
+
+
 def ref_f(t, s, j: int) -> Fraction:
-    """sum of c lam(j) [j <= cut] over s's diagonal atoms minus t's; a
-    matrix atom of the pair has one coefficient in both forms and cancels."""
+    """sum of c lam(j) [j <= cut] over s's diagonal atoms minus t's."""
     total = Fraction(0)
     for sign, form in ((1, s), (-1, t)):
         for atom, c in form.atoms:
-            if atom.kind == "diag" and (atom.cut is None or j <= atom.cut):
-                total += sign * c * LAM[atom.lam](j)
+            lam = ref_lam(atom)
+            if lam is not None and (atom.cut is None or j <= atom.cut):
+                total += sign * c * LAM[lam](j)
     return total
 
 
@@ -53,9 +62,10 @@ def ref_bound(t, s) -> int:
     tail = [Fraction(0)] * 4  # coefficients of j^0 .. j^3 of j * f(j) past every cut
     for sign, form in ((1, s), (-1, t)):
         for atom, c in form.atoms:
-            if atom.kind == "diag" and atom.cut is None:
-                power = {"j": 2, "j^2": 3, "1/j": 0}.get(atom.lam, 1)
-                tail[power] += sign * c * LAM[atom.lam](1)
+            lam = ref_lam(atom)
+            if lam is not None and atom.cut is None:
+                power = {"j": 2, "j^2": 3, "1/j": 0}.get(lam, 1)
+                tail[power] += sign * c * LAM[lam](1)
     cuts = [a.cut for form in (t, s) for a, _ in form.atoms if a.cut is not None]
     lead = next((c for c in reversed(tail) if c), None)
     cauchy = 0 if lead is None else 1 + math.ceil(max(abs(c / lead) for c in tail))
@@ -75,9 +85,11 @@ def _draw_form(rng: random.Random, atoms: dict | None = None):
 
 
 def _draw_pair(rng: random.Random):
-    # on some draws both forms hold one matrix atom with one coefficient, which cancels in s - t
+    # on some draws both forms hold one matrix atom; a seeded one has one
+    # coefficient, which cancels in s - t, and mat(id) on some draws has two
     common = {bounded_mat_atom(rng.choice(GENS)): rng.choice(COEFFS)} if rng.random() < 0.3 else {}
     s = _draw_form(rng, common)
+    common = {a: rng.choice(COEFFS) if a.gen == "id" and rng.random() < 0.5 else c for a, c in common.items()}
     # t shares some of s's diagonal atoms with nearby coefficients, so some pairs sit close to the order's edge
     near = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
     shared = {a: c * rng.choice(near) for a, c in s.atoms if a.kind == "diag" and rng.random() < 0.6}
@@ -161,3 +173,9 @@ def test_diagonal_pairs_read_no_float_tolerance_or_eigensolve(monkeypatch):
     wide, narrow = form_add(diag_form("j", cut=40), m), form_add(diag_form("j", cut=33), m)
     assert not preceq(wide, narrow)
     assert preceq(narrow, wide)
+    # mat(id) is the identity, lam = 1: s - t = mat(id) - diag(j on 34..40) is -33 at e_34
+    narrow = form_add(diag_form("j", cut=33), bounded_matrix_form("id", coeff=2))
+    assert forms.diagonal_order_witness(forms.atom_difference(narrow, wide)) == (34, Fraction(-33))
+    assert not preceq(wide, narrow)
+    assert not preceq(narrow, wide)  # -1 at e_1
+    assert preceq(m, diag_form("const:1")) and preceq(diag_form("const:1"), m)

@@ -23,7 +23,6 @@ from gealab.families import (
     FormsGEA,
     gea_by_name,
     in_family,
-    le_bar,
     le_family,
     le_oplus,
     ominus_forms,
@@ -381,10 +380,10 @@ def test_le_oplus_implies_preceq_sampled():
 
 def test_le_bar_strictly_finer():
     assert le_oplus(T_PRIME, T_1)
-    assert not le_bar(T_PRIME, T_1)  # the difference is singular, bar sum undefined
-    assert le_bar(T_0, form_add(T_0, T_0))
-    assert le_bar(T_PRIME, energy_form(2))
-    assert not le_bar(T_0, T_1)
+    assert not le_family("vf-bar", T_PRIME, T_1)  # the difference is singular, bar sum undefined
+    assert le_family("vf-bar", T_0, form_add(T_0, T_0))
+    assert le_family("vf-bar", T_PRIME, energy_form(2))
+    assert not le_family("vf-bar", T_0, T_1)
 
 
 def test_le_family_membership_gate():
@@ -397,6 +396,29 @@ def test_le_family_membership_gate():
     assert not le_family("vf-bar", T_PRIME, T_1)  # every form is a member, but the bar sum of t' and t_0 is undefined
     assert le_family("bf", diag_form("1/j"), form_add(diag_form("1/j"), bounded_matrix_form()))
     assert not le_family("bf", diag_form("1/j"), form_add(diag_form("1/j"), diag_form("j")))
+
+
+def test_order_queries_build_no_sum(monkeypatch):
+    # every derived order reads the support plans that the sums read; a sum
+    # is built only where one is returned
+    rng = random.Random(28)
+    pairs = []
+    for family in ("vf", "vf-bar", "bf", "rf", "sf", "gf", "cf", "vfd:h1_grid", "vfd:finite_support", "vh", "sa"):
+        alg = gea_by_name(family)
+        for _ in range(30):
+            x, y = alg.sample(rng), alg.sample(rng)
+            u = alg.add(x, y) or y
+            pairs += [(family, x, u), (family, u, x), (family, x, y)]
+    built = []
+    monkeypatch.setattr(forms, "add_shaped", lambda *args: built.append(args))
+    verdicts = []
+    for family, t, s in pairs:
+        ominus_forms(s, t)
+        if family == "vf":
+            le_oplus(t, s)
+        verdicts.append(le_family(family, t, s))
+    assert not built
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
 # --------------------------------------------------------- closure suites

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -725,6 +726,49 @@ def test_json_cut_that_is_not_an_integer_is_refused():
         assert type(diag_atom("j", cut).cut) is int and type(diag_form("j", cut=cut).atoms[0][0].cut) is int
         assert repr(diag_atom("j", cut)) == f"FormAtom(kind='diag', lam='j', cut={cut}, gen='')"
         assert forms.matrix_at(diag_form("j", cut=cut), 8).trace() == sum(range(1, cut + 1))
+
+
+def test_json_sup_of_a_cut_is_read_off_the_registry():
+    for lam in ("j", "j^2", "1/j", "const:1/2", "const:0"):
+        for cut in range(12):
+            want = max((forms.lam_value(lam, j) for j in range(1, cut + 1)), default=0)
+            assert forms.form_to_dict(diag_form(lam, cut=cut))["atoms"][0]["sup"] == str(want)
+    # no pass over the indices below the cut
+    start = time.perf_counter()
+    text = form_to_json(diag_form("j^2", cut=10**12))
+    assert time.perf_counter() - start < 0.01
+    assert '"sup":"%d"' % 10**24 in text
+
+
+def _malformed(atoms=(), domain="full"):
+    return {"model": SEQUENCE, "domain": domain, "atoms": atoms}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _malformed([{"kind": "diag", "lambda": 5}]),
+        _malformed([{"kind": "diag", "lambda": [1]}]),
+        _malformed([{"kind": "bounded_mat", "gen": 7}]),
+        _malformed([{"kind": "bounded_mat"}]),
+        _malformed([{"kind": "diag", "lambda": "j", "coeff": "abc"}]),
+        _malformed([{"kind": "diag", "lambda": "j", "coeff": None}]),
+        _malformed(["x"]),
+        _malformed(5),
+        _malformed(domain=5),
+    ],
+    ids=["lambda-int", "lambda-list", "gen-int", "gen-missing", "coeff-text", "coeff-null", "atom-str", "atoms-int", "domain-int"],
+)
+def test_json_reader_refuses_every_malformed_description(data):
+    with pytest.raises(OutsideCatalog):
+        forms.form_from_dict(data)
+
+
+def test_json_reader_keeps_its_model_and_sign_errors():
+    with pytest.raises(ModelMismatch):
+        forms.form_from_dict({**_malformed(), "model": "torus"})
+    with pytest.raises(ValueError, match="negative"):
+        forms.form_from_dict(_malformed([{"kind": "diag", "lambda": "j", "coeff": "-1"}]))
 
 
 # ------------------------------------------------------------- properties

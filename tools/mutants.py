@@ -147,8 +147,8 @@ MUTANTS = (
     Mutant(
         "preceq-routes-by-both-supports",
         "src/gealab/families.py",
-        'if all(a.kind == "diag" for a in diff):',
-        'if all(a.kind == "diag" for a in t.support.atoms + s.support.atoms):',
+        'if t.model == SEQUENCE and all(a.kind == "diag" or a.gen == "id" for a in diff):',
+        'if t.model == SEQUENCE and all(a.kind == "diag" or a.gen == "id" for a in t.support.atoms + s.support.atoms):',
         "tests/test_diagonal_order.py::test_diagonal_pairs_read_no_float_tolerance_or_eigensolve",
     ),
     Mutant(
@@ -166,10 +166,10 @@ MUTANTS = (
         "tests/test_families.py::test_le_family_membership_gate",
     ),
     Mutant(
-        "le-bar-skips-the-bar-sum",
+        "family-sum-of-vf-bar-is-the-plain-sum",
         "src/gealab/families.py",
-        "return r is not None and _plan(_BAR, t.support, r.support) is not None",
-        "return r is not None",
+        "_BAR if _lookup(op)[0].bar else _PLAIN",
+        "_PLAIN",
         "tests/test_families.py::test_le_bar_strictly_finer",
     ),
     Mutant(
@@ -182,7 +182,7 @@ MUTANTS = (
     Mutant(
         "ominus-skips-the-add-back-check",
         "src/gealab/families.py",
-        "if oplus(t, out) != s:",
+        "if shape is None or shape[0] is not s.support:",
         "if False:",
         "tests/test_families.py::test_ominus_forms_domain_witness",
     ),
