@@ -260,6 +260,8 @@ def pointwise_limit(chain: FormChain, levels=None, seed: int = 0, n_max: int = D
         samples = _limit_samples(chain.model, level, seed)
         drawn = len(samples)
         lim_vals = {name: forms.quadratic(lim, u) for name, u in samples}
+        # the identity's energy depends on the sample alone, not on n
+        energies = {name: hilbert.dirichlet_energy(u) for name, u in samples} if chain.chain_id == "kato" else {}
         for n in steps:
             t_n = chain.term(n)
             gap = 0.0
@@ -267,7 +269,7 @@ def pointwise_limit(chain: FormChain, levels=None, seed: int = 0, n_max: int = D
                 val = forms.quadratic(t_n, u)
                 gap = max(gap, abs(val - lim_vals[name]))
                 if chain.chain_id == "kato":
-                    energy = hilbert.dirichlet_energy(u)
+                    energy = energies[name]
                     dev = abs((val - lim_vals[name]) - energy / n)
                     rel = dev / max(1.0, abs(val), energy)
                     identity_max = max(identity_max, rel)

@@ -12,11 +12,11 @@ significant digits, no timestamps.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import sys
+import types
 
 from . import chains, families, forms, hilbert, instances, kernel
 from .errors import GealabError
@@ -96,6 +96,8 @@ def cmd_axioms(args) -> tuple[dict, dict, bool]:
     if (args.instance is None) == (args.family is None):
         raise ValueError("exactly one of --instance / --family is required")
     if args.instance is not None:
+        if args.model is not None:
+            raise ValueError("--model applies to --family only")
         alg = instances.instance_by_name(args.instance, cap=args.cap)
         mode = args.mode or "exhaustive"
     else:
@@ -273,71 +275,92 @@ def cmd_sigma(args) -> tuple[dict, dict, bool]:
 # ------------------------------------------------------------------ parser
 
 
-def _parse_levels(text: str):
-    try:
-        return tuple(int(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad level list {text!r}")
+def _parse_levels(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p)
 
 
-def _common(p):
-    p.add_argument("--seed", type=int, default=None, help="seed (default: $GEALAB_SEED or 0)")
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+class _Choice(tuple):
+    """A converter that takes one of its items; the help lists the same tuple."""
+
+    def __call__(self, text):
+        if text in self:
+            return text
+        raise ValueError(f"invalid choice {text!r} (choose from {', '.join(self)})")
 
 
-def _axioms_arguments(p):
-    p.add_argument("--instance", default=None, help="zplus | even-gap | cone:<d> | interval:<u> | half-open:<u> | broken-max")
-    family_ids = (b if f.model else f"{b}:<tag>" for b, f in families.FAMILIES.items())
-    p.add_argument("--family", default=None, help=" | ".join(family_ids))
-    p.add_argument("--model", default=None, help="override the family's default model")
-    p.add_argument("--cap", type=int, default=50, help="carrier cap for integer instances")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
-    p.add_argument("--samples", type=int, default=2000)
-
-
-def _counterexample_arguments(p):
-    p.add_argument("name", choices=COUNTEREXAMPLES)
-
-
-def _chain_arguments(p):
-    p.add_argument("--chain", required=True, help=" | ".join(chains.CHAIN_IDS))
-    p.add_argument("--order", default=None, help=" | ".join(chains.ORDERS))
-    p.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
-    p.add_argument("--levels", type=_parse_levels, default=None, help="comma-separated levels")
-
-
-def _sigma_arguments(p):
-    p.add_argument("--n-max", type=int, default=chains.DEFAULT_N_MAX)
-
-
-# name -> (help, arguments, handler), in the order the top-level help lists them
+_BAD = {int: "not an integer:", _parse_levels: "bad level list"}  # what a converter's ValueError means
+# options: flag or <positional> -> (dest, convert, default, help); a default of ... marks a required one
+_COMMON = {
+    "--seed": ("seed", int, None, "a non-negative integer; default: $GEALAB_SEED, else 0"),
+    "--out": ("out", str, None, "write the report to this path; default: stdout"),
+    "--format": ("format", _Choice(("text", "json")), "text", ""),
+}
+_N_MAX = {"--n-max": ("n_max", int, chains.DEFAULT_N_MAX, "terms of each chain, 2 .. chains.MAX_N_MAX")}
+_AXIOMS = {
+    "--instance": ("instance", str, None, "zplus | even-gap | cone:<d> | interval:<u> | half-open:<u> | broken-max"),
+    "--family": ("family", str, None, " | ".join(b if f.model else f"{b}:<tag>" for b, f in families.FAMILIES.items())),
+    "--model": ("model", str, None, "a model for --family; default: the family's own"),
+    "--cap": ("cap", int, 50, "carrier cap for integer instances"),
+    "--mode": ("mode", _Choice(("exhaustive", "sampled")), None, "default: exhaustive on --instance, else sampled"),
+    "--samples": ("samples", int, 2000, "draws of a sampled suite"),
+}
+_CHAIN = {
+    "--chain": ("chain", str, ..., " | ".join(chains.CHAIN_IDS)),
+    "--order": ("order", str, None, " | ".join(chains.ORDERS) + "; default: the chain's own"),
+    **_N_MAX,
+    "--levels": ("levels", _parse_levels, None, "comma-separated levels; default: the model's"),
+}
+_COUNTEREXAMPLE = {"<name>": ("name", _Choice(COUNTEREXAMPLES), ..., "")}
+# name -> (help, options, handler), in the order the help lists them
 _SUBCOMMANDS = {
-    "axioms": ("run the defining-axiom suite on an instance or family", _axioms_arguments, cmd_axioms),
-    "counterexample": ("replay a pinned counterexample", _counterexample_arguments, cmd_counterexample),
-    "chain": ("monotone chain experiment", _chain_arguments, cmd_chain),
-    "sigma": ("completeness verdict table", _sigma_arguments, cmd_sigma),
+    "axioms": ("run the defining-axiom suite on one --instance or --family", _AXIOMS, cmd_axioms),
+    "counterexample": ("replay a pinned counterexample", _COUNTEREXAMPLE, cmd_counterexample),
+    "chain": ("monotone chain experiment", _CHAIN, cmd_chain),
+    "sigma": ("completeness verdict table", _N_MAX, cmd_sigma),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of the ``gealab`` command.  Every subcommand is registered
-    with its help; given ``command``, only that subcommand gets its
-    arguments, since a parse reads no other subcommand's (the top-level help
-    and usage errors name the subcommands alone)."""
-    parser = argparse.ArgumentParser(
-        prog="gealab",
-        description="Partial-sum algebras of positive forms: axiom suites, "
-        "counterexamples and monotone-convergence experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, arguments, handler) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if command in (None, name):
-            arguments(p)
-            _common(p)
-            p.set_defaults(func=handler)
-    return parser
+def _help(commands) -> str:
+    """Usage, then the help and flags of each of ``commands``, read off the tables the parse reads."""
+    lines = ["usage: gealab <subcommand> [--flag value | --flag=value ...]; flag names are given in full"]
+    for command in commands:
+        text, options, _ = _SUBCOMMANDS[command]
+        lines += ["", f"gealab {' '.join([command, *(k for k in options if k[0] == '<')])}: {text}"]
+        for key, (_, convert, default, info) in {**options, **_COMMON}.items():
+            default = "required" if default is ... else "" if default is None else f"default: {default}"
+            parts = (" | ".join(convert) if isinstance(convert, _Choice) else "", info, default)
+            lines.append(f"  {key:<12}" + "; ".join(p for p in parts if p))
+    return "\n".join(lines)
+
+
+def _parse(argv: list[str]):
+    """One argv's namespace, or the help text if asked for; a usage error raises one line naming the bad token."""
+    if {"-h", "--help"} & set(argv):
+        return _help(argv[:1] if argv[0] in _SUBCOMMANDS else _SUBCOMMANDS)
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        raise ValueError(f"expected a subcommand first ({' | '.join(_SUBCOMMANDS)}), got {' '.join(argv[:1])!r}")
+    command, rest = argv[0], iter(argv[1:])
+    table = {**_SUBCOMMANDS[command][1], **_COMMON}
+    args = types.SimpleNamespace(command=command, **{row[0]: row[2] for row in table.values()})
+    slots = [key for key in table if key[0] == "<"]
+    for token in rest:  # one pass: a repeated flag's last value wins
+        flag = token.startswith("--")
+        key, eq, value = token.partition("=") if flag else (slots.pop(0) if slots else token, "", token)
+        if key not in table:
+            raise ValueError(f"{command}: unexpected argument {key!r}")
+        if flag and not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{key} needs a value")
+        dest, convert, _, _ = table[key]
+        try:
+            setattr(args, dest, convert(value))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {_BAD[convert]} {value!r}" if convert in _BAD else f"{key}: {exc}") from None
+    for key, (dest, _, _, _) in table.items():
+        if getattr(args, dest) is ...:
+            raise ValueError(f"{command} needs {key}")
+    return args
 
 
 def _name_max(directory: str) -> float:
@@ -352,10 +375,12 @@ def _name_max(directory: str) -> float:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the first subcommand name is the one argparse dispatches to: no token before it takes a value
-    args = build_parser(next((a for a in argv if a in _SUBCOMMANDS), None)).parse_args(argv)
-    # every refusal, of main's checks and of the handler, ends here: one line, exit 2
+    # every refusal, of the parse, of main's checks and of the handler, ends here: one line, exit 2
     try:
+        args = _parse(argv)
+        if isinstance(args, str):  # the help was asked for
+            print(args)
+            return 0
         source = "--seed"
         if args.seed is None:
             source, raw = "GEALAB_SEED", os.environ.get("GEALAB_SEED", "0")
@@ -374,7 +399,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--out {args.out!r} is in a missing directory")
             if len(os.fsencode(os.path.basename(args.out))) > _name_max(where):
                 raise ValueError(f"--out {args.out!r}: {os.strerror(errno.ENAMETOOLONG)}")
-        config, report, ok = args.func(args)
+        config, report, ok = _SUBCOMMANDS[args.command][2](args)
         _emit({"schema": SCHEMA, "command": args.command, "config": config, "ok": ok, "report": report}, args)
     except (ValueError, GealabError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -143,6 +143,16 @@ def test_pointwise_limit_energy_identity():
         assert gaps[0] > gaps[-1] and gaps[-1] >= 0.0
 
 
+def test_pointwise_limit_takes_each_sample_energy_once(monkeypatch):
+    # the identity's energy depends on the sample, not on n: one call per level and sample
+    calls = []
+    energy = hilbert.dirichlet_energy
+    monkeypatch.setattr(hilbert, "dirichlet_energy", lambda u: calls.append(1) or energy(u))
+    out = pointwise_limit(vanishing_energy_chain())
+    assert out["identity_ok"] and len(out["n_values"]) == 6
+    assert len(calls) == len(out["levels"]) * out["samples_per_level"] == 75
+
+
 def test_pointwise_limit_filling_energy():
     out = pointwise_limit(filling_energy_chain(), levels=(9, 49))
     assert out["limit"] == forms.form_to_dict(T_PRIME)
