@@ -229,6 +229,8 @@ def cmd_chain(args) -> tuple[dict, dict, bool]:
         dims = sum(hilbert.dim_of(chain.model, level) for level in args.levels)
         if dims > chains.MAX_LEVEL_DIMS:
             raise ValueError(f"--levels {got} spans {dims} coordinates, more than {chains.MAX_LEVEL_DIMS}")
+        if len(set(args.levels)) < len(args.levels):
+            raise ValueError(f"--levels {got} names a level twice")
     order = args.order or chain.order
     chains.order_predicate(order)
     body: dict = {"chain": args.chain, "order": order, "direction": chain.direction}

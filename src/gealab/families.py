@@ -10,9 +10,12 @@ regular parts to add.  Subfamilies
 restrict the sum to members.  A catalog operator is the form it
 generates, so ``in_family(t, "gf")`` is the operator guard, and the
 operator algebras vh and sa are gf and cf on the sequence model with the
-operator samplers.  Every order reads one ``forms.atom_difference``; the
-pointwise order decides a diagonal one exactly by
-``forms.diagonal_order_witness`` and applies ``forms.psd_range`` to the rest.
+operator samplers.  Every order first walks the subtrahend's
+coefficients against the minuend's (``_kept``); a family order then reads
+one support verdict, kept on the minuend's support, and builds no form.
+Where the walk fails, the pointwise order decides a diagonal
+``forms.atom_difference`` exactly by ``forms.diagonal_order_witness`` and
+applies ``forms.psd_range`` to the rest.
 
 Every family id (also the CLI string) is a key of ``FAMILIES``, which
 holds each family's default model, membership rule and sampler.  Every
@@ -172,32 +175,86 @@ def oplus_family(family: str, t: FormSpec, s: FormSpec) -> FormSpec | None:
     return _sum(family, t, s)
 
 
+# ------------------------------------------------------------------ orders
+#
+# t <= s in a derived order iff t + r = s for some r of the family, and the
+# one candidate r is s - t atom by atom.  Its coefficients are positive iff
+# t's are no larger than s's, which comparisons decide (``_kept``); whether
+# t + r lands on s, and whether r and that sum are members, are facts of
+# the supports and of which atoms cancel.  So the minuend's support keeps
+# one verdict per (sum, subtrahend's support, kept positions): r's support
+# when the sum of t and r is s, else None.
+
+
+def _kept(s: FormSpec, t: FormSpec) -> tuple | None:
+    """The positions of the atoms of s that do not cancel in s - t, or None
+    when t has an atom that s lacks or a larger coefficient.  One merge of
+    the sorted key tuples, with comparisons and no subtraction."""
+    sk, tk, sa, ta = s.support.keys, t.support.keys, s.atoms, t.atoms
+    n, i = len(sk), 0
+    kept: list[int] = []
+    for j, key in enumerate(tk):
+        while i < n and sk[i] < key:
+            kept.append(i)
+            i += 1
+        if i == n or sk[i] != key:
+            return None
+        c, d = sa[i][1], ta[j][1]
+        if c is not d:
+            # c against d, cross-multiplied: integer products, no Fraction arithmetic
+            cd, dc = c.numerator * d.denominator, d.numerator * c.denominator
+            if dc > cd:
+                return None
+            if dc != cd:
+                kept.append(i)
+        i += 1
+    kept += range(i, n)
+    return tuple(kept)
+
+
+def _difference(op, S: forms.Support, T: forms.Support, kept: tuple) -> forms.Support | None:
+    """The support R of s - t for s on ``S``, t on ``T`` and the ``_kept``
+    positions, when the plain sum of T and R lands on S and, for a family
+    id ``op``, R is a member and the family sum of T and R is defined;
+    else None.  Decided once per key."""
+    key = (op, T, kept)
+    R = S.differences.get(key, _UNPLANNED)
+    if R is _UNPLANNED:
+        atoms = tuple([S.atoms[i] for i in kept])
+        # the natural domain of bounded atoms is the full space
+        R = forms._support(S.model, S.domain if any(not a.bounded for a in atoms) else FULL_SPACE, atoms)
+        shape = _plan(_PLAIN, T, R)
+        if shape is None or shape[0] is not S:
+            R = None
+        elif op is not _PLAIN and not (_member(R, op) and _plan(op, T, R) is not None):
+            R = None
+        S.differences[key] = R
+    return R
+
+
 def ominus_forms(s: FormSpec, t: FormSpec, strict: bool = False) -> FormSpec | None:
     """Atom-wise exact difference r with oplus(t, r) = s, else None.
 
     ``strict=True`` raises NegativeCoefficient instead of returning None
-    when some coefficient of t exceeds its counterpart in s.
+    when some coefficient of t exceeds its counterpart in s.  r is built
+    only when it exists.
     """
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
-    diff = forms.atom_difference(s, t)
-    negative = next((atom for atom, c in diff.items() if c < 0), None)
-    if negative is not None:
+    kept = _kept(s, t)
+    if kept is None:
         if strict:
+            negative = next(atom for atom, c in forms.atom_difference(s, t).items() if c < 0)
             raise NegativeCoefficient(f"{negative} exceeds its coefficient in the minuend")
         return None
-    unbounded = any(not a.bounded for a in diff)
-    out = make_form(t.model, diff, s.domain if unbounded else None)  # the zero form when diff is empty
-    # t + out has the atoms and coefficients of s, so it is s iff it lands on s's support
-    shape = _plan(_PLAIN, t.support, out.support)
-    if shape is None or shape[0] is not s.support:
+    R = _difference(_PLAIN, s.support, t.support, kept)
+    if R is None:
         if strict:
             raise VerificationFailed("difference does not add back to the minuend")
         return None
-    return out
-
-
-# ------------------------------------------------------------------ orders
+    subtrahend = dict(t.atoms)
+    pairs = [s.atoms[i] for i in kept]
+    return forms._built(R, tuple([(a, c - subtrahend[a]) if a in subtrahend else (a, c) for a, c in pairs]))
 
 
 def _preceq_numeric(t: FormSpec, s: FormSpec) -> bool:
@@ -208,27 +265,29 @@ def _preceq_numeric(t: FormSpec, s: FormSpec) -> bool:
 def preceq(t: FormSpec, s: FormSpec) -> bool:
     """Pointwise order: D(t) contains D(s) and t <= s on it.
 
-    After the domain check, the first of three routes that applies to
-    ``forms.atom_difference(s, t)`` decides:
-    - atom-wise: no coefficient is negative.  Every catalog atom is PSD,
-      so the order holds on the whole space.
-    - diagonal: the pair is on the sequence model and every atom is
-      ``diag`` or ``mat(id)``, the identity there (an atom shared with one
-      coefficient cancels); ``forms.diagonal_order_witness`` decides
-      s - t >= 0 exactly, on all of l^2, with no tolerance.
+    After the domain check, the first of three routes that applies decides:
+    - atom-wise: ``_kept`` finds every coefficient of t at most its
+      counterpart in s.  Every catalog atom is PSD, so the order holds on
+      the whole space.
+    - diagonal: the pair is on the sequence model and every atom of
+      ``forms.atom_difference(s, t)`` is ``diag`` or ``mat(id)``, the
+      identity there (an atom shared with one coefficient cancels);
+      ``forms.diagonal_order_witness`` decides s - t >= 0 exactly, on all
+      of l^2, with no tolerance.
     - numeric: every other pair gets a PSD eigensolve at each of the
       model's default levels, at tolerance ``forms.PSD_TOL``; the verdict
       holds at those levels.
     """
     if t.model != s.model:
         raise ModelMismatch("operands live on different models")
-    if t.has_kind("hamel") or s.has_kind("hamel"):
+    T, S = t.support, s.support
+    if T.hamel or S.hamel:
         raise SymbolicOnly("the symbolic singular form has no numerical order")
-    if not tag_includes(s.domain, t.domain):
+    if not tag_includes(S.domain, T.domain):
         return False
-    diff = forms.atom_difference(s, t)
-    if not any(c < 0 for c in diff.values()):
+    if _kept(s, t) is not None:
         return True
+    diff = forms.atom_difference(s, t)
     if t.model == SEQUENCE and all(a.kind == "diag" or a.gen == "id" for a in diff):
         return forms.diagonal_order_witness(diff) is None
     return _preceq_numeric(t, s)
@@ -245,11 +304,13 @@ def le_oplus(t: FormSpec, s: FormSpec) -> bool:
 def le_family(family: str, t: FormSpec, s: FormSpec) -> bool:
     """Derived order inside a family: the unique difference witness must
     exist, belong to the family, and have a family sum with t (then s).
-    Reads support plans alone and builds no sum."""
+    Reads one support verdict and builds no form."""
     if not (in_family(t, family) and in_family(s, family)):
         return False
-    r = ominus_forms(s, t)
-    return r is not None and in_family(r, family) and _plan(family, t.support, r.support) is not None
+    if t.model != s.model:
+        raise ModelMismatch("operands live on different models")
+    kept = _kept(s, t)
+    return kept is not None and _difference(family, s.support, t.support, kept) is not None
 
 
 def family_order(family: str) -> Callable[[FormSpec, FormSpec], bool]:

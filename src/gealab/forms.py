@@ -6,11 +6,12 @@ A form is a multiset of atoms with positive rational coefficients, a model
 coefficients so that cancellation holds on the nose.  Range and
 positivity questions are answered numerically from the per-level matrices,
 by the one positivity rule of ``psd_range``.  The pointwise order
-(``families.preceq``) reads one ``atom_difference`` per pair: it holds
-outright when no coefficient of the difference is negative, is decided
-exactly on all of l^2 by ``diagonal_order_witness`` when every atom of the
-difference is diagonal (``diag``, or ``mat(id)`` on the sequence model),
-and by that rule otherwise.
+(``families.preceq``) holds outright when no coefficient of the
+subtrahend exceeds the minuend's, which it decides by comparisons alone;
+otherwise it reads one ``atom_difference``, decided exactly on all of l^2
+by ``diagonal_order_witness`` when every atom of the difference is
+diagonal (``diag``, or ``mat(id)`` on the sequence model), and by that
+rule otherwise.
 
 Atom catalog
     diag         sequence model, lambda_j from the registry ``lam_poly``,
@@ -349,10 +350,15 @@ class Support:
     by ``_support``.  ``keys`` (the atoms' sort keys), ``hamel`` (it holds
     the symbolic singular atom), ``unbounded`` (it holds an unbounded
     numeric atom), ``bounded``, ``singular`` and ``closed`` are decided
-    here; ``families`` fills ``members`` (family id -> membership) and
-    ``plans`` ((sum, the other operand's support) -> plan)."""
+    here; ``families`` fills ``members`` (family id -> membership),
+    ``plans`` ((sum, the other operand's support) -> plan) and, for a
+    minuend, ``differences`` ((sum, subtrahend's support, kept positions)
+    -> the difference's support or None)."""
 
-    __slots__ = ("model", "domain", "atoms", "keys", "hamel", "unbounded", "bounded", "singular", "closed", "members", "plans")
+    __slots__ = (
+        "model", "domain", "atoms", "keys", "hamel", "unbounded", "bounded", "singular", "closed",
+        "members", "plans", "differences",
+    )
 
     def __init__(self, model: str, domain: DomainTag, atoms: tuple):
         self.model, self.domain, self.atoms = model, domain, atoms
@@ -376,6 +382,7 @@ class Support:
             self.closed = energy
         self.members: dict[str, bool] = {}
         self.plans: dict[tuple, tuple | None] = {}
+        self.differences: dict[tuple, Support | None] = {}
 
 
 # every support ever made, so a support is a sound key for the life of the process

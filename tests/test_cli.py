@@ -422,9 +422,18 @@ def test_chain_levels_past_the_bound_are_refused_before_the_table(capsys, monkey
         assert code == 2 and not out
         assert err.startswith(f"config error: --levels {levels} spans") and err.count("\n") == 1
     # a sequence level is its dimension, a grid level two less
-    for chain, levels in (("diag", str(bound)), ("kato", str(bound - 2)), ("diag", "512,512")):
+    for chain, levels in (("diag", str(bound)), ("kato", str(bound - 2)), ("diag", "256,768")):
         assert run_cli(["chain", "--chain", chain, "--levels", levels], capsys)[0] == 0
-    assert seen == [(bound,), (bound - 2,), (512, 512)]
+    assert seen == [(bound,), (bound - 2,), (256, 768)]
+
+
+def test_chain_repeated_level_is_config_error(capsys, monkeypatch):
+    # a repeated level would print its rows twice and count twice against the bound
+    monkeypatch.setattr(chains, "pointwise_limit", lambda *args, **kwargs: pytest.fail("the run started"))
+    for levels in ("9,9", "3,5,3"):
+        code, out, err = run_cli(["chain", "--chain", "kato", "--levels", levels], capsys)
+        assert code == 2 and not out
+        assert err == f"config error: --levels {levels} names a level twice\n"
 
 
 def test_chain_unparsable_levels_is_usage_error(capsys):
@@ -551,6 +560,50 @@ GOLDEN_TEXT = [
 def test_text_bytes_match_golden_digest(command, code, digest, capsys):
     assert cli.main(command.split() + ["--seed", "7", "--format", "text"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of every chain x order run's JSON at --seed 7, less the pointwise
+# table (its sampled gaps are BLAS floats), dumped again with sorted keys:
+# the order layer decides the bound searches and monotone checks these pin
+GOLDEN_CHAIN = [
+    ("kato", "oplus", 0, "7e8c9f7384787cdf2ecf044a2908d2a96680bddccfd53b504b0cc32bcda5df10"),
+    ("kato", "prec", 0, "33b32ad6a9a4d96918a184bf759306c453501b63a30120958e36a525cba97be3"),
+    ("kato", "cf", 0, "2f875f2ba963ee2ee4f28178fbaa0022ce9fd77fc192b78d66d48f40d42449e4"),
+    ("kato", "rf", 0, "4a21a48e8eb9c959902e5babcd67665b3fdcc99939c2a268d2c3222aeb577c4e"),
+    ("kato", "bar", 0, "52f80e6e8ae8ebc00f1d09c33c5ba708fcc7079c614b9a7e9d0f9bc30eb30f77"),
+    ("shifted", "oplus", 0, "38d3cd5155ea7a341c3ef46a96a4ea9295a50fdb512274c76ce51995a10c3479"),
+    ("shifted", "prec", 0, "c03316517977e3bd94c9eecfefa7cf46f1fbfa67ded6d7990d310e336f5fee33"),
+    ("shifted", "cf", 0, "250cb47c89629c63f4fc397ce7cf5c577bcf3aa612abc7f064180369a0aea93d"),
+    ("shifted", "rf", 0, "5af6d26a6aced3782fc350dc8e75e868746863d9ab0aae935ca99b1952de25d5"),
+    ("shifted", "bar", 0, "2ccac8b44c8d5e7da2127978141d3597e537f01d36b733ab5502d004e9db4848"),
+    ("complement", "oplus", 0, "36cf0c59ed8bbed5d486f34119b63abefbe4a6080fdb7ded7a121063ce73f756"),
+    ("complement", "prec", 0, "10771caba030468a64371e42a123529de4deb78a91308b2a423336d4764990a2"),
+    ("complement", "cf", 0, "beafa29cc5ad8cdf5ecdedf4a89ce7065bc7c0bf38f9bb44fcee7765dc7b31d8"),
+    ("complement", "rf", 0, "a6a798e487d191c9fdb39a8f8b90f1a9d0751134ed96d856470e56301611d516"),
+    ("complement", "bar", 0, "1b7b01fd0d2c24f27db269c7db2aada2ade8483e77ece347cd99b2c55448291d"),
+    ("diag", "oplus", 0, "52c9b462a5e703476a64a8409db6fb0e43f02d147beecf34506cd3f90afdb0ed"),
+    ("diag", "prec", 0, "19a933472256492b0e809df02d262c777442302706791b38732670b3d0d967c9"),
+    ("diag", "cf", 1, "d4602275a25ae6c160df9c83cb8140a3edc1929a1579b31a9bf0ff376193edff"),
+    ("diag", "rf", 1, "86d1a1b9f8c595592bdd15383da5869a9887052eab27e3c1fae39feadf6fd62e"),
+    ("diag", "bar", 1, "061b9cc0ca7f8596a52a48445a9d90cef3b0a0c7da34d041d67104ae5cb44a7a"),
+    ("bounded", "oplus", 0, "ef99438838dd9c9aa3dfe9a55f37f7152221b130fa38f8ee1c60d077316c71c2"),
+    ("bounded", "prec", 0, "23f08b3479be631008f0db0671b64540bbb50360cec139dcf98a93d0f1ab5fe4"),
+    ("bounded", "cf", 0, "da1dc8df775aa35d219946e2c6ae9f6fc34d488eabf6ae5ee533f03ebc787f4e"),
+    ("bounded", "rf", 0, "6f8ede5ca244b51bb87fbc6a43bb22c70514d16a4798a2b51d070d9d4000b729"),
+    ("bounded", "bar", 0, "e7b095c381f94f57342cae25a35847fecc3dad62df31b37957c2727720f1b386"),
+]
+
+
+@pytest.mark.parametrize("chain, order, code, digest", GOLDEN_CHAIN, ids=[f"{c}-{o}" for c, o, _, _ in GOLDEN_CHAIN])
+def test_chain_runs_match_golden_digest(chain, order, code, digest, capsys):
+    assert cli.main(["chain", "--chain", chain, "--order", order, "--seed", "7", "--format", "json"]) == code
+    body = json.loads(capsys.readouterr().out)
+    body["report"].pop("pointwise", None)
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_golden_chain_runs_cover_every_chain_and_order():
+    assert [(c, o) for c, o, _, _ in GOLDEN_CHAIN] == [(c, o) for c in chains.CHAIN_IDS for o in chains.ORDERS]
 
 
 def test_sigma_deterministic_bytes(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gealab import chains, families, forms, kernel
 from gealab.errors import (
     EigenFailure,
+    GealabError,
     ModelMismatch,
     NegativeCoefficient,
     NotInFamily,
@@ -35,6 +36,7 @@ from gealab.families import (
 from gealab.forms import (
     FINITE_SUPPORT,
     FULL_SPACE,
+    H1_GRID,
     PSD_TOL,
     bounded_mat_atom,
     bounded_matrix_form,
@@ -409,6 +411,12 @@ def test_order_queries_build_no_sum(monkeypatch):
             x, y = alg.sample(rng), alg.sample(rng)
             u = alg.add(x, y) or y
             pairs += [(family, x, u), (family, u, x), (family, x, y)]
+    # the pairs that preceq decides atom-wise, found before any patch
+    atomwise = [
+        (t, s)
+        for _, t, s in pairs
+        if tag_includes(s.domain, t.domain) and all(c >= 0 for c in forms.atom_difference(s, t).values())
+    ]
     built = []
     monkeypatch.setattr(forms, "add_shaped", lambda *args: built.append(args))
     verdicts = []
@@ -419,6 +427,126 @@ def test_order_queries_build_no_sum(monkeypatch):
         verdicts.append(le_family(family, t, s))
     assert not built
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+    # a family order and preceq's atom-wise route build no form and no
+    # difference: le_family reads one support verdict, preceq one walk
+    made = []
+    for module, name in ((forms, "make_form"), (families, "make_form"), (forms, "_built"), (forms, "atom_difference")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: made.append(name))
+    assert [le_family(family, t, s) for family, t, s in pairs] == verdicts
+    assert len(atomwise) > 200 and all(preceq(t, s) for t, s in atomwise)
+    assert not made
+
+
+def test_le_family_reads_which_atoms_cancel():
+    # both pairs have one support, {|u(0)|^2, energy} on h1_grid, and differ
+    # only in the atom that cancels: the verdict is kept per kept positions
+    one, two = endpoint_form(1, 0), endpoint_form(2, 0)
+    assert not le_family("rf", form_add(T_PRIME, one), form_add(T_PRIME, two))  # the difference |u(0)|^2 is singular
+    assert le_family("rf", form_add(T_PRIME, two), form_add(energy_form(2), two))  # the difference is the energy
+    assert not le_family("rf", form_add(T_PRIME, one), form_add(T_PRIME, two))
+
+
+# ------------------------------------------------------ the orders' reference
+#
+# The definitions the walk and the support verdicts replace: s - t built
+# atom by atom through make_form and added back, and the pointwise order's
+# atom-wise route as "no entry of the difference is negative".
+
+
+def _ref_ominus(s, t, strict=False):
+    if t.model != s.model:
+        raise ModelMismatch("operands live on different models")
+    diff = forms.atom_difference(s, t)
+    negative = next((atom for atom, c in diff.items() if c < 0), None)
+    if negative is not None:
+        if strict:
+            raise NegativeCoefficient(f"{negative} exceeds its coefficient in the minuend")
+        return None
+    unbounded = any(not a.bounded for a in diff)
+    r = forms.make_form(t.model, diff, s.domain if unbounded else None)
+    if oplus(t, r) != s:  # what the plain sum's plan of t and r decides
+        if strict:
+            raise VerificationFailed("difference does not add back to the minuend")
+        return None
+    return r
+
+
+def _ref_preceq(t, s):
+    if t.model != s.model:
+        raise ModelMismatch("operands live on different models")
+    if t.has_kind("hamel") or s.has_kind("hamel"):
+        raise SymbolicOnly("the symbolic singular form has no numerical order")
+    if not tag_includes(s.domain, t.domain):
+        return False
+    diff = forms.atom_difference(s, t)
+    if not any(c < 0 for c in diff.values()):
+        return True
+    if t.model == SEQUENCE and all(a.kind == "diag" or a.gen == "id" for a in diff):
+        return forms.diagonal_order_witness(diff) is None
+    return families._preceq_numeric(t, s)
+
+
+def _ref_le(family, t, s):
+    if family == "vf":
+        return (t.domain == FULL_SPACE or t.domain == s.domain) and _ref_preceq(t, s)
+    if not (in_family(t, family) and in_family(s, family)):
+        return False
+    r = _ref_ominus(s, t)
+    return r is not None and in_family(r, family) and oplus_family(family, t, r) is not None
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except GealabError as exc:
+        return type(exc), str(exc)
+
+
+def _cancelling(t, rng):
+    """A form on t's atoms and domain whose coefficients each equal, halve or double t's."""
+    atoms = {a: c * rng.choice((1, 1, Fraction(1, 2), 2)) for a, c in t.atoms}
+    return forms.make_form(t.model, atoms, t.domain)
+
+
+@pytest.mark.parametrize("family", sorted({f for f in chains.ORDERS.values() if f} | {"bf", "vfd:h1_grid"}))
+def test_orders_match_the_atomwise_reference(family):
+    rng = random.Random(30)
+    alg = gea_by_name(family)
+    order = families.family_order(family)
+    pairs = []
+    for _ in range(25):
+        x, y = alg.sample(rng), alg.sample(rng)
+        u = alg.add(x, y) or y
+        for t, s in ((x, u), (x, y), (x, _cancelling(x, rng)), (u, _cancelling(u, rng))):
+            pairs += [(t, s), (s, t)]
+    # a bounded minuend off the full space: r = 1*mat(id) does not add back to it
+    restricted = forms.make_form(alg.model, {bounded_mat_atom("id"): 2}, FINITE_SUPPORT if alg.model == SEQUENCE else H1_GRID)
+    pairs += [(bounded_matrix_form("id", model=alg.model), restricted)]
+    other = GRID if alg.model == SEQUENCE else SEQUENCE
+    pairs.append((bounded_matrix_form("id", model=other), bounded_matrix_form("id", coeff=2, model=alg.model)))
+    counts = {True: 0, False: 0}
+    for t, s in pairs:
+        expected = [
+            _outcome(_ref_le, family, t, s),
+            _outcome(_ref_preceq, t, s),
+            _outcome(_ref_ominus, s, t),
+            _outcome(_ref_ominus, s, t, strict=True),
+        ]
+        for _ in range(2):  # the second time, the support verdicts answer
+            got = [
+                _outcome(order, t, s),
+                _outcome(preceq, t, s),
+                _outcome(ominus_forms, s, t),
+                _outcome(ominus_forms, s, t, strict=True),
+            ]
+            assert got == expected, (t, s)
+        if expected[0] in counts:
+            counts[expected[0]] += 1
+    assert _outcome(order, *pairs[-1])[0] is ModelMismatch
+    assert counts[True] > 20 and counts[False] > 20, counts
+    outcomes = [_outcome(ominus_forms, s, t, strict=True) for t, s in pairs]
+    kinds = {o[0] if type(o) is tuple else type(o) for o in outcomes}
+    assert kinds == {forms.FormSpec, NegativeCoefficient, VerificationFailed, ModelMismatch}
 
 
 # --------------------------------------------------------- closure suites

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from test_families import BENCH_FAMILIES, ref_atom_bounded, ref_atom_natural_domain
 
-from gealab import forms, hilbert, kernel
+from gealab import chains, forms, hilbert, kernel
 from gealab.errors import GealabError, ModelMismatch, NotInFamily, OutsideCatalog
 from gealab.families import gea_by_name, in_family, oplus, oplus_bar, oplus_family
 from gealab.forms import (
@@ -303,15 +303,20 @@ def test_make_form_errors_are_raised_on_every_call():
 
 @pytest.fixture
 def fresh_plans():
-    """Every support's plans emptied for the test and put back after it, so
-    that no plan made under a patch outlives the test."""
-    saved = {sup: dict(sup.plans) for sup in forms._SUPPORTS.values()}
+    """Every support's plans, and the difference verdicts read off them,
+    emptied for the test and put back after it, so that no plan made under
+    a patch outlives the test."""
+    saved = {sup: (dict(sup.plans), dict(sup.differences)) for sup in forms._SUPPORTS.values()}
     for sup in saved:
         sup.plans.clear()
+        sup.differences.clear()
     yield
     for sup in forms._SUPPORTS.values():
+        plans, differences = saved.get(sup, ({}, {}))
         sup.plans.clear()
-        sup.plans.update(saved.get(sup, {}))
+        sup.plans.update(plans)
+        sup.differences.clear()
+        sup.differences.update(differences)
 
 
 def test_sampled_checks_plan_each_order_of_a_pair(monkeypatch, fresh_plans):
@@ -366,6 +371,8 @@ def _table_sizes():
             sizes[f"plans {op}"] = sizes.get(f"plans {op}", 0) + 1
         for family in sup.members:
             sizes[f"members {family}"] = sizes.get(f"members {family}", 0) + 1
+        for op, _, _ in sup.differences:
+            sizes[f"differences {op}"] = sizes.get(f"differences {op}", 0) + 1
     return sizes
 
 
@@ -377,6 +384,16 @@ def test_support_tables_stay_small(family):
     assert grown["supports"] <= MAX_NEW_SUPPORTS, grown
     assert all(n <= MAX_NEW_PLANS for name, n in grown.items() if name.startswith("plans")), grown
     assert all(n <= MAX_NEW_SUPPORTS for name, n in grown.items() if not name.startswith("plans")), grown
+
+
+def test_a_second_sigma_run_adds_no_table_entry():
+    # every order query of a rerun finds its support, plan, membership and
+    # difference verdict kept by the first run
+    chains.sigma_report()
+    before = _table_sizes()
+    assert any(name.startswith("differences") for name in before)
+    chains.sigma_report()
+    assert _table_sizes() == before
 
 
 # ------------------------------------------------------------ one support per key

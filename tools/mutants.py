@@ -133,14 +133,14 @@ MUTANTS = (
     Mutant(
         "preceq-domain-check-reversed",
         "src/gealab/families.py",
-        "if not tag_includes(s.domain, t.domain):",
-        "if not tag_includes(t.domain, s.domain):",
+        "if not tag_includes(S.domain, T.domain):",
+        "if not tag_includes(T.domain, S.domain):",
         "tests/test_families.py::test_preceq_basics",
     ),
     Mutant(
         "preceq-atomwise-certificate-off",
         "src/gealab/families.py",
-        "if not any(c < 0 for c in diff.values()):",
+        "if _kept(s, t) is not None:",
         "if False:",
         "tests/test_cli.py::test_example_5_4_reads_its_dominators_off_the_search",
     ),
@@ -175,16 +175,23 @@ MUTANTS = (
     Mutant(
         "le-family-skips-the-family-sum",
         "src/gealab/families.py",
-        "_plan(family, t.support, r.support) is not None",
+        "_plan(op, T, R) is not None",
         "True",
         "tests/test_families.py::test_le_family_membership_gate",
     ),
     Mutant(
         "ominus-skips-the-add-back-check",
         "src/gealab/families.py",
-        "if shape is None or shape[0] is not s.support:",
+        "if shape is None or shape[0] is not S:",
         "if False:",
         "tests/test_families.py::test_ominus_forms_domain_witness",
+    ),
+    Mutant(
+        "difference-verdict-forgets-which-atoms-cancel",
+        "src/gealab/families.py",
+        "key = (op, T, kept)",
+        "key = (op, T)",
+        "tests/test_families.py::test_le_family_reads_which_atoms_cancel",
     ),
     Mutant(
         "psd-tolerance-1e-3",
