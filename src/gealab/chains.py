@@ -2,21 +2,24 @@
 
 Five parametric chains ship with the package ("kato", "shifted",
 "complement", "diag", "bounded").  Each declares a direction, a default
-order, a closed-form term map and a parameter-limit form.  The lab
-verifies monotonicity step by step, tabulates pointwise convergence at
-the powers of two up to the run's ``n_max``, and decides meets/joins over a declared finite candidate set: a positive
-verdict is a verified extremal bound, a negative one is an obstruction
-pair of mutually incomparable maximal bounds.  Non-existence is never
-claimed universally, only over the scanned candidates.
+order, a closed-form term map, a parameter-limit form and its gap: the
+signed atom coefficients of t_n - t.  The lab verifies monotonicity step
+by step and tabulates pointwise convergence at the powers of two up to
+the run's ``n_max``.  The table checks each declared gap against the
+terms' atom-wise difference and evaluates it exactly, in integers, on
+named rational vectors: no random vector and no matrix.  Meets and joins
+are decided over a declared finite candidate set: a positive verdict is
+a verified extremal bound, a negative one is an obstruction pair of
+mutually incomparable maximal bounds.  Non-existence is never claimed
+universally, only over the scanned candidates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import families, forms, hilbert
 from .errors import (
@@ -26,13 +29,16 @@ from .errors import (
     NotClosedChain,
     NotDominated,
     NotInFamily,
+    SymbolicOnly,
     VerificationFailed,
 )
 from .families import preceq
 from .forms import (
+    DIRICHLET,
     FINITE_SUPPORT,
     FormSpec,
     describe,
+    diag_atom,
     diag_form,
     endpoint_form,
     energy_form,
@@ -50,11 +56,11 @@ DEFAULT_N_MAX = 32
 # the most terms a run checks: `sigma` at this bound takes about 14 s on a
 # shared 2-vCPU host, the slowest run it admits
 MAX_N_MAX = 8192
-# the pointwise table builds dense matrices at every level it is given, and the
-# diag chain eigensolves at the last: at most this many coordinates over all of
-# them (the default grid levels have 263)
+# the pointwise table sums exactly over every coordinate of every level it is
+# given, and the geometric vector's numerators have up to N bits at N
+# coordinates, so a level costs about N^2 bit operations: at most this many
+# coordinates over all of them (the default grid levels have 263)
 MAX_LEVEL_DIMS = 1024
-_RANDOM_SAMPLES = 20
 
 
 def order_predicate(order: str) -> Callable[[FormSpec, FormSpec], bool]:
@@ -79,6 +85,8 @@ class FormChain:
     limit: FormSpec | None
     term_fn: Callable[[int], FormSpec] = field(compare=False)
     dominators: tuple[FormSpec, ...] = ()
+    # n -> the signed coefficient of each atom of t_n - limit
+    gap_fn: Callable[[int], dict] | None = field(default=None, compare=False)
 
     def term(self, n: int) -> FormSpec:
         if n < 1:
@@ -87,6 +95,12 @@ class FormChain:
 
     def terms(self, n_max: int) -> list[FormSpec]:
         return [self.term(n) for n in range(1, n_max + 1)]
+
+    def gap(self, n: int) -> dict:
+        """The declared t_n - limit: atom -> signed coefficient."""
+        if self.gap_fn is None:
+            raise NoDeclaredLimit(f"chain {self.chain_id!r} declares no gap to its limit")
+        return self.gap_fn(n)
 
 
 def vanishing_energy_chain() -> FormChain:
@@ -99,6 +113,7 @@ def vanishing_energy_chain() -> FormChain:
         order="cf",
         limit=endpoint_form(1, 1),
         term_fn=lambda n: energy_with_endpoints(Fraction(1, n), 1, 1),
+        gap_fn=lambda n: {DIRICHLET: Fraction(1, n)},
     )
 
 
@@ -112,6 +127,7 @@ def surplus_energy_chain() -> FormChain:
         order="oplus",
         limit=energy_with_endpoints(1, 1, 1),
         term_fn=lambda n: energy_with_endpoints(1 + Fraction(1, n), 1, 1),
+        gap_fn=lambda n: {DIRICHLET: Fraction(1, n)},
     )
 
 
@@ -126,6 +142,7 @@ def filling_energy_chain() -> FormChain:
         limit=energy_form(1),
         term_fn=lambda n: energy_form(1 - Fraction(1, n)),
         dominators=(energy_form(1), energy_with_endpoints(1, 1, 1)),
+        gap_fn=lambda n: {DIRICHLET: Fraction(-1, n)},
     )
 
 
@@ -141,6 +158,7 @@ def truncated_diag_chain() -> FormChain:
         limit=diag_form("j"),
         term_fn=lambda n: diag_form("j", cut=n),
         dominators=(diag_form("j"), diag_form("j", domain=FINITE_SUPPORT)),
+        gap_fn=lambda n: {diag_atom("j", cut=n): Fraction(1), diag_atom("j"): Fraction(-1)},
     )
 
 
@@ -154,6 +172,7 @@ def shrinking_bounded_chain() -> FormChain:
         order="oplus",
         limit=diag_form("1/j"),
         term_fn=lambda n: diag_form("1/j", coeff=1 + Fraction(1, n)),
+        gap_fn=lambda n: {diag_atom("1/j"): Fraction(1, n)},
     )
 
 
@@ -220,93 +239,104 @@ def monotone_report(chain: FormChain, order: str, n_max: int) -> dict:
 # --------------------------------------------------------- pointwise limits
 
 
-def _limit_samples(model: str, level: int, seed: int) -> list[tuple[str, np.ndarray]]:
+def named_vectors(model: str, level: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """The pointwise table's test vectors at a level: each a name, integer
+    numerators by coordinate and their common denominator.  On the grid
+    (node k at x = k/m, m = level + 1): one, linear x, square x^2 and
+    hat 1 - 2|x - 1/2|; on the sequence model: e1, e2 and geometric 2^-(j-1)."""
+    dim = hilbert.dim_of(model, level)
     if model == GRID:
-        named = list(hilbert.smooth_grid_samples(level))
-    else:
-        dim = hilbert.dim_of(model, level)
-        geo = (0.5 ** np.arange(dim)).astype(complex)
-        e1 = np.zeros(dim, dtype=complex)
-        e1[0] = 1.0
-        e2 = np.zeros(dim, dtype=complex)
-        e2[min(1, dim - 1)] = 1.0
-        named = [("e1", e1), ("e2", e2), ("geometric", geo)]
-    sampler = hilbert.VectorSampler(model, level, seed)
-    named.extend((f"random{k}", sampler.draw()) for k in range(_RANDOM_SAMPLES))
-    return named
+        m = level + 1
+        return [
+            ("one", (1,) * dim, 1),
+            ("linear", tuple(range(dim)), m),
+            ("square", tuple(k * k for k in range(dim)), m * m),
+            ("hat", tuple(m - abs(2 * k - m) for k in range(dim)), m),
+        ]
+    e1, e2 = (tuple(int(k == i) for k in range(dim)) for i in (0, min(1, dim - 1)))
+    geometric = tuple(2**k for k in reversed(range(dim)))
+    return [("e1", e1, 1), ("e2", e2, 1), ("geometric", geometric, 2 ** (dim - 1))]
 
 
-def pointwise_limit(chain: FormChain, levels=None, seed: int = 0, n_max: int = DEFAULT_N_MAX) -> dict:
-    """Declared-limit convergence table over sampled vectors.
+def atom_value(atom: forms.FormAtom, nums: tuple[int, ...], den: int) -> Fraction:
+    """The atom's quadratic form at the vector ``nums / den``, exactly: one
+    integer sum over the coordinates, then one ``Fraction``."""
+    if atom.kind == "dirichlet":  # |u_{k+1} - u_k|^2 / h over the len - 1 intervals, h = 1/(len - 1)
+        return Fraction((len(nums) - 1) * sum((b - a) ** 2 for a, b in zip(nums, nums[1:])), den * den)
+    if atom.kind == "diag":  # j * lambda(j) = q * j^p, so lambda(j) = q * (j^p * scale / j) / scale
+        p, q = forms.lam_poly(atom.lam)
+        upto = len(nums) if atom.cut is None else min(atom.cut, len(nums))
+        scale = 1 if p else math.lcm(*range(1, upto + 1))
+        total = sum(a * a * (j**p * scale // j) for j, a in enumerate(nums[:upto], 1))
+        return q * Fraction(total, scale * den * den)
+    raise SymbolicOnly(f"the pointwise table has no exact value of {forms.atom_name(atom)}")
 
-    For every level the table records the largest |t_n(u,u) - t(u,u)|
-    over the samples at the powers of two n = 1, 2, 4, ... up to
-    ``n_max``.  The table does not depend on monotonicity and checks
-    none: the chain run's search or ``check_monotone`` does.  The "kato" chain additionally gets an
-    exact-identity check: the gap at u equals (1/n) times the
-    first-difference energy of u, to 1e-9 relative.  The "diag" chain
-    gets the operator gap |T_n x - T x| on the geometric vector, which
-    must decrease to 0 across the reported n.
+
+def gap_table(model: str, level: int, gaps: list[dict]) -> dict[str, list[Fraction]]:
+    """Each named vector's value of each gap (atom -> signed coefficient),
+    exactly; each atom is evaluated once per vector."""
+    atoms = dict.fromkeys(atom for gap in gaps for atom in gap)
+    table = {}
+    for name, nums, den in named_vectors(model, level):
+        values = {atom: atom_value(atom, nums, den) for atom in atoms}
+        table[name] = [sum(c * values[atom] for atom, c in gap.items()) for gap in gaps]
+    return table
+
+
+def pointwise_limit(chain: FormChain, levels=None, n_max: int = DEFAULT_N_MAX) -> dict:
+    """Declared-limit convergence table over named rational vectors.
+
+    At the powers of two n = 1, 2, 4, ... up to ``n_max`` the chain's
+    declared gap must equal ``forms.atom_difference(t_n, t)``; a mismatch
+    raises VerificationFailed.  For every level the table records the
+    largest |t_n(u,u) - t(u,u)| over the named vectors, evaluated exactly
+    from the gap and rounded once to a float, and ``gap`` gives the
+    coefficients at each n.  So the "kato" chain's energy-gap identity
+    (the gap is (1/n) times the first-difference energy) holds exactly.
+    The "diag" chain gets the operator gap |T_n x - T x| on the geometric
+    vector at the last level.  The table does not depend on monotonicity
+    and checks none: the chain run's search or ``check_monotone`` does.
     """
     if chain.limit is None:
         raise NoDeclaredLimit(f"chain {chain.chain_id!r} declares no limit form")
     levels = tuple(levels) if levels is not None else DEFAULT_LEVELS[chain.model]
     lim = chain.limit
     steps = [2**k for k in range(n_max.bit_length())]
+    gaps = [chain.gap(n) for n in steps]
+    for n, gap in zip(steps, gaps):
+        if forms.atom_difference(chain.term(n), lim) != gap:
+            raise VerificationFailed(f"the declared gap of {chain.chain_id!r} is not t_n - t at n={n}")
     rows = []
-    identity_max = 0.0
-    drawn = 0
+    table: dict = {}
     for level in levels:
-        samples = _limit_samples(chain.model, level, seed)
-        drawn = len(samples)
-        lim_vals = {name: forms.quadratic(lim, u) for name, u in samples}
-        # the identity's energy depends on the sample alone, not on n
-        energies = {name: hilbert.dirichlet_energy(u) for name, u in samples} if chain.chain_id == "kato" else {}
-        for n in steps:
-            t_n = chain.term(n)
-            gap = 0.0
-            for name, u in samples:
-                val = forms.quadratic(t_n, u)
-                gap = max(gap, abs(val - lim_vals[name]))
-                if chain.chain_id == "kato":
-                    energy = energies[name]
-                    dev = abs((val - lim_vals[name]) - energy / n)
-                    rel = dev / max(1.0, abs(val), energy)
-                    identity_max = max(identity_max, rel)
-                    if rel > 1e-9:
-                        raise VerificationFailed(
-                            f"energy-gap identity off by {rel} at level {level}, n={n}"
-                        )
-            rows.append({"level": level, "n": n, "max_gap": gap})
+        table = gap_table(chain.model, level, gaps)
+        for i, n in enumerate(steps):
+            rows.append({"level": level, "n": n, "max_gap": float(max(abs(values[i]) for values in table.values()))})
     report = {
         "chain": chain.chain_id,
         "limit": form_to_dict(lim),
         "levels": list(levels),
         "n_values": steps,
+        "gap": [{"n": n, "coeffs": {forms.atom_name(a): str(c) for a, c in gap.items()}} for n, gap in zip(steps, gaps)],
         "table": rows,
-        "samples_per_level": drawn,
-        "seed": seed,
+        "samples_per_level": len(table),
     }
     if chain.chain_id == "kato":
-        report["identity_max_rel_dev"] = identity_max
+        report["identity_max_rel_dev"] = 0.0
         report["identity_ok"] = True
     if chain.chain_id == "diag":
-        report["operator_gaps"] = _diag_operator_gaps(chain, levels[-1], steps)
+        report["operator_gaps"] = _diag_operator_gaps(levels[-1], steps)
     return report
 
 
-def _diag_operator_gaps(chain: FormChain, level: int, steps: list[int]) -> list[dict]:
-    dim = hilbert.dim_of(chain.model, level)
-    x = (0.5 ** np.arange(dim)).astype(complex)
-    # only the operators' images of x are kept: at a large level each operator is a large dense matrix
-    lim_x = forms.associated_operator(chain.limit, level) @ x
+def _diag_operator_gaps(level: int, steps: list[int]) -> list[dict]:
+    """|T_n x - T x| for the geometric x_j = 2^-(j-1) at the level: (T_n - T)x
+    is -j x_j for n < j <= level, so its square is the tail sum of
+    j^2 4^-(j-1), one integer over 4^(level-1); then one square root."""
     gaps = []
     for n in steps:
-        gap = np.linalg.norm(forms.riesz_operator_of_bounded(chain.term(n), level) @ x - lim_x)
-        gaps.append({"n": n, "gap": float(gap)})
-    for prev, cur in zip(gaps, gaps[1:]):
-        if cur["gap"] > prev["gap"] + 1e-12:
-            raise VerificationFailed("operator gaps failed to decrease")
+        tail = sum(j * j * 4 ** (level - j) for j in range(n + 1, level + 1))
+        gaps.append({"n": n, "gap": math.sqrt(Fraction(tail, 4 ** (level - 1)))})
     return gaps
 
 

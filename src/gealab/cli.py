@@ -249,7 +249,7 @@ def cmd_chain(args) -> tuple[dict, dict, bool]:
         else:
             chains.check_monotone(chain, n_max=args.n_max, order=order)
         body["monotone"] = chains.monotone_report(chain, order, args.n_max)
-        body["pointwise"] = chains.pointwise_limit(chain, levels=args.levels, seed=args.seed, n_max=args.n_max)
+        body["pointwise"] = chains.pointwise_limit(chain, levels=args.levels, n_max=args.n_max)
         body.update(found)
     except GealabError as exc:
         body["error"] = str(exc)

@@ -40,7 +40,7 @@ from gealab.forms import (
     energy_with_endpoints,
     zero_form,
 )
-from gealab.hilbert import GRID, SEQUENCE
+from gealab.hilbert import DEFAULT_LEVELS, GRID, SEQUENCE
 
 T_PRIME = energy_form(1)
 T_0 = endpoint_form(1, 1)
@@ -144,13 +144,14 @@ def test_pointwise_limit_energy_identity():
 
 
 def test_pointwise_limit_takes_each_sample_energy_once(monkeypatch):
-    # the identity's energy depends on the sample, not on n: one call per level and sample
+    # the energy depends on the vector, not on n: one evaluation per named vector and level
     calls = []
-    energy = hilbert.dirichlet_energy
-    monkeypatch.setattr(hilbert, "dirichlet_energy", lambda u: calls.append(1) or energy(u))
+    value = chains.atom_value
+    monkeypatch.setattr(chains, "atom_value", lambda atom, nums, den: calls.append(atom) or value(atom, nums, den))
     out = pointwise_limit(vanishing_energy_chain())
     assert out["identity_ok"] and len(out["n_values"]) == 6
-    assert len(calls) == len(out["levels"]) * out["samples_per_level"] == 75
+    assert calls == [forms.DIRICHLET] * len(out["levels"]) * out["samples_per_level"]
+    assert len(calls) == 12
 
 
 def test_pointwise_limit_filling_energy():
@@ -183,10 +184,97 @@ def test_pointwise_limit_tabulates_powers_of_two_up_to_n_max():
 
 
 def test_pointwise_limit_reports_the_samples_it_drew():
-    for chain, levels in ((truncated_diag_chain(), (8, 16)), (vanishing_energy_chain(), (9, 49))):
-        out = pointwise_limit(chain, levels=levels, seed=3, n_max=4)
+    for chain, levels, count in ((truncated_diag_chain(), (8, 16), 3), (vanishing_energy_chain(), (9, 49), 4)):
+        out = pointwise_limit(chain, levels=levels, n_max=4)
         for level in levels:
-            assert out["samples_per_level"] == len(chains._limit_samples(chain.model, level, 3))
+            assert out["samples_per_level"] == len(chains.named_vectors(chain.model, level)) == count
+
+
+def test_named_vectors_are_the_rational_test_functions():
+    names = {GRID: ["one", "linear", "square", "hat"], SEQUENCE: ["e1", "e2", "geometric"]}
+    for model, level in ((GRID, 9), (GRID, 10), (SEQUENCE, 8), (SEQUENCE, 1)):
+        vectors = chains.named_vectors(model, level)
+        assert [name for name, _, _ in vectors] == names[model]
+        for _, nums, den in vectors:
+            assert len(nums) == hilbert.dim_of(model, level) and all(type(a) is int for a in nums)
+    xs = [Fraction(k, 10) for k in range(11)]
+    exact = {name: [Fraction(a, den) for a in nums] for name, nums, den in chains.named_vectors(GRID, 9)}
+    assert exact == {
+        "one": [1] * 11,
+        "linear": xs,
+        "square": [x * x for x in xs],
+        "hat": [1 - 2 * abs(x - Fraction(1, 2)) for x in xs],
+    }
+    geometric = chains.named_vectors(SEQUENCE, 8)[2]
+    assert [Fraction(a, geometric[2]) for a in geometric[1]] == [Fraction(1, 2**k) for k in range(8)]
+
+
+def test_atom_value_is_exact_on_the_named_vectors():
+    for mesh in (9, 10, 49):
+        m = mesh + 1
+        vectors = {name: (nums, den) for name, nums, den in chains.named_vectors(GRID, mesh)}
+        energy = {name: chains.atom_value(forms.DIRICHLET, *vec) for name, vec in vectors.items()}
+        # the hat's kink sits on a node only when m is even
+        hat = 4 if m % 2 == 0 else 4 - Fraction(4, m)
+        assert energy == {"one": 0, "linear": 1, "square": Fraction(4 * m * m - 1, 3 * m * m), "hat": hat}
+    _, geo, den = chains.named_vectors(SEQUENCE, 8)[2]
+    for lam, cut in (("1/j", None), ("j", 3), ("j^2", None), ("const:2/3", 5)):
+        want = sum(forms.lam_value(lam, j) * Fraction(1, 4 ** (j - 1)) for j in range(1, min(cut or 8, 8) + 1))
+        assert chains.atom_value(forms.diag_atom(lam, cut), geo, den) == want
+    with pytest.raises(GealabError):
+        chains.atom_value(forms.bounded_mat_atom("id"), geo, den)
+
+
+def test_pointwise_gaps_match_the_float_oracle():
+    # the float path stays as the oracle: at every default level, named
+    # vector and tabulated n the exact gap is t_n(u) - t(u) from the matrices
+    for name in chains.CHAIN_IDS:
+        chain = chain_by_name(name)
+        steps = pointwise_limit(chain, levels=(DEFAULT_LEVELS[chain.model][0],))["n_values"]
+        for level in DEFAULT_LEVELS[chain.model]:
+            table = chains.gap_table(chain.model, level, [chain.gap(n) for n in steps])
+            for vec, nums, den in chains.named_vectors(chain.model, level):
+                u = np.array(nums, dtype=float) / den
+                lim = forms.quadratic(chain.limit, u)
+                for n, exact in zip(steps, table[vec]):
+                    val = forms.quadratic(chain.term(n), u)
+                    scale = max(1.0, abs(val), abs(lim))
+                    assert abs(float(exact) - (val - lim)) <= 1e-9 * scale, (name, level, vec, n)
+
+
+def test_pointwise_table_reads_no_matrix_or_random_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pointwise table built a matrix or drew a vector")
+
+    for name in ("matrix_at", "_atom_matrix", "quadratic"):
+        monkeypatch.setattr(forms, name, refuse)
+    monkeypatch.setattr(hilbert, "VectorSampler", refuse)
+    for name in chains.CHAIN_IDS:
+        assert pointwise_limit(chain_by_name(name))["table"]
+
+
+def test_pointwise_limit_reports_each_declared_gap():
+    out = pointwise_limit(truncated_diag_chain(), levels=(8,), n_max=4)
+    assert out["gap"] == [
+        {"n": n, "coeffs": {f"diag(j,cut={n})": "1", "diag(j)": "-1"}} for n in (1, 2, 4)
+    ]
+    out = pointwise_limit(filling_energy_chain(), levels=(9,), n_max=2)
+    assert out["gap"] == [{"n": 1, "coeffs": {"energy": "-1"}}, {"n": 2, "coeffs": {"energy": "-1/2"}}]
+    # kato's gap is energy/n, largest on the hat (energy 4), so the identity is exact
+    out = pointwise_limit(vanishing_energy_chain())
+    assert out["identity_max_rel_dev"] == 0.0
+    assert [row["max_gap"] for row in out["table"]] == [4 / n for n in out["n_values"]] * 3
+
+
+def test_pointwise_limit_refuses_a_wrong_gap():
+    # a declared gap is checked against t_n - t at every tabulated n
+    kato = vanishing_energy_chain()
+    wrong = replace(kato, gap_fn=lambda n: {forms.DIRICHLET: Fraction(1, n) if n < 8 else Fraction(1, 7)})
+    with pytest.raises(VerificationFailed, match="n=8"):
+        pointwise_limit(wrong, levels=(9,))
+    assert pointwise_limit(wrong, levels=(9,), n_max=7)["identity_ok"]
+    with pytest.raises(NoDeclaredLimit):
+        pointwise_limit(replace(kato, gap_fn=None))
 
 
 def test_pointwise_limit_requires_declared_limit():
@@ -236,6 +324,17 @@ def test_meet_limit_not_a_member_falls_back_to_candidates():
     report = meet_in_family(vanishing_energy_chain(), "cf", n_max=N_MAX)
     assert report.ok and report.found == zero_form(GRID)
     assert not report.evidence["is_declared_limit"]
+
+
+def test_meet_puts_the_declared_limit_first_wherever_it_is_passed():
+    # the surplus chain's limit comes last here; the search still reads it
+    # first, so it is the first obstruction witness, as with the palette
+    chain = surplus_energy_chain()
+    palette = chains._candidate_palette(chain)
+    late = [c for c in palette if c != chain.limit] + [chain.limit]
+    for cands in (palette, late):
+        report = meet_in_family(chain, "cf", candidates=cands, n_max=N_MAX)
+        assert report.witnesses == (T_1, T_PRIME) and report.bounds[0] == chain.limit
 
 
 def test_meet_custom_candidates():

@@ -408,7 +408,7 @@ def test_chain_levels_past_the_bound_are_refused_before_the_table(capsys, monkey
     # the refused levels never reach the pointwise table, so none is allocated
     seen = []
 
-    def pointwise_limit(chain, levels, seed, n_max):
+    def pointwise_limit(chain, levels, n_max):
         if sum(hilbert.dim_of(chain.model, level) for level in levels) > chains.MAX_LEVEL_DIMS:
             raise AssertionError(f"levels {levels} reached the pointwise table")
         seen.append(levels)
@@ -563,8 +563,8 @@ def test_text_bytes_match_golden_digest(command, code, digest, capsys):
 
 
 # sha256 of every chain x order run's JSON at --seed 7, less the pointwise
-# table (its sampled gaps are BLAS floats), dumped again with sorted keys:
-# the order layer decides the bound searches and monotone checks these pin
+# block (GOLDEN_POINTWISE pins it), dumped again with sorted keys: the order
+# layer decides the bound searches and monotone checks these pin
 GOLDEN_CHAIN = [
     ("kato", "oplus", 0, "7e8c9f7384787cdf2ecf044a2908d2a96680bddccfd53b504b0cc32bcda5df10"),
     ("kato", "prec", 0, "33b32ad6a9a4d96918a184bf759306c453501b63a30120958e36a525cba97be3"),
@@ -600,6 +600,28 @@ def test_chain_runs_match_golden_digest(chain, order, code, digest, capsys):
     body = json.loads(capsys.readouterr().out)
     body["report"].pop("pointwise", None)
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest
+
+
+# sha256 of each chain's pointwise block at the default levels, dumped again
+# with sorted keys: its gaps are exact rationals, each rounded once to a float
+GOLDEN_POINTWISE = {
+    "kato": "3ec7eda4235f2812397b01008b0ebd6fb1990d9a2cfc329c34ffe11bffe61fc0",
+    "shifted": "3ed45854fbd1228d38a0b6c585c231b6ee12555ab935612b40aa57113b23adc4",
+    "complement": "8fcd990e48fcaa42092cdef72ece508f1196c111dc7d55b5f80483a0952f4b4f",
+    "diag": "1532d4144da22a4a5301485c109c069c28915d74340aa1160a9e143e65bb8b50",
+    "bounded": "4094c28dc962de8ed5aebe6daee4156bdf7d4f00d705bb2db3fa628ee3c6e733",
+}
+
+
+@pytest.mark.parametrize("chain", chains.CHAIN_IDS)
+def test_pointwise_block_matches_golden_digest_at_every_seed(chain, capsys):
+    # no random vector is left, so the seed moves no byte of the block
+    blocks = []
+    for seed in ("0", "7"):
+        assert cli.main(["chain", "--chain", chain, "--seed", seed, "--format", "json"]) == 0
+        blocks.append(json.loads(capsys.readouterr().out)["report"]["pointwise"])
+    assert blocks[0] == blocks[1]
+    assert hashlib.sha256(json.dumps(blocks[0], sort_keys=True).encode()).hexdigest() == GOLDEN_POINTWISE[chain]
 
 
 def test_golden_chain_runs_cover_every_chain_and_order():
@@ -746,8 +768,9 @@ def test_text_format_renders(capsys):
 
 
 def test_chain_and_sigma_text_format(capsys):
-    code, body, _ = run_json(["chain", "--chain", "kato", "--n-max", "4"], capsys)
-    code_text, out, _ = run_cli(["chain", "--chain", "kato", "--n-max", "4"], capsys)
+    # kato's exact gaps are 4/n; diag's operator gaps are square roots
+    code, body, _ = run_json(["chain", "--chain", "diag", "--n-max", "4"], capsys)
+    code_text, out, _ = run_cli(["chain", "--chain", "diag", "--n-max", "4"], capsys)
     assert code == code_text == 0
     lines = out.splitlines()
     # plain list items, and floats at 12 significant digits
@@ -756,9 +779,12 @@ def test_chain_and_sigma_text_format(capsys):
         "      - 2",
         "      - 4",
     ]
-    gaps = [row["max_gap"] for row in body["report"]["pointwise"]["table"]]
+    pointwise = body["report"]["pointwise"]
+    gaps = [row["max_gap"] for row in pointwise["table"]]
     assert [line.strip() for line in lines if "max_gap:" in line] == [f"max_gap: {g:.12g}" for g in gaps]
-    assert any(len(f"{g:.12g}".replace(".", "")) == 12 for g in gaps)
+    operator_gaps = [row["gap"] for row in pointwise["operator_gaps"]]
+    assert [line.strip() for line in lines if line.strip().startswith("gap: ")] == [f"gap: {g:.12g}" for g in operator_gaps]
+    assert any(len(f"{g:.12g}".replace(".", "")) == 12 for g in operator_gaps)
     code, out, _ = run_cli(["sigma", "--n-max", "8"], capsys)
     assert code == 0 and "ok: True" in out.splitlines()
     assert "        - 1*energy on h1_grid [grid]" in out.splitlines()

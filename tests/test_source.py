@@ -1,11 +1,13 @@
 """Source hygiene: every module constant of the package is read somewhere,
 every default of a private function is overridden by some call, every
 function the benchmark tracer spans exists, every mutant of the mutation
-probe still applies and names a test, and the CLI refuses and reports in
-one place."""
+probe still applies and names a test, the CLI refuses and reports in
+one place, and the chain and sigma runs import no random generator."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 from test_kernel import ARRAY_INSTANCES
@@ -167,3 +169,24 @@ def test_only_cli_main_refuses_emits_and_picks_the_exit_code():
     for fn in handlers:
         returned = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
         assert returned and all(isinstance(v, ast.Tuple) and len(v.elts) == 3 for v in returned), fn.name
+
+
+# the runs of the order layer, each through cli.main in one fresh interpreter:
+# sigma, the five default chain runs, diag in cf (exit 1) and four counterexamples
+_RUNS_WITHOUT_RANDOM = """
+import contextlib, io, sys
+from gealab import chains, cli
+runs = [["sigma"]] + [["chain", "--chain", name] for name in chains.CHAIN_IDS]
+runs += [["chain", "--chain", "diag", "--order", "cf"]]
+runs += [["counterexample", name] for name in ("example-5-4", "regular-sum", "kato-inf", "bar-inf")]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv + ["--format", "json"]) for argv in runs]
+print(*codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_order_layer_runs_import_no_random_generator():
+    # the pointwise table draws no random vector, so numpy.random, which
+    # numpy imports only on first use, is never loaded by these runs
+    run = subprocess.run([sys.executable, "-c", _RUNS_WITHOUT_RANDOM], capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0"] * 6 + ["1"] + ["0"] * 4 + ["False"]

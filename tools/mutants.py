@@ -1,6 +1,7 @@
 """Mutation probe: is every catalog rule pinned by a test?
 
-Each mutant below changes one line of one rule.  For each, the probe
+Each mutant below changes one line of one rule: of the catalog, of the
+bound search or of a chain's declared gap.  For each, the probe
 copies ``src``, ``tests`` and ``perfbench`` into a temporary directory, applies the
 mutant there, and runs the test expected to kill it.  Only a mutant that
 test lets through gets the whole suite (``pytest -x``).  One ``pytest``
@@ -243,6 +244,64 @@ MUTANTS = (
         "candidates.update(range(m - 1, m + 3))",
         "pass",
         "tests/test_diagonal_order.py::test_a_critical_point_between_the_ends_is_found",
+    ),
+    # ------------------------------------------------ the bound search
+    Mutant(
+        "bound-search-extremum-beyond-any-bound",
+        "src/gealab/chains.py",
+        "if all(below(b, g) for b in bounds):",
+        "if any(below(b, g) for b in bounds):",
+        "tests/test_chains.py::test_meet_obstruction_rows",
+    ),
+    Mutant(
+        "bound-search-step-check-dropped",
+        "src/gealab/chains.py",
+        "_check_steps(terms, below)",
+        "pass",
+        "tests/test_chains.py::test_meet_family_guard",
+    ),
+    Mutant(
+        "bound-search-dominator-check-dropped",
+        "src/gealab/chains.py",
+        "if not below(dominator, t):",
+        "if False:",
+        "tests/test_chains.py::test_cf_prec_sup_guards",
+    ),
+    Mutant(
+        "palette-without-its-halves",
+        "src/gealab/chains.py",
+        "scaled.extend([form_scale(c, Fraction(1, 2)), form_scale(c, 2)])",
+        "scaled.extend([form_scale(c, 2)])",
+        "tests/test_chains.py::test_cf_prec_sup_names_the_first_upper_bound_not_above_the_limit",
+    ),
+    Mutant(
+        "bound-search-declared-limit-not-first",
+        "src/gealab/chains.py",
+        "bounds.sort(key=lambda c: c != lim)",
+        "pass",
+        "tests/test_chains.py::test_meet_puts_the_declared_limit_first_wherever_it_is_passed",
+    ),
+    # ---------------------------------------- declared gaps of the chains
+    Mutant(
+        "complement-gap-sign-flipped",
+        "src/gealab/chains.py",
+        "gap_fn=lambda n: {DIRICHLET: Fraction(-1, n)},",
+        "gap_fn=lambda n: {DIRICHLET: Fraction(1, n)},",
+        "tests/test_chains.py::test_pointwise_limit_reports_each_declared_gap",
+    ),
+    Mutant(
+        "diag-gap-drops-the-cut",
+        "src/gealab/chains.py",
+        '{diag_atom("j", cut=n): Fraction(1), diag_atom("j"): Fraction(-1)}',
+        '{diag_atom("j"): Fraction(1), diag_atom("j"): Fraction(-1)}',
+        "tests/test_chains.py::test_pointwise_limit_diag_operator_gaps",
+    ),
+    Mutant(
+        "declared-gap-unchecked",
+        "src/gealab/chains.py",
+        "if forms.atom_difference(chain.term(n), lim) != gap:",
+        "if False:",
+        "tests/test_chains.py::test_pointwise_limit_refuses_a_wrong_gap",
     ),
 )
 
